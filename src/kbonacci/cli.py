@@ -264,11 +264,22 @@ def main(argv: list[str] | None = None) -> int:
         "verify": cmd_verify,
         "asymptotics": cmd_asymptotics,
     }
+    # exact integers of any size print in full: lift the int-to-str digit
+    # limit (0 = none; Pythons before 3.10.7 have none) for this call only
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
     try:
         return handlers[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

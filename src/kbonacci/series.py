@@ -131,6 +131,8 @@ class MultiPoly:
         unknown = set(values) - set(self.variables)
         if unknown:
             raise ValueError(f"unknown variables {sorted(unknown)}")
+        if not values:
+            return self
         keep = [i for i, v in enumerate(self.variables) if v not in values]
         out: dict[tuple[int, ...], int] = {}
         for exps, coef in self.terms.items():
@@ -195,14 +197,6 @@ class MultiPoly:
         return f"MultiPoly({self.variables!r}, {self.to_text()!r})"
 
 
-def poly_add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return a + b
-
-
-def poly_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return a * b
-
-
 class RationalGF:
     """Quotient of two polynomials whose first variable is the series
     variable ``x``; the denominator's constant term normalizes to 1."""
@@ -255,36 +249,69 @@ class RationalGF:
         return f"RationalGF(({self.numerator.to_text()}) / ({self.denominator.to_text()}))"
 
 
-def _x_slices(p: MultiPoly) -> dict[int, MultiPoly]:
-    """Split by the exponent of x into polynomials over the other variables."""
-    aux = p.variables[1:]
-    slices: dict[int, dict[tuple[int, ...], int]] = {}
-    for exps, coef in p.terms.items():
-        slices.setdefault(exps[0], {})[exps[1:]] = coef
-    return {d: MultiPoly(aux, t) for d, t in slices.items()}
-
-
 def expand(gf: RationalGF, n_max: int) -> list[MultiPoly]:
     """Coefficients of x^0..x^n_max as polynomials in the other variables.
 
     With numerator slices N_j and denominator slices D_j (D_0 = 1), the
-    coefficients satisfy c_n = N_n - sum_{j>=1} D_j c_{n-j}.
+    coefficients satisfy c_n = N_n - sum_{j>=1} D_j c_{n-j}.  The
+    recurrence runs on dicts keyed by packed exponent vectors: auxiliary
+    variable i takes bits [width*i, width*(i+1)) of the key, so
+    multiplying monomials adds keys.  No exponent of c_n exceeds
+    maxN + n*maxD (each D_j has j >= 1), and width bits hold that bound
+    at n = n_max, so no field overflows.  Each c_n becomes a validated
+    MultiPoly once it leaves the recurrence window, the denominator's
+    largest x-degree.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     aux = gf.aux_variables
-    num = _x_slices(gf.numerator)
-    den = _x_slices(gf.denominator)
-    if den.get(0) != MultiPoly.constant(aux, 1):
+    num_terms = gf.numerator.terms
+    den_terms = gf.denominator.terms
+    width = 0
+    for v in range(1, len(aux) + 1):
+        bound = (max((e[v] for e in num_terms), default=0)
+                 + n_max * max(e[v] for e in den_terms))
+        width = max(width, bound.bit_length())
+    shifts = [width * i for i in range(len(aux))]
+    mask = (1 << width) - 1
+
+    def pack(exps: tuple[int, ...]) -> int:
+        return sum(e << s for e, s in zip(exps[1:], shifts))
+
+    num: dict[int, dict[int, int]] = {}
+    for exps, coef in num_terms.items():
+        if exps[0] <= n_max:
+            num.setdefault(exps[0], {})[pack(exps)] = coef
+    den: dict[int, list[tuple[int, int]]] = {}
+    for exps, coef in den_terms.items():
+        den.setdefault(exps[0], []).append((pack(exps), coef))
+    if den.pop(0, None) != [(0, 1)]:
         raise ValueError("denominator's x^0 slice must be the constant 1")
-    zero = MultiPoly.zero(aux)
+    den_slices = sorted(den.items())
+    depth = den_slices[-1][0] if den_slices else 0
+
+    def unpack(packed: dict[int, int]) -> MultiPoly:
+        fields = [[(key >> s) & mask for key in packed] for s in shifts]
+        exps = zip(*fields) if fields else [()] * len(packed)
+        return MultiPoly(aux, dict(zip(exps, packed.values())))
+
     coeffs: list[MultiPoly] = []
+    window: list[dict[int, int]] = []  # c_{n-depth}..c_{n-1}, packed
     for n in range(n_max + 1):
-        c = num.get(n, zero)
-        for j, dj in den.items():
-            if 1 <= j <= n:
-                c = c - dj * coeffs[n - j]
-        coeffs.append(c)
+        c = dict(num.get(n, ()))
+        get = c.get
+        for j, dj in den_slices:
+            if j > n:
+                break
+            prev = window[-j]
+            for dkey, dcoef in dj:
+                for key, coef in prev.items():
+                    key += dkey
+                    c[key] = get(key, 0) - dcoef * coef
+        window.append({key: coef for key, coef in c.items() if coef})
+        if len(window) > depth:
+            coeffs.append(unpack(window.pop(0)))
+    coeffs.extend(unpack(packed) for packed in window)
     return coeffs
 
 

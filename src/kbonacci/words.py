@@ -93,12 +93,17 @@ def generalized_fibonacci(n: int, k: int) -> int:
     _check_k(k)
     if n <= 0:
         return 0
-    # sliding window over the last k values, oldest first
-    window = [0] * (k - 1) + [1]  # F(2-k..0) = 0, F(1) = 1
+    # ring of the last k values with their running sum; slot i holds the
+    # oldest, which the next value replaces
+    ring = [0] * (k - 1) + [1]  # F(2-k..0) = 0, F(1) = 1
+    total = value = 1
+    i = 0
     for _ in range(n - 1):
-        window.append(sum(window))
-        window.pop(0)
-    return window[-1]
+        value = total
+        total += value - ring[i]
+        ring[i] = value
+        i = i + 1 if i + 1 < k else 0
+    return value
 
 
 def count_words(n: int, k: int) -> int:

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from kbonacci import cli, verify
+from kbonacci import cli, verify, words
 from kbonacci.verify import CheckReport, Summary
 
 
@@ -26,6 +27,19 @@ class TestCount:
     def test_csv(self, capsys):
         code, out = run(capsys, "count", "--n", "3", "--k", "2", "--format", "csv")
         assert out == "n,k,count\n3,2,5\n"
+
+    def test_beyond_int_str_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out = run(capsys, "count", "--n", "30000", "--k", "2")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(words.generalized_fibonacci(30002, 2))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(expected) == 6270
+        assert out == expected + "\n"
 
     def test_negative_n_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -172,6 +186,27 @@ class TestVerify:
         code, out = run(capsys, "verify", "--suite", "reversal", "--max-n", "3",
                         "--max-k", "2", "--format", "csv")
         assert out.splitlines()[0] == "family,k,n,status,elapsed_ms"
+
+
+class TestErrors:
+    def test_unexpected_exception_one_line_exit_two(self, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_count", boom)
+        code = cli.main(["count", "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: RuntimeError: boom\n"
+
+    def test_value_error_keeps_its_message(self, capsys, monkeypatch):
+        def bad(args):
+            raise ValueError("bad input")
+
+        monkeypatch.setattr(cli, "cmd_count", bad)
+        assert cli.main(["count", "--n", "3"]) == 2
+        assert capsys.readouterr().err == "error: bad input\n"
 
 
 class TestAsymptotics:

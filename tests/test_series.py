@@ -12,8 +12,6 @@ from kbonacci.series import (
     gf_hamiltonian,
     gf_named_total,
     gf_polyomino,
-    poly_add,
-    poly_mul,
     total_weight_series,
 )
 from kbonacci.words import count_words
@@ -47,11 +45,6 @@ class TestMultiPolyAlgebra:
 
     def test_exponent_addition(self):
         assert pq({(2, 1): 1}) * pq({(1, 2): 1}) == pq({(3, 3): 1})
-
-    def test_module_level_aliases(self):
-        a, b = pq({(1, 0): 2}), pq({(0, 1): 3})
-        assert poly_add(a, b) == a + b
-        assert poly_mul(a, b) == a * b
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -93,6 +86,10 @@ class TestMultiPolyStructure:
         assert p.specialize({"p": 2, "q": 1}).as_int() == 4 + 2
         with pytest.raises(ValueError):
             p.specialize({"z": 1})
+
+    def test_specialize_nothing_is_identity(self):
+        p = pq({(2, 1): 1, (0, 3): 2})
+        assert p.specialize({}) is p
 
     def test_as_int_requires_constant(self):
         with pytest.raises(ValueError):
@@ -190,6 +187,113 @@ class TestExpand:
         gab = RationalGF(a + b, den)
         ca, cb, cab = expand(ga, 6), expand(gb, 6), expand(gab, 6)
         assert all(ca[n] + cb[n] == cab[n] for n in range(7))
+
+
+def _expand_reference(gf, n_max):
+    """The recurrence in plain MultiPoly arithmetic on the x-slices, with
+    no packing: the reference that expand() must equal exactly."""
+    def x_slices(p):
+        slices = {}
+        for exps, coef in p.terms.items():
+            slices.setdefault(exps[0], {})[exps[1:]] = coef
+        return {d: MultiPoly(gf.aux_variables, t) for d, t in slices.items()}
+
+    num, den = x_slices(gf.numerator), x_slices(gf.denominator)
+    assert den.get(0) == MultiPoly.constant(gf.aux_variables, 1)
+    zero = MultiPoly.zero(gf.aux_variables)
+    coeffs = []
+    for n in range(n_max + 1):
+        c = num.get(n, zero)
+        for j, dj in den.items():
+            if 1 <= j <= n:
+                c = c - dj * coeffs[n - j]
+        coeffs.append(c)
+    return coeffs
+
+
+def random_gfs(aux=("p", "q"), max_exp=60):
+    """Random num/den over (x, *aux) with D(0) = 1 and aux exponents up to
+    max_exp, so the packed fields are wide and their sums near the bound."""
+    def terms(min_x):
+        exps = st.tuples(st.integers(min_x, 4),
+                         *([st.integers(0, max_exp)] * len(aux)))
+        return st.dictionaries(exps, st.integers(-9, 9), max_size=5)
+
+    variables = ("x",) + aux
+    one = {(0,) * len(variables): 1}
+    return st.tuples(terms(0), terms(1)).map(lambda nd: RationalGF(
+        MultiPoly(variables, nd[0]), MultiPoly(variables, {**nd[1], **one})))
+
+
+class TestExpandEquivalence:
+    def test_family_constructors(self):
+        for k in range(2, 7):
+            gfs = [gf_polyomino(k), gf_graph(k), gf_degree(k), gf_hamiltonian(k),
+                   gf_deg4_alternate(k)]
+            gfs += [gf_named_total(name, k) for name in
+                    ("area", "perimeter", "vertices", "edges",
+                     "deg2", "deg3", "deg4", "ham")]
+            for gf in gfs:
+                assert expand(gf, 40) == _expand_reference(gf, 40), (k, gf)
+
+    def test_widest_family_field(self):
+        # p^34 at x^7: the largest aux exponent of any family's denominator
+        gf = gf_graph(6)
+        assert max(e[1] for e in gf.denominator.terms) == 5 * 6 + 4
+        assert expand(gf, 120) == _expand_reference(gf, 120)
+
+    def test_field_filled_exactly(self):
+        # c_n = p^(13 + 5n) q^n: at n = 10 the p exponent is 63, every bit
+        # of a 6-bit field, with q packed right above it
+        v = ("x", "p", "q")
+        gf = RationalGF(MultiPoly(v, {(0, 13, 0): 1}),
+                        MultiPoly(v, {(0, 0, 0): 1, (1, 5, 1): -1}))
+        coeffs = expand(gf, 10)
+        assert coeffs == _expand_reference(gf, 10)
+        assert coeffs[10] == MultiPoly(("p", "q"), {(63, 10): 1})
+
+    def test_zero_terms(self):
+        gf = gf_degree(3)
+        assert expand(gf, 0) == _expand_reference(gf, 0) == [
+            MultiPoly.zero(gf.aux_variables)]
+
+    def test_numerator_beyond_n_max(self):
+        v = ("x", "p")
+        num = MultiPoly(v, {(1, 3): 2, (5, 1): 7, (9, 2): -1})
+        den = MultiPoly(v, {(0, 0): 1, (1, 1): -1, (2, 0): 3})
+        gf = RationalGF(num, den)
+        for n_max in (0, 1, 3, 4, 8):
+            assert expand(gf, n_max) == _expand_reference(gf, n_max)
+
+    def test_constant_denominator(self):
+        v = ("x", "p", "q")
+        gf = RationalGF(MultiPoly(v, {(0, 0, 0): 4, (2, 5, 1): -3, (3, 0, 9): 1}),
+                        MultiPoly.constant(v, 1))
+        assert expand(gf, 5) == _expand_reference(gf, 5)
+
+    def test_normalised_denominator_constant(self):
+        v = ("x", "p")
+        gf = RationalGF(MultiPoly(v, {(1, 2): 6, (2, 0): -3}),
+                        MultiPoly(v, {(0, 0): -3, (1, 1): 6, (3, 4): 9}))
+        assert gf.denominator.terms[(0, 0)] == 1
+        assert expand(gf, 12) == _expand_reference(gf, 12)
+
+    def test_x0_slice_must_be_one(self):
+        v = ("x", "p")
+        gf = RationalGF(MultiPoly(v, {(1, 0): 1}),
+                        MultiPoly(v, {(0, 0): 1, (0, 1): 1}))
+        with pytest.raises(ValueError):
+            expand(gf, 3)
+
+    @given(random_gfs(), st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_random_multivariate(self, gf, n_max):
+        assert expand(gf, n_max) == _expand_reference(gf, n_max)
+
+    @given(random_gfs(aux=("q2", "q3", "q4")), st.integers(0, 8))
+    @settings(max_examples=25, deadline=None)
+    def test_random_three_aux(self, gf, n_max):
+        assert expand(gf, n_max) == _expand_reference(gf, n_max)
 
 
 class TestFamilyConstructors:

@@ -75,6 +75,20 @@ class TestGeneralizedFibonacci:
         with pytest.raises(ValueError):
             generalized_fibonacci(5, 1)
 
+    def test_running_sum_matches_window(self):
+        def window_version(n, k):
+            if n <= 0:
+                return 0
+            window = [0] * (k - 1) + [1]
+            for _ in range(n - 1):
+                window.append(sum(window))
+                window.pop(0)
+            return window[-1]
+
+        for k in range(2, 9):
+            for n in range(-2, 201):
+                assert generalized_fibonacci(n, k) == window_version(n, k), (n, k)
+
 
 class TestCountWords:
     def test_paper_listings(self):
