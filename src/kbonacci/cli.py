@@ -10,15 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import formulas, graph, polyomino, series, verify, words
 from .formulas import format_fraction
-
-SERIES_FAMILIES = ("poly", "graph", "degree", "ham")
-TOTAL_FAMILIES = tuple(f"{name}-total" for name in verify.TOTALS)
-VERIFY_SUITES = ("all", "poly", "graph", "degree", "ham", "totals",
-                 "formulas", "reversal")
 
 
 def _nonnegative(text: str) -> int:
@@ -77,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", parents=[common],
                        help="expand a generating function")
     p.add_argument("--family", required=True,
-                   choices=SERIES_FAMILIES + TOTAL_FAMILIES)
+                   choices=(*verify.FAMILIES, *(f"{name}-total" for name in verify.TOTALS)))
     p.add_argument("--k", type=_k_param, default=2)
     p.add_argument("--terms", type=_positive, default=10)
     p.add_argument("--vars-at-1", default="", metavar="VARS",
@@ -85,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run oracle cross-checks; exit 0 iff all pass")
-    p.add_argument("--suite", choices=VERIFY_SUITES, default="all")
+    p.add_argument("--suite", choices=("all", *verify.SUITES), default="all")
     p.add_argument("--max-n", type=_positive, default=10)
     p.add_argument("--max-k", type=_k_param, default=5)
 
@@ -107,23 +101,6 @@ def cmd_count(args) -> int:
     else:
         print(value)
     return 0
-
-
-def _word_stats(w: words.Word, ham_cap: int) -> dict:
-    p = polyomino.from_word(w)
-    g = graph.build_graph(p)
-    d2, d3, d4 = graph.degree_profile(g)
-    ham = graph.is_hamiltonian(g) if len(w) <= ham_cap else None
-    return {
-        "word": w.text,
-        "heights": list(p.heights),
-        "area": polyomino.area(p),
-        "sper": polyomino.semiperimeter(p),
-        "vertices": len(g.vertices),
-        "edges": len(g.edges),
-        "deg": [d2, d3, d4],
-        "hamiltonian": ham,
-    }
 
 
 def cmd_enumerate(args) -> int:
@@ -150,40 +127,37 @@ def cmd_enumerate(args) -> int:
             for w in wordlist:
                 print(w.text or "ε")
         return 0
-    rows = [_word_stats(w, args.ham_cap) for w in wordlist]
+    ham = args.n <= args.ham_cap
+    rows = [(w, graph.word_stats(w, ham)) for w in wordlist]
     if args.format == "json":
-        print(json.dumps(rows))
-    elif args.format == "csv":
+        print(json.dumps([
+            {"word": w.text, "heights": list(polyomino.from_word(w).heights),
+             "area": s.area, "sper": s.perimeter, "vertices": s.vertices,
+             "edges": s.edges, "deg": [s.deg2, s.deg3, s.deg4],
+             "hamiltonian": None if s.ham is None else bool(s.ham)}
+            for w, s in rows]))
+        return 0
+    hams = ["-" if s.ham is None else str(bool(s.ham)).lower() for _, s in rows]
+    if args.format == "csv":
         print("word,area,sper,ver,edg,d2,d3,d4,ham")
-        for r in rows:
-            ham = "-" if r["hamiltonian"] is None else str(r["hamiltonian"]).lower()
-            print(f"{r['word']},{r['area']},{r['sper']},{r['vertices']},"
-                  f"{r['edges']},{r['deg'][0]},{r['deg'][1]},{r['deg'][2]},{ham}")
+        for (w, s), h in zip(rows, hams):
+            print(f"{w.text},{s.area},{s.perimeter},{s.vertices},"
+                  f"{s.edges},{s.deg2},{s.deg3},{s.deg4},{h}")
     else:
-        print(f"{'word':<{max(4, args.n)}} {'area':>4} {'sper':>4} {'ver':>4} "
+        width = max(4, args.n)
+        print(f"{'word':<{width}} {'area':>4} {'sper':>4} {'ver':>4} "
               f"{'edg':>4} {'d2':>3} {'d3':>3} {'d4':>3} ham")
-        for r in rows:
-            ham = "-" if r["hamiltonian"] is None else str(r["hamiltonian"]).lower()
-            print(f"{r['word'] or chr(0x3b5):<{max(4, args.n)}} {r['area']:>4} "
-                  f"{r['sper']:>4} {r['vertices']:>4} {r['edges']:>4} "
-                  f"{r['deg'][0]:>3} {r['deg'][1]:>3} {r['deg'][2]:>3} {ham}")
+        for (w, s), h in zip(rows, hams):
+            print(f"{w.text:<{width}} {s.area:>4} {s.perimeter:>4} {s.vertices:>4} "
+                  f"{s.edges:>4} {s.deg2:>3} {s.deg3:>3} {s.deg4:>3} {h}")
     return 0
 
 
-def _series_gf(family: str, k: int) -> series.RationalGF:
-    if family.endswith("-total"):
-        return series.gf_named_total(family[:-len("-total")], k)
-    builders = {
-        "poly": series.gf_polyomino,
-        "graph": series.gf_graph,
-        "degree": series.gf_degree,
-        "ham": series.gf_hamiltonian,
-    }
-    return builders[family](k)
-
-
 def cmd_series(args) -> int:
-    gf = _series_gf(args.family, args.k)
+    if args.family in verify.FAMILIES:
+        gf = verify.FAMILIES[args.family].gf(args.k)
+    else:  # a named total, "<name>-total"
+        gf = series.gf_named_total(args.family.removesuffix("-total"), args.k)
     at_one = [v for v in args.vars_at_1.split(",") if v]
     unknown = set(at_one) - set(gf.aux_variables)
     if unknown:
@@ -211,8 +185,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suites = (verify.FAMILIES + ("totals", "formulas", "reversal")
-              if args.suite == "all" else (args.suite,))
+    suites = tuple(verify.SUITES) if args.suite == "all" else (args.suite,)
     summary = verify.run_all(args.max_n, args.max_k, args.ham_cap, suites)
     if args.format == "json":
         print(json.dumps(verify.to_json_obj(summary)))

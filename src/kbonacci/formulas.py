@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import MultiPoly, RationalGF, expand, expand_ints, gf_named_total
+from .series import MultiPoly, expand, expand_ints, gf_named_total
 from .words import enumerate_words
 
 PQ = ("p", "q")
@@ -451,24 +451,3 @@ def degree_slice_from_gf(j: int, n_max: int) -> list[MultiPoly]:
     others = {v: 1 for v in ("q2", "q3", "q4") if v != keep}
     coeffs = expand(gf_degree(2), n_max)
     return [c.specialize(others).rename({keep: "q"}) for c in coeffs]
-
-
-SEQUENCES = ("t", "v", "d2", "d3", "d4", "area", "narayana")
-
-
-def sequence_json(sequence: str, n: int) -> dict:
-    """JSON form of one sequence value: polynomials in canonical text,
-    integers as decimal strings."""
-    if sequence == "t":
-        value = t_poly(n).to_text()
-    elif sequence == "v":
-        value = v_poly(n).to_text()
-    elif sequence in ("d2", "d3", "d4"):
-        value = degree_poly(int(sequence[1]), n).to_text()
-    elif sequence == "area":
-        value = str(total_area_closed(n))
-    elif sequence == "narayana":
-        value = str(narayana(n))
-    else:
-        raise ValueError(f"unknown sequence {sequence!r}; expected one of {SEQUENCES}")
-    return {"sequence": sequence, "n": n, "value": value}

@@ -3,8 +3,9 @@ sides are edges.  All vertices have degree 2, 3 or 4.
 
 The degree profile and the Hamiltonicity search have one implementation
 each, on integer vertex ids: `degree_counts` and `has_hamiltonian_cycle`.
-The oracle feeds them `polyomino.geometry` directly; the `GridGraph`
-functions relabel their (x, y) vertices to ids first.
+`word_stats` feeds them `polyomino.geometry` directly and is the one
+source of every per-word statistic; the `GridGraph` functions relabel
+their (x, y) vertices to ids first.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .polyomino import Polyomino, geometry
+from .polyomino import Polyomino, area, from_word, geometry
+from .words import Word
 
 Vertex = tuple[int, int]
 Edge = tuple[Vertex, Vertex]
@@ -53,19 +55,6 @@ def _relabel(g: GridGraph) -> tuple[list[int], list[tuple[int, int]],
         return v // h + x0, v % h + y0
 
     return sorted(ids.values()), sorted((ids[u], ids[v]) for u, v in g.edges), corner
-
-
-def vertex_count_closed(p: Polyomino) -> int:
-    """Fast path: 2(n+1) + (number of 1's) + (number of maximal 1-runs)."""
-    w = [h - 1 for h in p.heights]
-    ones = sum(w)
-    runs = 0
-    prev = 0
-    for b in w:
-        if b and not prev:
-            runs += 1
-        prev = b
-    return 2 * (len(w) + 1) + ones + runs
 
 
 def degree_counts(vertices: Sequence[int], edges: Sequence[tuple[int, int]],
@@ -230,6 +219,34 @@ def is_hamiltonian(g: GridGraph) -> bool:
     return has_hamiltonian_cycle(vertices, edges)
 
 
+@dataclass(frozen=True)
+class WordStats:
+    """Every per-word statistic of the paper, each field named after its
+    total (`verify.TOTALS`, in the same order): the polyomino's area and
+    semiperimeter (`perimeter`), the grid graph's vertex and edge counts
+    and degree profile, and `ham`, 1 or 0 as the graph has a Hamiltonian
+    cycle or not (None when not asked for)."""
+
+    area: int
+    perimeter: int
+    vertices: int
+    edges: int
+    deg2: int
+    deg3: int
+    deg4: int
+    ham: int | None
+
+
+def word_stats(w: Word, ham: bool) -> WordStats:
+    """The statistics of a nonempty word, read off the integer geometry of
+    its polyomino; Hamiltonicity is searched for only when `ham` is set."""
+    p = from_word(w)
+    geo = geometry(p)
+    return WordStats(area(p), geo.semiperimeter, len(geo.vertices), len(geo.edges),
+                     *degree_counts(geo.vertices, geo.edges),
+                     int(has_hamiltonian_cycle(geo.vertices, geo.edges)) if ham else None)
+
+
 def to_dot(g: GridGraph, name: str = "G") -> str:
     """DOT rendering for external graph viewers."""
     lines = [f"graph {name} {{"]
@@ -239,14 +256,3 @@ def to_dot(g: GridGraph, name: str = "G") -> str:
         lines.append(f'  "{ux},{uy}" -- "{vx},{vy}";')
     lines.append("}")
     return "\n".join(lines)
-
-
-def to_json_dict(word_text: str, g: GridGraph, hamiltonian: bool | None) -> dict:
-    d2, d3, d4 = degree_profile(g)
-    return {
-        "word": word_text,
-        "vertices": len(g.vertices),
-        "edges": len(g.edges),
-        "deg": [d2, d3, d4],
-        "hamiltonian": hamiltonian,
-    }

@@ -33,11 +33,6 @@ def from_word(w: Word) -> Polyomino:
     return Polyomino(tuple(b + 1 for b in w.bits), w.k)
 
 
-def word_of(p: Polyomino) -> Word:
-    """The word the polyomino was built from (heights minus one)."""
-    return Word(tuple(h - 1 for h in p.heights), p.k)
-
-
 @dataclass(frozen=True)
 class Geometry:
     """Cell corners and cell sides of a bargraph polyomino on integer
@@ -130,12 +125,3 @@ def render(p: Polyomino) -> str:
     top = "".join("█" if h == 2 else " " for h in p.heights).rstrip()
     bottom = "█" * len(p.heights)
     return (top + "\n" if top else "") + bottom
-
-
-def to_json_dict(p: Polyomino) -> dict:
-    return {
-        "word": word_of(p).text,
-        "heights": list(p.heights),
-        "area": area(p),
-        "sper": semiperimeter(p),
-    }

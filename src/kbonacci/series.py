@@ -427,15 +427,28 @@ def gf_hamiltonian(k: int) -> RationalGF:
     return RationalGF(num, den)
 
 
-_TOTAL_NAMES = ("area", "perimeter", "vertices", "edges", "deg2", "deg3", "deg4", "ham")
-
-
 def gf_named_total(name: str, k: int) -> RationalGF:
     """Univariate generating function of a statistic's total over all
     words of each length: area, perimeter, vertices, edges, deg2, deg3,
     deg4 (vertex-degree counts) or ham (number of Hamiltonian graphs)."""
     _check_k(k)
     v = ("x",)
+    # numerator terms (coefficient, x-exponent) over (1 - 2x + x^(k+1))^2
+    num_terms = {
+        "area": [(3, 1), (-2 * k, k), (-2 * (2 - k), k + 1), (1, 2 * k + 1)],
+        "perimeter": [(5, 1), (-5, 2), (-(2 + k), k), (-(1 - k), k + 1),
+                      (4, k + 2), (-1, 2 * k + 2)],
+        "vertices": [(10, 1), (-9, 2), (-3 * (1 + k), k), (-(4 - 3 * k), k + 1),
+                     (8, k + 2), (-2, 2 * k + 2)],
+        "edges": [(11, 1), (-5, 2), (-(2 + 5 * k), k), (-(9 - 5 * k), k + 1),
+                  (4, k + 2), (2, 2 * k + 1), (-1, 2 * k + 2)],
+        "deg2": [(8, 1), (-14, 2), (-4, k), (2, k + 1), (14, k + 2),
+                 (-2, 2 * k + 1), (-4, 2 * k + 2)],
+        "deg3": [(2, 1), (2, 2), (-2 * k, k), (-2 * (1 - k), k + 1),
+                 (-4, k + 2), (2, 2 * k + 2)],
+        "deg4": [(3, 2), (1 - k, k), (-(4 - k), k + 1), (-2, k + 2),
+                 (2, 2 * k + 1)],
+    }
     if name == "ham":
         b = 2 * (k // 2)
         x = MultiPoly.monomial(v, 1, x=1)
@@ -444,25 +457,9 @@ def gf_named_total(name: str, k: int) -> RationalGF:
         num = x * (one + x) * (2 - x - xp(b))
         den = one - x - 2 * x * x + xp(3) + xp(b + 2)
         return RationalGF(num, den)
-    try:
-        num_terms = {
-            "area": [(3, 1), (-2 * k, k), (-2 * (2 - k), k + 1), (1, 2 * k + 1)],
-            "perimeter": [(5, 1), (-5, 2), (-(2 + k), k), (-(1 - k), k + 1),
-                          (4, k + 2), (-1, 2 * k + 2)],
-            "vertices": [(10, 1), (-9, 2), (-3 * (1 + k), k), (-(4 - 3 * k), k + 1),
-                         (8, k + 2), (-2, 2 * k + 2)],
-            "edges": [(11, 1), (-5, 2), (-(2 + 5 * k), k), (-(9 - 5 * k), k + 1),
-                      (4, k + 2), (2, 2 * k + 1), (-1, 2 * k + 2)],
-            "deg2": [(8, 1), (-14, 2), (-4, k), (2, k + 1), (14, k + 2),
-                     (-2, 2 * k + 1), (-4, 2 * k + 2)],
-            "deg3": [(2, 1), (2, 2), (-2 * k, k), (-2 * (1 - k), k + 1),
-                     (-4, k + 2), (2, 2 * k + 2)],
-            "deg4": [(3, 2), (1 - k, k), (-(4 - k), k + 1), (-2, k + 2),
-                     (2, 2 * k + 1)],
-        }[name]
-    except KeyError:
-        raise ValueError(f"unknown total {name!r}; expected one of {_TOTAL_NAMES}")
-    num = _build(v, [(c, (e,)) for c, e in num_terms])
+    if name not in num_terms:
+        raise ValueError(f"unknown total {name!r}; expected one of {(*num_terms, 'ham')}")
+    num = _build(v, [(c, (e,)) for c, e in num_terms[name]])
     den = _build(v, [(1, (0,)), (-2, (1,)), (1, (k + 1,))]) ** 2
     return RationalGF(num, den)
 

@@ -8,35 +8,40 @@ so discrepancies can be inspected together.
 
 from __future__ import annotations
 
+import dataclasses
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import formulas, graph, polyomino, series, words
-from .series import MultiPoly
-
-FAMILIES = ("poly", "graph", "degree", "ham")
+from .series import MultiPoly, RationalGF
 
 DEFAULT_HAM_CAP = 14
 
-_FAMILY_GF = {
-    "poly": series.gf_polyomino,
-    "graph": series.gf_graph,
-    "degree": series.gf_degree,
-    "ham": series.gf_hamiltonian,
+
+@dataclass(frozen=True)
+class Family:
+    """A multivariate family: its generating-function constructor and the
+    `graph.WordStats` fields its auxiliary variables mark, in order."""
+
+    gf: Callable[[int], RationalGF]
+    fields: tuple[str, ...]
+
+
+# the one family registry: series families, verify suites and totals
+# derive from it
+FAMILIES = {
+    "poly": Family(series.gf_polyomino, ("perimeter", "area")),
+    "graph": Family(series.gf_graph, ("edges", "vertices")),
+    "degree": Family(series.gf_degree, ("deg2", "deg3", "deg4")),
+    "ham": Family(series.gf_hamiltonian, ("ham",)),
 }
 
-# total name -> (multivariate family, marking variable)
-TOTALS = {
-    "area": ("poly", "q"),
-    "perimeter": ("poly", "p"),
-    "vertices": ("graph", "q"),
-    "edges": ("graph", "p"),
-    "deg2": ("degree", "q2"),
-    "deg3": ("degree", "q3"),
-    "deg4": ("degree", "q4"),
-    "ham": ("ham", "q"),
-}
+# total name -> (multivariate family, marking variable), in WordStats order
+_MARKS = {name: (family, var) for family, fam in FAMILIES.items()
+          for name, var in zip(fam.fields, fam.gf(2).aux_variables)}
+TOTALS = {f.name: _MARKS[f.name] for f in dataclasses.fields(graph.WordStats)}
 
 
 @dataclass(frozen=True)
@@ -48,17 +53,6 @@ class CheckReport:
     expected: str
     actual: str
     elapsed_ms: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "k": self.k,
-            "n": self.n,
-            "status": self.status,
-            "expected": self.expected,
-            "actual": self.actual,
-            "elapsed_ms": self.elapsed_ms,
-        }
 
 
 @dataclass
@@ -86,23 +80,6 @@ class Summary:
         return [r for r in self.reports if r.status == "fail"]
 
 
-def _stats_monomial(w: words.Word, family: str,
-                    ham_cap: int) -> tuple[tuple[int, ...], bool]:
-    p = polyomino.from_word(w)
-    if family == "poly":
-        return (polyomino.semiperimeter(p), polyomino.area(p)), True
-    geo = polyomino.geometry(p)
-    if family == "graph":
-        return (len(geo.edges), len(geo.vertices)), True
-    if family == "degree":
-        return graph.degree_counts(geo.vertices, geo.edges), True
-    if family == "ham":
-        if len(w) > ham_cap:
-            return (), False
-        return (1 if graph.has_hamiltonian_cycle(geo.vertices, geo.edges) else 0,), True
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-
 def brute_stats_poly(n: int, k: int, family: str,
                      ham_cap: int = DEFAULT_HAM_CAP) -> MultiPoly | None:
     """Exact monomial aggregation over all length-n words, or None when
@@ -110,101 +87,101 @@ def brute_stats_poly(n: int, k: int, family: str,
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
     if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if family == "ham" and n > ham_cap:
+        raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
+    fields = FAMILIES[family].fields
+    ham = "ham" in fields
+    if ham and n > ham_cap:
         return None
-    variables = _FAMILY_GF[family](k).aux_variables
     terms: dict[tuple[int, ...], int] = {}
     for w in words.iter_words(n, k):
-        key, _ = _stats_monomial(w, family, ham_cap)
+        stats = graph.word_stats(w, ham)
+        key = tuple(getattr(stats, field) for field in fields)
         terms[key] = terms.get(key, 0) + 1
-    return MultiPoly(variables, terms)
+    return MultiPoly(FAMILIES[family].gf(k).aux_variables, terms)
+
+
+class _Clock:
+    """Milliseconds since a check function started.  `lap` returns those
+    not yet charged to a report, so set-up shared by a function's reports
+    is charged to the first, and a function's reports add up to its time."""
+
+    def __init__(self) -> None:
+        self.start = time.perf_counter()
+        self.charged = 0
+
+    def lap(self) -> int:
+        now = int((time.perf_counter() - self.start) * 1000)
+        elapsed, self.charged = now - self.charged, now
+        return elapsed
 
 
 def _report(family: str, k: int, n: int, expected: str, actual: str,
-            started: float, skip: bool = False) -> CheckReport:
-    elapsed = int((time.perf_counter() - started) * 1000)
+            clock: _Clock, skip: bool = False) -> CheckReport:
     status = "skip" if skip else ("pass" if expected == actual else "fail")
-    return CheckReport(family, k, n, status, expected, actual, elapsed)
+    return CheckReport(family, k, n, status, expected, actual, clock.lap())
 
 
 def cross_check(family: str, k: int, max_n: int,
                 ham_cap: int = DEFAULT_HAM_CAP) -> list[CheckReport]:
     """One report per n comparing brute force against the series coefficient."""
-    coeffs = series.expand(_FAMILY_GF[family](k), max_n)
+    clock = _Clock()
+    coeffs = series.expand(FAMILIES[family].gf(k), max_n)
     out = []
     for n in range(1, max_n + 1):
-        t0 = time.perf_counter()
         brute = brute_stats_poly(n, k, family, ham_cap)
         if brute is None:
-            out.append(_report(family, k, n, "", "guard exceeded", t0, skip=True))
+            out.append(_report(family, k, n, "", "guard exceeded", clock, skip=True))
             continue
-        out.append(_report(family, k, n, brute.to_text(), coeffs[n].to_text(), t0))
+        out.append(_report(family, k, n, brute.to_text(), coeffs[n].to_text(), clock))
     return out
 
 
 def brute_totals(n: int, k: int, ham_cap: int = DEFAULT_HAM_CAP) -> dict[str, int | None]:
-    """All eight statistic totals over length-n words in one sweep.
-
-    Each word's statistics are read off its integer geometry
-    (`polyomino.geometry`, vertex id 3x + y), with no tuple `GridGraph`:
-    the semiperimeter from the sides that belong to one cell, the degree
-    profile by `graph.degree_counts`, and Hamiltonicity by
-    `graph.has_hamiltonian_cycle`, which branches on the lowest undecided
-    edge in ascending id-pair order, chosen first.
-    """
-    tot = {name: 0 for name in TOTALS}
-    if n > ham_cap:
-        tot["ham"] = None
+    """All eight statistic totals over length-n words in one sweep: the
+    sums of the `graph.WordStats` fields, with ham None when n exceeds
+    the backtracking guard."""
+    ham = n <= ham_cap
+    sums = {name: 0 for name in TOTALS if ham or name != "ham"}
     for w in words.iter_words(n, k):
-        p = polyomino.from_word(w)
-        geo = polyomino.geometry(p)
-        d2, d3, d4 = graph.degree_counts(geo.vertices, geo.edges)
-        tot["area"] += polyomino.area(p)
-        tot["perimeter"] += geo.semiperimeter
-        tot["vertices"] += len(geo.vertices)
-        tot["edges"] += len(geo.edges)
-        tot["deg2"] += d2
-        tot["deg3"] += d3
-        tot["deg4"] += d4
-        if tot["ham"] is not None:
-            tot["ham"] += graph.has_hamiltonian_cycle(geo.vertices, geo.edges)
-    return tot
+        stats = graph.word_stats(w, ham)
+        for name in sums:
+            sums[name] += getattr(stats, name)
+    return {name: sums.get(name) for name in TOTALS}
 
 
 def totals_check(k: int, max_n: int, ham_cap: int = DEFAULT_HAM_CAP) -> list[CheckReport]:
     """Named univariate totals vs the weighted multivariate series vs brute
     force, one report per (name, n)."""
+    clock = _Clock()
     named = {name: series.expand_ints(series.gf_named_total(name, k), max_n)
              for name in TOTALS}
-    weighted = {name: series.total_weight_series(_FAMILY_GF[fam](k), var, max_n)
+    weighted = {name: series.total_weight_series(FAMILIES[fam].gf(k), var, max_n)
                 for name, (fam, var) in TOTALS.items()}
     out = []
     brutes = {n: brute_totals(n, k, ham_cap) for n in range(1, max_n + 1)}
     for name in TOTALS:
         for n in range(1, max_n + 1):
-            t0 = time.perf_counter()
             b = brutes[n][name]
             if b is None:
                 out.append(_report(f"total:{name}", k, n, "", "guard exceeded",
-                                   t0, skip=True))
+                                   clock, skip=True))
                 continue
             actual = f"named={named[name][n]} weighted={weighted[name][n]}"
             expected = f"named={b} weighted={b}"
-            out.append(_report(f"total:{name}", k, n, expected, actual, t0))
+            out.append(_report(f"total:{name}", k, n, expected, actual, clock))
     return out
 
 
 def ham_pair_check(max_k: int, max_n: int) -> list[CheckReport]:
     """Total-Hamiltonian series agree for the parameter pairs (2j, 2j+1)."""
+    clock = _Clock()
     out = []
     j = 1
     while 2 * j + 1 <= max_k:
         even = series.expand_ints(series.gf_named_total("ham", 2 * j), max_n)
         odd = series.expand_ints(series.gf_named_total("ham", 2 * j + 1), max_n)
         for n in range(1, max_n + 1):
-            t0 = time.perf_counter()
-            out.append(_report("ham-pair", 2 * j, n, str(even[n]), str(odd[n]), t0))
+            out.append(_report("ham-pair", 2 * j, n, str(even[n]), str(odd[n]), clock))
         j += 1
     return out
 
@@ -212,29 +189,24 @@ def ham_pair_check(max_k: int, max_n: int) -> list[CheckReport]:
 def reversal_check(k: int, max_n: int) -> list[CheckReport]:
     """Statistics of every word agree with those of its reverse, and the
     mirrored graph equals the reverse word's graph."""
+    clock = _Clock()
     out = []
     for n in range(1, max_n + 1):
-        t0 = time.perf_counter()
         bad = ""
         for w in words.iter_words(n, k):
             r = words.reverse(w)
-            pw, pr = polyomino.from_word(w), polyomino.from_word(r)
-            gw, gr = graph.build_graph(pw), graph.build_graph(pr)
-            same = (polyomino.area(pw) == polyomino.area(pr)
-                    and polyomino.semiperimeter(pw) == polyomino.semiperimeter(pr)
-                    and len(gw.vertices) == len(gr.vertices)
-                    and len(gw.edges) == len(gr.edges)
-                    and graph.degree_profile(gw) == graph.degree_profile(gr)
-                    and graph.mirrored(gw) == gr)
-            if not same:
+            if (graph.word_stats(w, False) != graph.word_stats(r, False)
+                    or graph.mirrored(graph.build_graph(polyomino.from_word(w)))
+                    != graph.build_graph(polyomino.from_word(r))):
                 bad = w.text
                 break
         out.append(_report("reversal", k, n, "symmetric",
-                           f"asymmetric at {bad}" if bad else "symmetric", t0))
+                           f"asymmetric at {bad}" if bad else "symmetric", clock))
     return out
 
 
 def _formula_reports() -> list[CheckReport]:
+    clock = _Clock()
     out = []
     poly_coeffs = series.expand(series.gf_polyomino(2), 30)
     graph_coeffs = series.expand(series.gf_graph(2), 30)
@@ -242,87 +214,85 @@ def _formula_reports() -> list[CheckReport]:
     closed = {2: formulas.d2_poly_closed, 3: formulas.d3_poly_closed,
               4: formulas.d4_poly_closed}
     for n in range(1, 31):
-        t0 = time.perf_counter()
         t = formulas.t_poly(n)
         ok = t == formulas.t_poly_closed(n) == poly_coeffs[n]
         out.append(_report("formulas:t", 2, n, t.to_text(),
-                           t.to_text() if ok else "mismatch", t0))
-        t0 = time.perf_counter()
+                           t.to_text() if ok else "mismatch", clock))
         v = formulas.v_poly(n)
         ok = v == formulas.v_poly_closed(n) == graph_coeffs[n]
         out.append(_report("formulas:v", 2, n, v.to_text(),
-                           v.to_text() if ok else "mismatch", t0))
+                           v.to_text() if ok else "mismatch", clock))
         for j in (2, 3, 4):
-            t0 = time.perf_counter()
             d = formulas.degree_poly(j, n)
             ok = d == closed[j](n) == d_slices[j][n]
             out.append(_report(f"formulas:d{j}", 2, n, d.to_text(),
-                               d.to_text() if ok else "mismatch", t0))
+                               d.to_text() if ok else "mismatch", clock))
     area_coeffs = series.expand_ints(series.gf_named_total("area", 2), 50)
     for n in range(1, 51):
-        t0 = time.perf_counter()
         out.append(_report("formulas:total-area", 2, n, str(area_coeffs[n]),
-                           str(formulas.total_area_closed(n)), t0))
+                           str(formulas.total_area_closed(n)), clock))
     for a in range(1, 15):
-        t0 = time.perf_counter()
         out.append(_report("formulas:narayana", 2, a, str(formulas.narayana(a + 1)),
-                           str(formulas.count_polyominoes_by_area(a)), t0))
+                           str(formulas.count_polyominoes_by_area(a)), clock))
     for n in range(0, 31):
-        t0 = time.perf_counter()
         # fib_convolution raises if its two evaluations disagree
         out.append(_report("formulas:fib-conv", 2, n, "consistent",
                            "consistent" if formulas.fib_convolution(n) >= 0
-                           else "negative", t0))
+                           else "negative", clock))
     for which in ("rel1", "rel2"):
         for n in range(1, 21):
-            t0 = time.perf_counter()
             results = [formulas.verify_certificate(which, n, i)
                        for i in range(0, n // 2 + 3)]
             checked = sum(1 for r in results if r is not None)
             good = sum(1 for r in results if r)
             out.append(_report(f"formulas:cert-{which}", 2, n,
-                               f"{checked}/{checked}", f"{good}/{checked}", t0))
-    t0 = time.perf_counter()
+                               f"{checked}/{checked}", f"{good}/{checked}", clock))
     eps = Fraction(5, 1000)
     gaps_ok = all(
         formulas.degree_proportion_limit(j).abs_diff_below(
             formulas.empirical_degree_ratio(j, 2000), eps)
         for j in (2, 3, 4))
     out.append(_report("formulas:asymptotics", 2, 2000, "gaps < 5e-3",
-                       "gaps < 5e-3" if gaps_ok else "gap too large", t0))
-    t0 = time.perf_counter()
+                       "gaps < 5e-3" if gaps_ok else "gap too large", clock))
     partition_ok = all(
         sum(formulas.empirical_degree_ratio(j, n) for j in (2, 3, 4)) == 1
         for n in range(1, 2001))
     out.append(_report("formulas:degree-partition", 2, 2000, "sum == 1",
-                       "sum == 1" if partition_ok else "partition broken", t0))
+                       "sum == 1" if partition_ok else "partition broken", clock))
     return out
 
 
+def _family_suite(family: str) -> Callable[[int, int, int], list[CheckReport]]:
+    """A family's cross checks for every k; the ham suite also runs the
+    (2j, 2j+1) pair identity of the Hamiltonian totals."""
+    def run(max_n: int, max_k: int, ham_cap: int) -> list[CheckReport]:
+        out = [r for k in range(2, max_k + 1)
+               for r in cross_check(family, k, max_n, ham_cap)]
+        if family == "ham":
+            out += ham_pair_check(max_k, max(max_n, 12))
+        return out
+    return run
+
+
+# suite name -> its checks for (max_n, max_k, ham_cap), in report order
+SUITES = {
+    **{family: _family_suite(family) for family in FAMILIES},
+    "totals": lambda max_n, max_k, ham_cap: [
+        r for k in range(2, max_k + 1) for r in totals_check(k, max_n, ham_cap)],
+    "formulas": lambda max_n, max_k, ham_cap: _formula_reports(),
+    "reversal": lambda max_n, max_k, ham_cap: [
+        r for k in range(2, max_k + 1) for r in reversal_check(k, min(max_n, 10))],
+}
+
+
 def run_all(max_n: int, max_k: int, ham_cap: int = DEFAULT_HAM_CAP,
-            suites: tuple[str, ...] = ("poly", "graph", "degree", "ham",
-                                       "totals", "formulas", "reversal")) -> Summary:
+            suites: tuple[str, ...] = tuple(SUITES)) -> Summary:
     """Run the requested suites for every k <= max_k and collect reports
     in deterministic (suite, k, n) order."""
     if max_n < 1 or max_k < 2:
         raise ValueError("need max_n >= 1 and max_k >= 2")
-    reports: list[CheckReport] = []
-    for family in FAMILIES:
-        if family not in suites:
-            continue
-        for k in range(2, max_k + 1):
-            reports.extend(cross_check(family, k, max_n, ham_cap))
-    if "ham" in suites:
-        reports.extend(ham_pair_check(max_k, max(max_n, 12)))
-    if "totals" in suites:
-        for k in range(2, max_k + 1):
-            reports.extend(totals_check(k, max_n, ham_cap))
-    if "formulas" in suites:
-        reports.extend(_formula_reports())
-    if "reversal" in suites:
-        for k in range(2, max_k + 1):
-            reports.extend(reversal_check(k, min(max_n, 10)))
-    return Summary(reports)
+    return Summary([report for suite, run in SUITES.items() if suite in suites
+                    for report in run(max_n, max_k, ham_cap)])
 
 
 # ---------------------------------------------------------------------
@@ -348,4 +318,4 @@ def to_csv(summary: Summary) -> str:
 
 
 def to_json_obj(summary: Summary) -> list[dict]:
-    return [r.to_json_dict() for r in summary.reports]
+    return [dataclasses.asdict(r) for r in summary.reports]

@@ -19,8 +19,8 @@ def _as_bits(bits: Iterable[int] | str) -> tuple[int, ...]:
                 raise ValueError(f"invalid character {ch!r} in word")
             out.append(int(ch))
         return tuple(out)
-    out = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in out):
+    out = tuple(map(int, bits))
+    if not {*out} <= {0, 1}:
         raise ValueError("word letters must be 0 or 1")
     return out
 
@@ -30,15 +30,20 @@ def _check_k(k: int) -> None:
         raise ValueError(f"avoidance parameter k must be >= 2, got {k}")
 
 
-def is_kbonacci(bits: Iterable[int] | str, k: int) -> bool:
-    """True iff no run of 1's in `bits` has length >= k."""
-    _check_k(k)
+def _avoids(bits: tuple[int, ...], k: int) -> bool:
+    """True iff no run of 1's in the 0/1 tuple `bits` reaches length k."""
     run = 0
-    for b in _as_bits(bits):
+    for b in bits:
         run = run + 1 if b else 0
         if run >= k:
             return False
     return True
+
+
+def is_kbonacci(bits: Iterable[int] | str, k: int) -> bool:
+    """True iff no run of 1's in `bits` has length >= k."""
+    _check_k(k)
+    return _avoids(_as_bits(bits), k)
 
 
 @dataclass(frozen=True)
@@ -49,8 +54,10 @@ class Word:
     k: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", _as_bits(self.bits))
-        if not is_kbonacci(self.bits, self.k):
+        bits = _as_bits(self.bits)
+        object.__setattr__(self, "bits", bits)
+        _check_k(self.k)
+        if not _avoids(bits, self.k):
             raise ValueError(f"word {self.text!r} contains {self.k} consecutive 1's")
 
     @classmethod
@@ -117,27 +124,27 @@ def count_words(n: int, k: int) -> int:
 def iter_words(n: int, k: int) -> Iterator[Word]:
     """Yield all valid words of length n in lexicographic order (0 < 1).
 
-    Backtracking never extends a prefix whose trailing run of 1's has
-    already reached k-1, so invalid words are not materialized.
+    Each word follows from the last by the lexicographic successor: the
+    rightmost 0 that can become a 1 without completing a run of k 1's
+    does, and every letter after it becomes 0.  Invalid words are never
+    materialized, and no recursion limits n.
     """
     _check_k(k)
     if n < 0:
         raise ValueError(f"word length must be >= 0, got {n}")
-    prefix: list[int] = []
-
-    def rec(run: int) -> Iterator[Word]:
-        if len(prefix) == n:
-            yield Word(tuple(prefix), k)
+    bits = [0] * n
+    run = [0] * (n + 1)  # run[i]: length of the run of 1's ending before letter i
+    while True:
+        yield Word(tuple(bits), k)
+        i = n - 1
+        while i >= 0 and (bits[i] or run[i] == k - 1):
+            i -= 1
+        if i < 0:
             return
-        prefix.append(0)
-        yield from rec(0)
-        prefix.pop()
-        if run + 1 < k:
-            prefix.append(1)
-            yield from rec(run + 1)
-            prefix.pop()
-
-    yield from rec(0)
+        bits[i] = 1
+        run[i + 1] = run[i] + 1
+        bits[i + 1:] = [0] * (n - 1 - i)
+        run[i + 2:] = [0] * (n - 1 - i)
 
 
 def enumerate_words(n: int, k: int) -> list[Word]:

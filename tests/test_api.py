@@ -1,0 +1,101 @@
+"""The package's surface: no dead module-level API in src/kbonacci, and one
+family registry (`verify.FAMILIES`) that the CLI choices, the named totals
+and `graph.WordStats` agree with."""
+
+import argparse
+import ast
+import dataclasses
+import pathlib
+import re
+
+import pytest
+
+import kbonacci
+from kbonacci import cli, graph, series, verify
+
+SRC = pathlib.Path(kbonacci.__file__).parent
+
+# public functions that only tests call, kept on purpose as reference code
+TEST_ONLY = {
+    "series.gf_deg4_alternate",  # the rejected deg4 denominator, for criterion 4
+}
+
+
+def _statements(module: str, tree: ast.Module) -> list[tuple[ast.stmt, set[str]]]:
+    """Each top-level statement with the definitions it uses, as
+    "module.name": bare names resolve through the module's relative
+    imports or else to the module itself, and `m.name` to module m."""
+    modules, imported = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module:
+                    imported[local] = f"{node.module}.{alias.name}"
+                else:
+                    modules.add(local)
+    out = []
+    for stmt in tree.body:
+        uses = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                uses.add(imported.get(node.id, f"{module}.{node.id}"))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                uses.add(f"{node.value.id}.{node.attr}")
+        out.append((stmt, uses))
+    return out
+
+
+def test_no_dead_public_definitions():
+    statements = []  # (module, top-level statement, the definitions it uses)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        statements += [(path.stem, stmt, uses) for stmt, uses in _statements(path.stem, tree)]
+    dead = []
+    for module, node, _ in statements:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        name = f"{module}.{node.name}"
+        if node.name.startswith("_") or node.name in kbonacci.__all__ or name in TEST_ONLY:
+            continue
+        if not any(name in uses for _, other, uses in statements if other is not node):
+            dead.append(name)
+    assert dead == []
+
+
+def _choices(command: str, option: str) -> tuple[str, ...]:
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in sub.choices[command]._actions if option in a.option_strings)
+    return tuple(action.choices)
+
+
+def test_cli_choices_come_from_the_registry():
+    assert _choices("series", "--family") == (
+        *verify.FAMILIES, *(f"{name}-total" for name in verify.TOTALS))
+    assert _choices("verify", "--suite") == ("all", *verify.SUITES)
+    assert tuple(verify.SUITES)[:len(verify.FAMILIES)] == tuple(verify.FAMILIES)
+
+
+def test_named_totals_are_exactly_the_totals():
+    for name in verify.TOTALS:
+        assert series.gf_named_total(name, 3).aux_variables == ()
+    expected = re.escape(str(tuple(verify.TOTALS)))
+    for name in ("", "poly", "total", "sper", "area-total"):
+        with pytest.raises(ValueError, match=f"expected one of {expected}$"):
+            series.gf_named_total(name, 3)
+
+
+def test_word_stats_fields_are_the_totals_in_order():
+    assert [f.name for f in dataclasses.fields(graph.WordStats)] == list(verify.TOTALS)
+
+
+def test_each_statistic_belongs_to_one_family():
+    fields = [f for family in verify.FAMILIES.values() for f in family.fields]
+    assert sorted(fields) == sorted(verify.TOTALS)
+    for name, family in verify.FAMILIES.items():
+        variables = family.gf(3).aux_variables
+        assert len(variables) == len(family.fields), name
+        for field, var in zip(family.fields, variables):
+            assert verify.TOTALS[field] == (name, var)

@@ -84,6 +84,12 @@ class TestEnumerate:
         for line in out.splitlines()[1:]:
             assert line.endswith(",-")
 
+    def test_ham_column_at_the_cap(self, capsys):
+        code, out = run(capsys, "enumerate", "--n", "4", "--k", "2",
+                        "--with-stats", "--ham-cap", "4", "--format", "csv")
+        assert code == 0
+        assert all(line.endswith(",true") for line in out.splitlines()[1:])
+
     def test_zero_length_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["enumerate", "--n", "0", "--k", "2"])

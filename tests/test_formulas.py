@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from kbonacci import formulas
 from kbonacci.formulas import (
     QuadraticConstant,
     binom,
@@ -265,22 +264,6 @@ class TestAsymptotics:
             empirical_degree_ratio(5, 10)
         with pytest.raises(ValueError):
             empirical_degree_ratio(2, 0)
-
-
-class TestSequenceJson:
-    def test_polynomial_sequences(self):
-        assert formulas.sequence_json("t", 2) == {
-            "sequence": "t", "n": 2, "value": "p^3*q^2 + 2*p^4*q^3"}
-        assert formulas.sequence_json("d2", 1) == {
-            "sequence": "d2", "n": 1, "value": "2*q^4"}
-
-    def test_integer_sequences_as_strings(self):
-        assert formulas.sequence_json("area", 2)["value"] == "8"
-        assert formulas.sequence_json("narayana", 6)["value"] == "6"
-
-    def test_unknown_sequence(self):
-        with pytest.raises(ValueError):
-            formulas.sequence_json("lucas", 3)
 
 
 class TestCertificates:

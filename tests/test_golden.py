@@ -1,13 +1,21 @@
-"""Golden corpus: sha256 digests of `kbonacci series` stdout.
+"""Golden corpus: sha256 digests of `kbonacci` stdout.
 
-Every series family at k = 2..5 and --terms 20 in text, json and csv,
-plus --vars-at-1 p and --vars-at-1 p,q on poly and graph.  The digests in
-golden/series_sha256.json were taken from the plain MultiPoly recurrence;
-any change to the series core must keep them byte for byte.
+- golden/series_sha256.json: every series family at k = 2..5 and
+  --terms 20 in text, json and csv, plus --vars-at-1 p and --vars-at-1 p,q
+  on poly and graph.  Taken from the plain MultiPoly recurrence.
+- golden/enumerate_sha256.json: `enumerate --with-stats` at k = 2..5 and
+  n = 1..6 in text, json and csv, plus a --ham-cap 3 csv case whose ham
+  column prints `-`.
+- golden/verify_sha256.json: `verify --suite S --max-n 6 --max-k 4
+  --format text` for every suite, `all` included.
 
-Regenerate (only for a deliberate output change, recorded in CHANGES.md):
+Any change to the code behind these commands must keep them byte for
+byte.  Regenerate one corpus (only for a deliberate output change,
+recorded in CHANGES.md):
 
-    PYTHONPATH=src python tests/test_golden.py > tests/golden/series_sha256.json
+    PYTHONPATH=src python tests/test_golden.py series > tests/golden/series_sha256.json
+    PYTHONPATH=src python tests/test_golden.py enumerate > tests/golden/enumerate_sha256.json
+    PYTHONPATH=src python tests/test_golden.py verify > tests/golden/verify_sha256.json
 """
 
 import contextlib
@@ -15,17 +23,19 @@ import hashlib
 import io
 import json
 import pathlib
+import sys
 
 import pytest
 
-from kbonacci import cli
+from kbonacci import cli, verify
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "series_sha256.json"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+SERIES_FAMILIES = (*verify.FAMILIES, *(f"{name}-total" for name in verify.TOTALS))
 
 
-def _cases() -> list[tuple[str, ...]]:
+def _series_cases() -> list[tuple[str, ...]]:
     cases = []
-    for family in cli.SERIES_FAMILIES + cli.TOTAL_FAMILIES:
+    for family in SERIES_FAMILIES:
         for k in range(2, 6):
             for fmt in ("text", "json", "csv"):
                 cases.append(("series", "--family", family, "--k", str(k),
@@ -40,6 +50,29 @@ def _cases() -> list[tuple[str, ...]]:
     return cases
 
 
+def _enumerate_cases() -> list[tuple[str, ...]]:
+    cases = [("enumerate", "--n", str(n), "--k", str(k), "--with-stats",
+              "--format", fmt)
+             for k in range(2, 6) for n in range(1, 7)
+             for fmt in ("text", "json", "csv")]
+    cases.append(("enumerate", "--n", "5", "--k", "3", "--with-stats",
+                  "--format", "csv", "--ham-cap", "3"))
+    return cases
+
+
+def _verify_cases() -> list[tuple[str, ...]]:
+    return [("verify", "--suite", suite, "--max-n", "6", "--max-k", "4",
+             "--format", "text")
+            for suite in ("all", *verify.SUITES)]
+
+
+CORPORA = {
+    "series": _series_cases,
+    "enumerate": _enumerate_cases,
+    "verify": _verify_cases,
+}
+
+
 def _digest(argv: tuple[str, ...]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -48,21 +81,38 @@ def _digest(argv: tuple[str, ...]) -> str:
     return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
 
-def _recorded() -> dict[str, str]:
-    return json.loads(GOLDEN.read_text())
+def _recorded(corpus: str) -> dict[str, str]:
+    return json.loads((GOLDEN / f"{corpus}_sha256.json").read_text())
 
 
 def test_corpus_covers_every_case():
-    assert sorted(_recorded()) == sorted(" ".join(c) for c in _cases())
+    for corpus, cases in CORPORA.items():
+        assert sorted(_recorded(corpus)) == sorted(" ".join(c) for c in cases()), corpus
 
 
-@pytest.mark.parametrize("family", cli.SERIES_FAMILIES + cli.TOTAL_FAMILIES)
+@pytest.mark.parametrize("family", SERIES_FAMILIES)
 def test_series_output_byte_identical(family):
-    recorded = _recorded()
-    for argv in _cases():
+    recorded = _recorded("series")
+    for argv in _series_cases():
         if argv[2] == family:
             assert _digest(argv) == recorded[" ".join(argv)], " ".join(argv)
 
 
+@pytest.mark.parametrize("k", range(2, 6))
+def test_enumerate_output_byte_identical(k):
+    recorded = _recorded("enumerate")
+    for argv in _enumerate_cases():
+        if argv[4] == str(k):
+            assert _digest(argv) == recorded[" ".join(argv)], " ".join(argv)
+
+
+@pytest.mark.parametrize("argv", _verify_cases(), ids=lambda argv: argv[2])
+def test_verify_output_byte_identical(argv):
+    assert _digest(argv) == _recorded("verify")[" ".join(argv)], " ".join(argv)
+
+
 if __name__ == "__main__":
-    print(json.dumps({" ".join(c): _digest(c) for c in _cases()}, indent=1))
+    corpus = sys.argv[1] if len(sys.argv) > 1 else ""
+    if corpus not in CORPORA:
+        sys.exit(f"usage: test_golden.py {{{','.join(CORPORA)}}}")
+    print(json.dumps({" ".join(c): _digest(c) for c in CORPORA[corpus]()}, indent=1))

@@ -10,8 +10,8 @@ from kbonacci.graph import (
     is_hamiltonian,
     mirrored,
     to_dot,
-    to_json_dict,
-    vertex_count_closed,
+    word_stats,
+    WordStats,
 )
 from kbonacci.polyomino import Polyomino, area, from_word, geometry, semiperimeter
 from kbonacci.series import expand, gf_hamiltonian
@@ -71,11 +71,12 @@ class TestBuild:
             GridGraph(frozenset([(0, 0)]), frozenset([((0, 0), (1, 0))]))
 
     def test_vertex_count_closed_form(self):
+        # 2(n+1) + (number of 1's) + (number of maximal 1-runs)
         for k in (2, 3, 4, 5):
             for n in range(1, 13):
                 for w in enumerate_words(n, k):
-                    p = from_word(w)
-                    assert len(build_graph(p).vertices) == vertex_count_closed(p)
+                    closed = 2 * (n + 1) + sum(w.bits) + len(w.ones_runs())
+                    assert len(build_graph(from_word(w)).vertices) == closed, w.text
 
     def test_edges_from_euler_relation(self):
         # connected planar graph whose inner faces are exactly the cells
@@ -174,19 +175,26 @@ class TestIsHamiltonian:
 
 class TestOracleAgreesWithPublicFunctions:
     def test_per_word_statistics(self):
-        # the oracle reads integer geometry; the public functions take a GridGraph
+        # word_stats reads integer geometry; the public functions take a GridGraph
         for k in (2, 3, 4, 5):
             for n in range(1, 9):
                 for w in enumerate_words(n, k):
                     p = from_word(w)
-                    geo = geometry(p)
                     g = build_graph(p)
-                    assert geo.semiperimeter == semiperimeter(p), w.text
-                    assert len(geo.vertices) == len(g.vertices), w.text
-                    assert len(geo.edges) == len(g.edges), w.text
+                    expected = WordStats(area(p), semiperimeter(p), len(g.vertices),
+                                         len(g.edges), *degree_profile(g),
+                                         int(is_hamiltonian(g)))
+                    assert word_stats(w, True) == expected, w.text
+                    geo = geometry(p)
                     assert degree_counts(geo.vertices, geo.edges) == degree_profile(g), w.text
                     assert (has_hamiltonian_cycle(geo.vertices, geo.edges)
                             == is_hamiltonian(g)), w.text
+
+    def test_hamiltonicity_only_when_asked(self):
+        w = Word.from_text("0110", 3)
+        assert word_stats(w, False).ham is None
+        assert word_stats(w, True).ham == 0
+        assert word_stats(w, False) == WordStats(**{**vars(word_stats(w, True)), "ham": None})
 
     def test_brute_totals(self):
         for k in (2, 3, 4, 5):
@@ -225,8 +233,3 @@ class TestSerialization:
         assert dot.startswith("graph G {")
         assert '"0,0" -- "0,1";' in dot
         assert dot.endswith("}")
-
-    def test_json_dict(self):
-        d = to_json_dict("11", graph_of("11", 3), False)
-        assert d == {"word": "11", "vertices": 9, "edges": 12,
-                     "deg": [4, 4, 1], "hamiltonian": False}

@@ -9,8 +9,6 @@ from kbonacci.polyomino import (
     render,
     semiperimeter,
     semiperimeter_closed,
-    to_json_dict,
-    word_of,
 )
 from kbonacci.words import Word, enumerate_words, reverse
 
@@ -32,10 +30,6 @@ class TestConstruction:
             Polyomino((1, 3), 2)
         with pytest.raises(ValueError):
             Polyomino((), 2)
-
-    def test_word_of_inverts_from_word(self):
-        for w in enumerate_words(5, 3):
-            assert word_of(from_word(w)) == w
 
 
 class TestArea:
@@ -126,10 +120,6 @@ class TestInvariants:
 
 
 class TestSerialization:
-    def test_json_dict(self):
-        d = to_json_dict(from_word(Word.from_text("101", 2)))
-        assert d == {"word": "101", "heights": [2, 1, 2], "area": 5, "sper": 6}
-
     def test_render_two_rows(self):
         assert render(Polyomino((2, 1, 2), 2)) == "█ █\n███"
         assert render(Polyomino((1, 1), 2)) == "██"

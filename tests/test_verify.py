@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from kbonacci import series
 from kbonacci.series import MultiPoly
 from kbonacci.verify import (
     CheckReport,
@@ -106,6 +109,30 @@ class TestRunAll:
         b = to_text(run_all(3, 2, suites=("poly", "reversal")))
         assert a == b
         assert a.endswith("passes=6 fails=0 skips=0")
+
+
+class TestTiming:
+    def test_elapsed_ms_adds_up_to_wall_time(self):
+        start = time.perf_counter()
+        summary = run_all(6, 3)
+        wall_ms = (time.perf_counter() - start) * 1000
+        # check-function calls: cross_check per family and k, the ham
+        # pairs, totals_check per k, the formulas, reversal_check per k
+        calls = 4 * 2 + 1 + 2 + 1 + 2
+        total_ms = sum(r.elapsed_ms for r in summary.reports)
+        assert wall_ms - (calls + 2) <= total_ms <= wall_ms
+
+    def test_set_up_is_charged_to_the_first_report(self, monkeypatch):
+        expand = series.expand
+
+        def slow_expand(*args):
+            time.sleep(0.05)
+            return expand(*args)
+
+        monkeypatch.setattr(series, "expand", slow_expand)
+        reports = cross_check("degree", 3, 3)
+        assert reports[0].elapsed_ms >= 50
+        assert all(r.elapsed_ms < 50 for r in reports[1:])
 
 
 class TestRendering:

@@ -9,6 +9,7 @@ from kbonacci.words import (
     enumerate_words,
     generalized_fibonacci,
     is_kbonacci,
+    iter_words,
     reverse,
 )
 
@@ -126,6 +127,24 @@ class TestEnumerateWords:
                 texts = [w.text for w in ws]
                 assert texts == sorted(texts)
                 assert len(set(texts)) == len(texts)
+
+    def test_same_order_as_prefix_backtracking(self):
+        def backtrack(n, k, prefix=(), run=0):
+            # the extend-by-0-then-1 recursion iter_words replaced
+            if len(prefix) == n:
+                yield prefix
+                return
+            yield from backtrack(n, k, prefix + (0,), 0)
+            if run + 1 < k:
+                yield from backtrack(n, k, prefix + (1,), run + 1)
+
+        for k in range(2, 7):
+            for n in range(0, 12):
+                assert [w.bits for w in iter_words(n, k)] == list(backtrack(n, k)), (n, k)
+
+    def test_long_words_need_no_recursion(self):
+        first = next(iter_words(5000, 2))
+        assert first.bits == (0,) * 5000
 
     def test_enumerated_words_and_reverses_are_valid(self):
         for k in (2, 3, 4, 5):
