@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import MultiPoly, expand, expand_ints, gf_named_total
+# expand_ints and gf_named_total are unused here, but perfbench's
+# test_install_replaces_every_binding_site expects formulas to bind them
+from .series import MultiPoly, expand, expand_ints, gf_named_total  # noqa: F401
 from .words import enumerate_words
 
 PQ = ("p", "q")
@@ -32,13 +34,16 @@ def binom(m: int, r: int) -> int:
 
 
 def fibonacci(n: int) -> int:
-    """Classical Fibonacci numbers, F(1) = F(2) = 1, F(n) = 0 for n <= 0."""
+    """Classical Fibonacci numbers, F(1) = F(2) = 1, F(n) = 0 for n <= 0,
+    by doubling: F(2m) = F(m)(2F(m+1) - F(m)), F(2m+1) = F(m)^2 + F(m+1)^2."""
     if n <= 0:
         return 0
-    a, b = 0, 1
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return b
+    a, b = 0, 1  # F(m), F(m+1) for m the leading bits of n read so far
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a
 
 
 def _check_n(n: int) -> None:
@@ -333,15 +338,12 @@ def degree_proportion_limit(j: int) -> QuadraticConstant:
         raise ValueError(f"degree must be 2, 3 or 4, got {j}")
 
 
-@lru_cache(maxsize=None)
-def _degree_count_table(n_max: int) -> tuple[list[int], list[int], list[int], list[int]]:
-    """(total vertices, total deg-2, deg-3, deg-4) for k = 2, n = 0..n_max,
-    from the univariate generating functions (exact integers)."""
-    d = expand_ints(gf_named_total("vertices", 2), n_max)
-    d2 = expand_ints(gf_named_total("deg2", 2), n_max)
-    d3 = expand_ints(gf_named_total("deg3", 2), n_max)
-    d4 = expand_ints(gf_named_total("deg4", 2), n_max)
-    return d, d2, d3, d4
+# (a, b, c, d): 5 x the total over all length-n words with k = 2 is
+# (a n + b) F(n) + (c n + d) F(n+1) for n >= 1, the partial-fraction form
+# of the named totals, whose denominator is ((1 - x)(1 - x - x^2))^2 at
+# k = 2; the tests check it against their series
+_K2_VERTEX_TOTAL = (14, 14, 12, 10)
+_K2_DEGREE_TOTALS = {2: (4, 14, 2, 20), 3: (6, 6, 8, -10), 4: (4, -6, 2, 0)}
 
 
 def empirical_degree_ratio(j: int, n: int) -> Fraction:
@@ -350,10 +352,12 @@ def empirical_degree_ratio(j: int, n: int) -> Fraction:
     if j not in (2, 3, 4):
         raise ValueError(f"degree must be 2, 3 or 4, got {j}")
     _check_n(n)
-    size = 1 << max(n, 256).bit_length()  # cache-friendly table size
-    d, d2, d3, d4 = _degree_count_table(size)
-    table = {2: d2, 3: d3, 4: d4}[j]
-    return Fraction(table[n], d[n])
+    f, g = fibonacci(n), fibonacci(n + 1)
+
+    def total(a: int, b: int, c: int, d: int) -> int:
+        return (a * n + b) * f + (c * n + d) * g
+
+    return Fraction(total(*_K2_DEGREE_TOTALS[j]), total(*_K2_VERTEX_TOTAL))
 
 
 # ---------------------------------------------------------------------

@@ -316,10 +316,25 @@ def expand(gf: RationalGF, n_max: int) -> list[MultiPoly]:
 
 
 def expand_ints(gf: RationalGF, n_max: int) -> list[int]:
-    """expand() for a univariate gf, coefficients as plain integers."""
+    """expand() for a univariate gf, coefficients as plain integers: the
+    same recurrence c_n = N_n - sum_{j>=1} D_j c_{n-j} on ints."""
     if gf.aux_variables:
         raise ValueError("expand_ints requires a gf in x alone")
-    return [c.as_int() for c in expand(gf, n_max)]
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    coeffs = [0] * (n_max + 1)
+    for (e,), coef in gf.numerator.terms.items():
+        if e <= n_max:
+            coeffs[e] = coef
+    den = sorted((e, coef) for (e,), coef in gf.denominator.terms.items() if e)
+    for n in range(1, n_max + 1):
+        c = coeffs[n]
+        for j, dj in den:
+            if j > n:
+                break
+            c -= dj * coeffs[n - j]
+        coeffs[n] = c
+    return coeffs
 
 
 def total_weight_series(gf: RationalGF, var: str, n_max: int) -> list[int]:

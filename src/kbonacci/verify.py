@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,10 +80,40 @@ class Summary:
         return [r for r in self.reports if r.status == "fail"]
 
 
-def brute_stats_poly(n: int, k: int, family: str,
-                     ham_cap: int = DEFAULT_HAM_CAP) -> MultiPoly | None:
+class _Sweeps:
+    """The `graph.WordStats` of every word that the checks of one
+    `run_all` call sweep: (n, k) -> {word bits: WordStats}, kept for that
+    call only.  The first check that needs a length fills its table, so
+    that check's `_Clock` is charged for it.  Hamiltonicity is searched
+    for, once per word, for lengths up to `ham_cap` (0: never)."""
+
+    def __init__(self, ham_cap: int) -> None:
+        self.ham_cap = ham_cap
+        self.tables: dict[tuple[int, int], dict[tuple[int, ...], graph.WordStats]] = {}
+
+    def __call__(self, n: int, k: int) -> dict[tuple[int, ...], graph.WordStats]:
+        table = self.tables.get((n, k))
+        if table is None:
+            ham = n <= self.ham_cap
+            table = self.tables[n, k] = {w.bits: graph.word_stats(w, ham)
+                                         for w in words.iter_words(n, k)}
+        return table
+
+
+def _word_stats(n: int, k: int, ham: bool,
+                sweeps: _Sweeps | None) -> Iterable[graph.WordStats]:
+    """The statistics of every length-n word: read from `sweeps` when
+    given, else built one word at a time and not kept."""
+    if sweeps is None:
+        return (graph.word_stats(w, ham) for w in words.iter_words(n, k))
+    return sweeps(n, k).values()
+
+
+def brute_stats_poly(n: int, k: int, family: str, ham_cap: int = DEFAULT_HAM_CAP,
+                     *, sweeps: _Sweeps | None = None) -> MultiPoly | None:
     """Exact monomial aggregation over all length-n words, or None when
-    the family is ham and n exceeds the backtracking guard."""
+    the family is ham and n exceeds the backtracking guard.  `run_all`
+    passes the `sweeps` its checks share."""
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
     if family not in FAMILIES:
@@ -93,8 +123,7 @@ def brute_stats_poly(n: int, k: int, family: str,
     if ham and n > ham_cap:
         return None
     terms: dict[tuple[int, ...], int] = {}
-    for w in words.iter_words(n, k):
-        stats = graph.word_stats(w, ham)
+    for stats in _word_stats(n, k, ham, sweeps):
         key = tuple(getattr(stats, field) for field in fields)
         terms[key] = terms.get(key, 0) + 1
     return MultiPoly(FAMILIES[family].gf(k).aux_variables, terms)
@@ -121,14 +150,14 @@ def _report(family: str, k: int, n: int, expected: str, actual: str,
     return CheckReport(family, k, n, status, expected, actual, clock.lap())
 
 
-def cross_check(family: str, k: int, max_n: int,
-                ham_cap: int = DEFAULT_HAM_CAP) -> list[CheckReport]:
+def cross_check(family: str, k: int, max_n: int, ham_cap: int = DEFAULT_HAM_CAP,
+                *, sweeps: _Sweeps | None = None) -> list[CheckReport]:
     """One report per n comparing brute force against the series coefficient."""
     clock = _Clock()
     coeffs = series.expand(FAMILIES[family].gf(k), max_n)
     out = []
     for n in range(1, max_n + 1):
-        brute = brute_stats_poly(n, k, family, ham_cap)
+        brute = brute_stats_poly(n, k, family, ham_cap, sweeps=sweeps)
         if brute is None:
             out.append(_report(family, k, n, "", "guard exceeded", clock, skip=True))
             continue
@@ -136,20 +165,21 @@ def cross_check(family: str, k: int, max_n: int,
     return out
 
 
-def brute_totals(n: int, k: int, ham_cap: int = DEFAULT_HAM_CAP) -> dict[str, int | None]:
+def brute_totals(n: int, k: int, ham_cap: int = DEFAULT_HAM_CAP,
+                 *, sweeps: _Sweeps | None = None) -> dict[str, int | None]:
     """All eight statistic totals over length-n words in one sweep: the
     sums of the `graph.WordStats` fields, with ham None when n exceeds
     the backtracking guard."""
     ham = n <= ham_cap
     sums = {name: 0 for name in TOTALS if ham or name != "ham"}
-    for w in words.iter_words(n, k):
-        stats = graph.word_stats(w, ham)
+    for stats in _word_stats(n, k, ham, sweeps):
         for name in sums:
             sums[name] += getattr(stats, name)
     return {name: sums.get(name) for name in TOTALS}
 
 
-def totals_check(k: int, max_n: int, ham_cap: int = DEFAULT_HAM_CAP) -> list[CheckReport]:
+def totals_check(k: int, max_n: int, ham_cap: int = DEFAULT_HAM_CAP,
+                 *, sweeps: _Sweeps | None = None) -> list[CheckReport]:
     """Named univariate totals vs the weighted multivariate series vs brute
     force, one report per (name, n)."""
     clock = _Clock()
@@ -158,7 +188,7 @@ def totals_check(k: int, max_n: int, ham_cap: int = DEFAULT_HAM_CAP) -> list[Che
     weighted = {name: series.total_weight_series(FAMILIES[fam].gf(k), var, max_n)
                 for name, (fam, var) in TOTALS.items()}
     out = []
-    brutes = {n: brute_totals(n, k, ham_cap) for n in range(1, max_n + 1)}
+    brutes = {n: brute_totals(n, k, ham_cap, sweeps=sweeps) for n in range(1, max_n + 1)}
     for name in TOTALS:
         for n in range(1, max_n + 1):
             b = brutes[n][name]
@@ -186,16 +216,19 @@ def ham_pair_check(max_k: int, max_n: int) -> list[CheckReport]:
     return out
 
 
-def reversal_check(k: int, max_n: int) -> list[CheckReport]:
+def reversal_check(k: int, max_n: int, *, sweeps: _Sweeps | None = None) -> list[CheckReport]:
     """Statistics of every word agree with those of its reverse, and the
     mirrored graph equals the reverse word's graph."""
     clock = _Clock()
+    if sweeps is None:
+        sweeps = _Sweeps(0)
     out = []
     for n in range(1, max_n + 1):
+        stats = sweeps(n, k)
         bad = ""
         for w in words.iter_words(n, k):
             r = words.reverse(w)
-            if (graph.word_stats(w, False) != graph.word_stats(r, False)
+            if (stats[w.bits] != stats[r.bits]
                     or graph.mirrored(graph.build_graph(polyomino.from_word(w)))
                     != graph.build_graph(polyomino.from_word(r))):
                 bad = w.text
@@ -254,45 +287,53 @@ def _formula_reports() -> list[CheckReport]:
         for j in (2, 3, 4))
     out.append(_report("formulas:asymptotics", 2, 2000, "gaps < 5e-3",
                        "gaps < 5e-3" if gaps_ok else "gap too large", clock))
-    partition_ok = all(
-        sum(formulas.empirical_degree_ratio(j, n) for j in (2, 3, 4)) == 1
-        for n in range(1, 2001))
+    # the degree-j shares of the vertices sum to 1 iff the counts sum to
+    # the vertex total, as that total is positive
+    d, *dj = (series.expand_ints(series.gf_named_total(name, 2), 2000)
+              for name in ("vertices", "deg2", "deg3", "deg4"))
+    partition_ok = all(sum(col[n] for col in dj) == d[n] for n in range(1, 2001))
     out.append(_report("formulas:degree-partition", 2, 2000, "sum == 1",
                        "sum == 1" if partition_ok else "partition broken", clock))
     return out
 
 
-def _family_suite(family: str) -> Callable[[int, int, int], list[CheckReport]]:
+def _family_suite(family: str) -> Callable[[int, int, int, _Sweeps], list[CheckReport]]:
     """A family's cross checks for every k; the ham suite also runs the
     (2j, 2j+1) pair identity of the Hamiltonian totals."""
-    def run(max_n: int, max_k: int, ham_cap: int) -> list[CheckReport]:
+    def run(max_n: int, max_k: int, ham_cap: int, sweeps: _Sweeps) -> list[CheckReport]:
         out = [r for k in range(2, max_k + 1)
-               for r in cross_check(family, k, max_n, ham_cap)]
+               for r in cross_check(family, k, max_n, ham_cap, sweeps=sweeps)]
         if family == "ham":
             out += ham_pair_check(max_k, max(max_n, 12))
         return out
     return run
 
 
-# suite name -> its checks for (max_n, max_k, ham_cap), in report order
+# suite name -> its checks for (max_n, max_k, ham_cap, the sweeps the
+# suites of one run share), in report order
 SUITES = {
     **{family: _family_suite(family) for family in FAMILIES},
-    "totals": lambda max_n, max_k, ham_cap: [
-        r for k in range(2, max_k + 1) for r in totals_check(k, max_n, ham_cap)],
-    "formulas": lambda max_n, max_k, ham_cap: _formula_reports(),
-    "reversal": lambda max_n, max_k, ham_cap: [
-        r for k in range(2, max_k + 1) for r in reversal_check(k, min(max_n, 10))],
+    "totals": lambda max_n, max_k, ham_cap, sweeps: [
+        r for k in range(2, max_k + 1)
+        for r in totals_check(k, max_n, ham_cap, sweeps=sweeps)],
+    "formulas": lambda max_n, max_k, ham_cap, sweeps: _formula_reports(),
+    "reversal": lambda max_n, max_k, ham_cap, sweeps: [
+        r for k in range(2, max_k + 1)
+        for r in reversal_check(k, min(max_n, 10), sweeps=sweeps)],
 }
 
 
 def run_all(max_n: int, max_k: int, ham_cap: int = DEFAULT_HAM_CAP,
             suites: tuple[str, ...] = tuple(SUITES)) -> Summary:
     """Run the requested suites for every k <= max_k and collect reports
-    in deterministic (suite, k, n) order."""
+    in deterministic (suite, k, n) order.  The suites share one sweep of
+    each (n, k), kept for this call only."""
     if max_n < 1 or max_k < 2:
         raise ValueError("need max_n >= 1 and max_k >= 2")
+    # only the ham and totals suites read Hamiltonicity
+    sweeps = _Sweeps(ham_cap if {"ham", "totals"} & set(suites) else 0)
     return Summary([report for suite, run in SUITES.items() if suite in suites
-                    for report in run(max_n, max_k, ham_cap)])
+                    for report in run(max_n, max_k, ham_cap, sweeps)])
 
 
 # ---------------------------------------------------------------------

@@ -188,6 +188,13 @@ class TestIntegerSequences:
         for n in range(1, 51):
             assert total_area_closed(n) == coeffs[n]
 
+    def test_fibonacci_by_doubling(self):
+        a, b = 0, 1
+        for n in range(0, 500):
+            assert fibonacci(n) == a, n
+            a, b = b, a + b
+        assert fibonacci(-3) == 0
+
     def test_fib_convolution(self):
         assert fib_convolution(0) == 0
         assert fib_convolution(4) == 5
@@ -240,6 +247,14 @@ class TestAsymptotics:
     def test_ratios_partition_unity(self):
         for n in (1, 2, 3, 17, 100, 300):
             assert sum(empirical_degree_ratio(j, n) for j in (2, 3, 4)) == 1
+
+    def test_ratio_equals_the_named_totals(self):
+        # the closed forms in F(n), F(n+1) against the series of the totals
+        d, *dj = (expand_ints(gf_named_total(name, 2), 600)
+                  for name in ("vertices", "deg2", "deg3", "deg4"))
+        for j, counts in zip((2, 3, 4), dj):
+            for n in range(1, 601):
+                assert empirical_degree_ratio(j, n) == Fraction(counts[n], d[n]), (j, n)
 
     def test_small_ratio_value(self):
         # at n = 3: 26 degree-2 vertices out of 50

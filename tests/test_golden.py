@@ -8,6 +8,9 @@
   column prints `-`.
 - golden/verify_sha256.json: `verify --suite S --max-n 6 --max-k 4
   --format text` for every suite, `all` included.
+- golden/asymptotics_sha256.json: `asymptotics --degree D --n N` for
+  D = 2, 3, 4 and N = 1, 255, 256, 1111, 2000, 3461 in text, json and
+  csv; 255/256 straddle the old table's power-of-two rounding.
 
 Any change to the code behind these commands must keep them byte for
 byte.  Regenerate one corpus (only for a deliberate output change,
@@ -16,6 +19,7 @@ recorded in CHANGES.md):
     PYTHONPATH=src python tests/test_golden.py series > tests/golden/series_sha256.json
     PYTHONPATH=src python tests/test_golden.py enumerate > tests/golden/enumerate_sha256.json
     PYTHONPATH=src python tests/test_golden.py verify > tests/golden/verify_sha256.json
+    PYTHONPATH=src python tests/test_golden.py asymptotics > tests/golden/asymptotics_sha256.json
 """
 
 import contextlib
@@ -66,10 +70,17 @@ def _verify_cases() -> list[tuple[str, ...]]:
             for suite in ("all", *verify.SUITES)]
 
 
+def _asymptotics_cases() -> list[tuple[str, ...]]:
+    return [("asymptotics", "--degree", str(degree), "--n", str(n), "--format", fmt)
+            for degree in (2, 3, 4) for n in (1, 255, 256, 1111, 2000, 3461)
+            for fmt in ("text", "json", "csv")]
+
+
 CORPORA = {
     "series": _series_cases,
     "enumerate": _enumerate_cases,
     "verify": _verify_cases,
+    "asymptotics": _asymptotics_cases,
 }
 
 
@@ -109,6 +120,14 @@ def test_enumerate_output_byte_identical(k):
 @pytest.mark.parametrize("argv", _verify_cases(), ids=lambda argv: argv[2])
 def test_verify_output_byte_identical(argv):
     assert _digest(argv) == _recorded("verify")[" ".join(argv)], " ".join(argv)
+
+
+@pytest.mark.parametrize("degree", (2, 3, 4))
+def test_asymptotics_output_byte_identical(degree):
+    recorded = _recorded("asymptotics")
+    for argv in _asymptotics_cases():
+        if argv[2] == str(degree):
+            assert _digest(argv) == recorded[" ".join(argv)], " ".join(argv)
 
 
 if __name__ == "__main__":

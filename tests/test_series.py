@@ -174,8 +174,30 @@ class TestExpand:
         assert expand_ints(gf_named_total("ham", 2), 4)[1:] == [2, 3, 5, 8]
 
     def test_expand_ints_requires_univariate(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="requires a gf in x alone"):
             expand_ints(gf_polyomino(2), 3)
+        with pytest.raises(ValueError, match="requires a gf in x alone"):
+            expand_ints(gf_polyomino(2), -1)
+
+    def test_expand_ints_rejects_negative_n_max(self):
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            expand_ints(gf_named_total("area", 2), -1)
+
+    def test_expand_ints_equals_expand(self):
+        for k in range(2, 9):
+            for name in ("area", "perimeter", "vertices", "edges",
+                         "deg2", "deg3", "deg4", "ham"):
+                gf = gf_named_total(name, k)
+                assert expand_ints(gf, 300) == [c.as_int() for c in expand(gf, 300)], (name, k)
+
+    def test_expand_ints_edge_cases(self):
+        gf = gf_named_total("ham", 3)
+        assert expand_ints(gf, 0) == [c.as_int() for c in expand(gf, 0)] == [0]
+        v = ("x",)
+        beyond = RationalGF(MultiPoly(v, {(0,): 3, (1,): 2, (5,): 7, (9,): -1}),
+                            MultiPoly(v, {(0,): 1, (1,): -1, (2,): 3}))
+        for n_max in (0, 1, 4, 5, 8, 12):
+            assert expand_ints(beyond, n_max) == [c.as_int() for c in expand(beyond, n_max)]
 
     @given(small_polys(), small_polys(), small_polys(max_terms=3, max_exp=3))
     @settings(max_examples=30)

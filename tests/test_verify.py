@@ -1,8 +1,12 @@
+import collections
+import contextlib
+import dataclasses
+import io
 import time
 
 import pytest
 
-from kbonacci import series
+from kbonacci import cli, graph, series, verify, words
 from kbonacci.series import MultiPoly
 from kbonacci.verify import (
     CheckReport,
@@ -133,6 +137,113 @@ class TestTiming:
         reports = cross_check("degree", 3, 3)
         assert reports[0].elapsed_ms >= 50
         assert all(r.elapsed_ms < 50 for r in reports[1:])
+
+
+class _Counts:
+    """Counts `graph.word_stats` records, by (word, k, ham asked), and
+    Hamiltonicity searches."""
+
+    def __init__(self, monkeypatch):
+        self.records = collections.Counter()
+        self.searches = 0
+        word_stats, search = graph.word_stats, graph.has_hamiltonian_cycle
+
+        def counted_word_stats(w, ham):
+            self.records[w.bits, w.k, ham] += 1
+            return word_stats(w, ham)
+
+        def counted_search(vertices, edges):
+            self.searches += 1
+            return search(vertices, edges)
+
+        monkeypatch.setattr(graph, "word_stats", counted_word_stats)
+        monkeypatch.setattr(graph, "has_hamiltonian_cycle", counted_search)
+
+    def snapshot(self):
+        return sum(self.records.values()), self.searches
+
+
+def _words(max_n, max_k):
+    return {(w.bits, k) for k in range(2, max_k + 1) for n in range(1, max_n + 1)
+            for w in words.iter_words(n, k)}
+
+
+class TestSharedSweeps:
+    def test_run_all_builds_each_record_once(self, monkeypatch):
+        counts = _Counts(monkeypatch)
+        assert run_all(8, 4, 7).ok
+        assert len(_words(8, 4)) == 895
+        assert sum(counts.records.values()) == len(counts.records) == 895
+        assert {(bits, k) for bits, k, _ in counts.records} == _words(8, 4)
+        searched = {(bits, k) for bits, k, ham in counts.records if ham}
+        assert searched == _words(7, 4)
+        assert counts.searches == len(searched)
+
+    def test_no_search_without_a_suite_that_reads_ham(self, monkeypatch):
+        counts = _Counts(monkeypatch)
+        run_all(8, 4, 7, suites=("poly",))
+        assert counts.searches == 0
+        run_all(6, 3, suites=("graph", "degree", "formulas", "reversal"))
+        assert counts.searches == 0
+
+    def test_nothing_is_reused_across_calls(self, monkeypatch):
+        counts = _Counts(monkeypatch)
+        run_all(6, 3)
+        first = counts.snapshot()
+        run_all(6, 3)
+        assert counts.snapshot() == (2 * first[0], 2 * first[1])
+
+    def test_direct_brute_totals_sweeps_each_time(self, monkeypatch):
+        counts = _Counts(monkeypatch)
+        assert brute_totals(6, 3) == brute_totals(6, 3)
+        assert sum(counts.records.values()) == 2 * words.count_words(6, 3)
+
+    def test_ham_suite_calls_no_brute_totals(self, monkeypatch):
+        calls = []
+        brute = verify.brute_totals
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return brute(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "brute_totals", counted)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--suite", "ham", "--max-n", "6", "--max-k", "3"]) == 0
+            assert calls == []
+            assert cli.main(["verify", "--suite", "totals", "--max-n", "6", "--max-k", "3"]) == 0
+        assert len(calls) == 2 * 6
+
+
+class TestSharingWeakensNoCheck:
+    def test_a_corrupt_record_fails_every_check_that_reads_it(self, monkeypatch):
+        word_stats = graph.word_stats
+
+        def corrupt(w, ham):
+            s = word_stats(w, ham)
+            if w.bits == (1, 1, 0, 0) and w.k == 3:
+                return dataclasses.replace(s, area=s.area + 1)
+            return s
+
+        monkeypatch.setattr(graph, "word_stats", corrupt)
+        summary = run_all(5, 3, suites=("poly", "totals", "reversal"))
+        assert {(r.family, r.k, r.n) for r in summary.failing} == {
+            ("poly", 3, 4), ("total:area", 3, 4), ("reversal", 3, 4)}
+        assert next(r for r in summary.failing if r.family == "reversal").actual == (
+            "asymmetric at 0011")
+
+    def test_a_corrupt_degree_count_breaks_the_partition(self, monkeypatch):
+        expand_ints = series.expand_ints
+        deg3 = series.gf_named_total("deg3", 2)
+
+        def corrupt(gf, n_max):
+            coeffs = expand_ints(gf, n_max)
+            if gf == deg3:
+                coeffs[1234] += 1
+            return coeffs
+
+        monkeypatch.setattr(series, "expand_ints", corrupt)
+        summary = run_all(3, 2, suites=("formulas",))
+        assert [r.family for r in summary.failing] == ["formulas:degree-partition"]
 
 
 class TestRendering:
