@@ -104,31 +104,33 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    wordlist = words.enumerate_words(args.n, args.k)
+    if args.dot and args.format != "text":
+        raise ValueError(f"--dot prints DOT only; it takes no --format {args.format}")
+    word_iter = words.iter_words(args.n, args.k)
     if args.dot:
-        for w in wordlist:
+        for w in word_iter:
             g = graph.build_graph(polyomino.from_word(w))
             print(graph.to_dot(g, name=f"w{w.text}"))
         return 0
     if args.render:
-        for w in wordlist:
+        for w in word_iter:
             print(w.text or "ε")
             print(polyomino.render(polyomino.from_word(w)))
             print()
         return 0
     if not args.with_stats:
         if args.format == "json":
-            print(json.dumps([{"word": w.text} for w in wordlist]))
+            print(json.dumps([{"word": w.text} for w in word_iter]))
         elif args.format == "csv":
             print("word")
-            for w in wordlist:
+            for w in word_iter:
                 print(w.text)
         else:
-            for w in wordlist:
+            for w in word_iter:
                 print(w.text or "ε")
         return 0
     ham = args.n <= args.ham_cap
-    rows = [(w, graph.word_stats(w, ham)) for w in wordlist]
+    rows = ((w, graph.word_stats(w, ham)) for w in word_iter)
     if args.format == "json":
         print(json.dumps([
             {"word": w.text, "heights": list(polyomino.from_word(w).heights),
@@ -137,20 +139,23 @@ def cmd_enumerate(args) -> int:
              "hamiltonian": None if s.ham is None else bool(s.ham)}
             for w, s in rows]))
         return 0
-    hams = ["-" if s.ham is None else str(bool(s.ham)).lower() for _, s in rows]
     if args.format == "csv":
         print("word,area,sper,ver,edg,d2,d3,d4,ham")
-        for (w, s), h in zip(rows, hams):
+        for w, s in rows:
             print(f"{w.text},{s.area},{s.perimeter},{s.vertices},"
-                  f"{s.edges},{s.deg2},{s.deg3},{s.deg4},{h}")
+                  f"{s.edges},{s.deg2},{s.deg3},{s.deg4},{_ham_text(s)}")
     else:
         width = max(4, args.n)
         print(f"{'word':<{width}} {'area':>4} {'sper':>4} {'ver':>4} "
               f"{'edg':>4} {'d2':>3} {'d3':>3} {'d4':>3} ham")
-        for (w, s), h in zip(rows, hams):
+        for w, s in rows:
             print(f"{w.text:<{width}} {s.area:>4} {s.perimeter:>4} {s.vertices:>4} "
-                  f"{s.edges:>4} {s.deg2:>3} {s.deg3:>3} {s.deg4:>3} {h}")
+                  f"{s.edges:>4} {s.deg2:>3} {s.deg3:>3} {s.deg4:>3} {_ham_text(s)}")
     return 0
+
+
+def _ham_text(s: graph.WordStats) -> str:
+    return "-" if s.ham is None else str(bool(s.ham)).lower()
 
 
 def cmd_series(args) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 # expand_ints and gf_named_total are unused here, but perfbench's
 # test_install_replaces_every_binding_site expects formulas to bind them
@@ -51,66 +50,80 @@ def _check_n(n: int) -> None:
         raise ValueError(f"index must be >= 1, got {n}")
 
 
-def _pq(coef: int, pe: int, qe: int) -> MultiPoly:
-    return MultiPoly(PQ, {(pe, qe): coef})
+def _walk(n: int, variables: tuple[str, ...],
+          first: dict[tuple[int, ...], int], second: dict[tuple[int, ...], int],
+          shift1: tuple[int, ...], shift2: tuple[int, ...]) -> MultiPoly:
+    """a_n of a_m = X1 a_{m-1} + X2 a_{m-2} from a_1 = `first` and
+    a_2 = `second`, where X1 and X2 are the monomials with coefficient 1
+    and exponent vectors `shift1` and `shift2`, walked forward from m = 1:
+    no recursion, and nothing is kept between calls.
 
+    Exponent vectors are packed into ints: variable i takes bits
+    [width*i, width*(i+1)), and width bits hold every exponent up to
+    a_n's, so no field overflows and multiplying monomials adds keys.
+    Each a_m is an offset and a dict of terms keyed by packed exponents
+    less that offset.  Multiplying by X1 then only moves the offset, so a
+    step copies a_{m-1}'s dict and adds a_{m-2}'s terms into it."""
+    _check_n(n)
+    bound = (max(e for a in (first, second) for exps in a for e in exps)
+             + n * max(*shift1, *shift2))
+    width = max(bound.bit_length(), 1)
+    fields = range(0, width * len(variables), width)
 
-def _q(coef: int, qe: int) -> MultiPoly:
-    return MultiPoly(Q, {(qe,): coef})
+    def pack(exps: tuple[int, ...]) -> int:
+        return sum(e << s for e, s in zip(exps, fields))
+
+    s1, s2 = pack(shift1), pack(shift2)
+    prev = (0, {pack(e): c for e, c in first.items()})
+    cur = (0, {pack(e): c for e, c in second.items()}) if n > 1 else prev
+    for _ in range(n - 2):
+        (prev_off, prev_terms), (cur_off, cur_terms) = prev, cur
+        off = cur_off + s1
+        terms = cur_terms.copy()
+        get = terms.get
+        delta = prev_off + s2 - off
+        for key, c in prev_terms.items():
+            key += delta
+            terms[key] = get(key, 0) + c
+        prev, cur = cur, (off, terms)
+    off, terms = cur
+    mask = (1 << width) - 1
+    return MultiPoly(variables, {tuple((key + off) >> s & mask for s in fields): c
+                                 for key, c in terms.items()})
 
 
 # ---------------------------------------------------------------------
 # Fibonacci-polyomino weight polynomials t_n(p, q): p marks semiperimeter,
 # q marks area, over all words of length n with k = 2.
 
-@lru_cache(maxsize=None)
 def t_poly(n: int) -> MultiPoly:
     """t_n by the recurrence t_n = pq t_{n-1} + p^3 q^3 t_{n-2}."""
-    _check_n(n)
-    if n == 1:
-        return _pq(1, 2, 1) + _pq(1, 3, 2)
-    if n == 2:
-        return _pq(1, 3, 2) + _pq(2, 4, 3)
-    return _pq(1, 1, 1) * t_poly(n - 1) + _pq(1, 3, 3) * t_poly(n - 2)
+    return _walk(n, PQ, {(2, 1): 1, (3, 2): 1}, {(3, 2): 1, (4, 3): 2}, (1, 1), (3, 3))
 
 
 def t_poly_closed(n: int) -> MultiPoly:
     """t_n as the binomial sum of C(n+1-i, i) p^(n+i+1) q^(n+i)."""
     _check_n(n)
-    out = MultiPoly.zero(PQ)
-    for i in range((n + 1) // 2 + 1):
-        c = binom(n + 1 - i, i)
-        if c:
-            out = out + _pq(c, n + i + 1, n + i)
-    return out
+    return MultiPoly(PQ, {(n + i + 1, n + i): binom(n + 1 - i, i)
+                          for i in range((n + 1) // 2 + 1)})
 
 
 # ---------------------------------------------------------------------
 # Fibonacci-graph weight polynomials v_n(p, q): p marks edges, q vertices.
 
-@lru_cache(maxsize=None)
 def v_poly(n: int) -> MultiPoly:
     """v_n by the recurrence v_n = p^3 q^2 v_{n-1} + p^9 q^6 v_{n-2}.
 
     The second initial value is the oracle-verified p^7 q^6 + 2 p^10 q^8.
     """
-    _check_n(n)
-    if n == 1:
-        return _pq(1, 4, 4) + _pq(1, 7, 6)
-    if n == 2:
-        return _pq(1, 7, 6) + _pq(2, 10, 8)
-    return _pq(1, 3, 2) * v_poly(n - 1) + _pq(1, 9, 6) * v_poly(n - 2)
+    return _walk(n, PQ, {(4, 4): 1, (7, 6): 1}, {(7, 6): 1, (10, 8): 2}, (3, 2), (9, 6))
 
 
 def v_poly_closed(n: int) -> MultiPoly:
     """v_n as the binomial sum of C(n+1-i, i) p^(3n+1+3i) q^(2n+2+2i)."""
     _check_n(n)
-    out = MultiPoly.zero(PQ)
-    for i in range((n + 1) // 2 + 1):
-        c = binom(n + 1 - i, i)
-        if c:
-            out = out + _pq(c, 3 * n + 1 + 3 * i, 2 * n + 2 + 2 * i)
-    return out
+    return MultiPoly(PQ, {(3 * n + 1 + 3 * i, 2 * n + 2 + 2 * i): binom(n + 1 - i, i)
+                          for i in range((n + 1) // 2 + 1)})
 
 
 # ---------------------------------------------------------------------
@@ -118,34 +131,21 @@ def v_poly_closed(n: int) -> MultiPoly:
 # of q^(number of degree-j vertices), j in {2, 3, 4}.  Initial values are
 # oracle-verified (see the test suite's erratum fixtures).
 
-@lru_cache(maxsize=None)
 def d2_poly(n: int) -> MultiPoly:
-    _check_n(n)
-    if n == 1:
-        return _q(2, 4)
-    if n == 2:
-        return _q(1, 4) + _q(2, 5)
-    return d2_poly(n - 1) + _q(1, 2) * d2_poly(n - 2)
+    """d_{n,2} by the recurrence d_n = d_{n-1} + q^2 d_{n-2}."""
+    return _walk(n, Q, {(4,): 2}, {(4,): 1, (5,): 2}, (0,), (2,))
 
 
 def d2_poly_closed(n: int) -> MultiPoly:
     _check_n(n)
-    out = MultiPoly.zero(Q)
-    for i in range(1, n + 1):
-        c = binom(n - 1 - i // 2, (i - 1) // 2) + binom(n - 2 - (i - 1) // 2, (i - 2) // 2)
-        if c:
-            out = out + _q(c, i + 3)
-    return out
+    return MultiPoly(Q, {(i + 3,): binom(n - 1 - i // 2, (i - 1) // 2)
+                         + binom(n - 2 - (i - 1) // 2, (i - 2) // 2)
+                         for i in range(1, n + 1)})
 
 
-@lru_cache(maxsize=None)
 def d3_poly(n: int) -> MultiPoly:
-    _check_n(n)
-    if n == 1:
-        return _q(1, 2) + _q(1, 0)
-    if n == 2:
-        return _q(3, 2)
-    return _q(1, 2) * (d3_poly(n - 1) + d3_poly(n - 2))
+    """d_{n,3} by the recurrence d_n = q^2 d_{n-1} + q^2 d_{n-2}."""
+    return _walk(n, Q, {(2,): 1, (0,): 1}, {(2,): 3}, (2,), (2,))
 
 
 def d3_poly_closed(n: int) -> MultiPoly:
@@ -153,41 +153,34 @@ def d3_poly_closed(n: int) -> MultiPoly:
     where g_m = sum_i C(m-i, i) q^(2(m-i)) is the Fibonacci-polynomial
     solution of g_m = q^2 (g_{m-1} + g_{m-2})."""
     _check_n(n)
-
-    def g(m: int) -> MultiPoly:
-        out = MultiPoly.zero(Q)
+    terms: dict[tuple[int, ...], int] = {}
+    for m, factor in ((n - 1, ((0, 1), (2, 1))), (n - 2, ((2, 2), (4, -1)))):
         for i in range(max(m, 0) + 1):
             c = binom(m - i, i)
-            if c:
-                out = out + _q(c, 2 * (m - i))
-        return out
+            for shift, f in factor:
+                key = (2 * (m - i) + shift,)
+                terms[key] = terms.get(key, 0) + f * c
+    return MultiPoly(Q, terms)
 
-    return (_q(1, 0) + _q(1, 2)) * g(n - 1) + (_q(2, 2) + _q(-1, 4)) * g(n - 2)
 
-
-@lru_cache(maxsize=None)
 def d4_poly(n: int) -> MultiPoly:
-    _check_n(n)
-    if n == 1:
-        return _q(2, 0)
-    if n == 2:
-        return _q(1, 0) + _q(2, 1)
-    return d4_poly(n - 1) + _q(1, 2) * d4_poly(n - 2)
+    """d_{n,4} by the recurrence d_n = d_{n-1} + q^2 d_{n-2}."""
+    return _walk(n, Q, {(0,): 2}, {(0,): 1, (1,): 2}, (0,), (2,))
 
 
 def d4_poly_closed(n: int) -> MultiPoly:
     """Binomial form of d_{n,4}; terms with i < 3 vanish under the
     binomial convention, so no negative q exponents arise."""
     _check_n(n)
-    out = MultiPoly.zero(Q)
+    terms: dict[tuple[int, ...], int] = {}
     for i in range(n + 3):
         c = (binom(n - 1 - (i - 2) // 2, (i - 3) // 2)
              + binom(n - 2 - (i - 3) // 2, (i - 4) // 2))
         if c:
             if i < 3:
                 raise ArithmeticError(f"negative exponent term survived at i={i}")
-            out = out + _q(c, i - 3)
-    return out
+            terms[(i - 3,)] = c
+    return MultiPoly(Q, terms)
 
 
 def degree_poly(j: int, n: int) -> MultiPoly:

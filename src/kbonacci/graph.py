@@ -1,11 +1,12 @@
 """Grid graphs of bargraph polyominoes: cell corners are vertices, cell
 sides are edges.  All vertices have degree 2, 3 or 4.
 
-The degree profile and the Hamiltonicity search have one implementation
-each, on integer vertex ids: `degree_counts` and `has_hamiltonian_cycle`.
-`word_stats` feeds them `polyomino.geometry` directly and is the one
-source of every per-word statistic; the `GridGraph` functions relabel
-their (x, y) vertices to ids first.
+The degree profile, the Hamiltonicity search and the mirror x -> n - x
+have one implementation each, on integer vertex ids: `degree_counts`,
+`has_hamiltonian_cycle` and `mirrored`.  `word_stats` feeds the first
+two `polyomino.geometry` directly and is the one source of every
+per-word statistic; the `GridGraph` functions relabel their (x, y)
+vertices to ids first.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .polyomino import Polyomino, area, from_word, geometry
+from .polyomino import Geometry, Polyomino, area, from_word, geometry
 from .words import Word
 
 Vertex = tuple[int, int]
@@ -81,16 +82,18 @@ def degree_profile(g: GridGraph) -> tuple[int, int, int]:
     return degree_counts(*_relabel(g))
 
 
-def mirrored(g: GridGraph) -> GridGraph:
-    """The graph reflected by x -> n - x (the reverse word's graph)."""
-    n = max(x for x, _ in g.vertices)
-
-    def flip(v: Vertex) -> Vertex:
-        return (n - v[0], v[1])
-
-    verts = frozenset(flip(v) for v in g.vertices)
-    edges = frozenset(tuple(sorted((flip(u), flip(v)))) for u, v in g.edges)
-    return GridGraph(verts, edges)
+def mirrored(geo: Geometry) -> Geometry:
+    """The geometry reflected by x -> n - x, n its last line: the id
+    3x + y goes to 3(n - x) + y.  This is the reverse word's geometry.
+    The mirror reverses the order of the lines, so the ids and the edges
+    are sorted again, and it swaps the ends of each horizontal side
+    (u, u + 3) while keeping those of each vertical side (u, u + 1)."""
+    top = geo.vertices[-1] // 3 * 3  # 3n
+    flip = [top - v + 2 * (v % 3) for v in range(top + 3)]
+    return Geometry(tuple(sorted([flip[v] for v in geo.vertices])),
+                    tuple(sorted([(flip[v], flip[u]) if v - u == 3 else (flip[u], flip[v])
+                                  for u, v in geo.edges])),
+                    geo.boundary)
 
 
 def grid_hamiltonian_rule(m: int, n: int) -> bool:

@@ -130,9 +130,12 @@ def brute_stats_poly(n: int, k: int, family: str, ham_cap: int = DEFAULT_HAM_CAP
 
 
 class _Clock:
-    """Milliseconds since a check function started.  `lap` returns those
-    not yet charged to a report, so set-up shared by a function's reports
-    is charged to the first, and a function's reports add up to its time."""
+    """Milliseconds since a check function, or a `run_all` call, started.
+    `lap` returns the whole milliseconds not yet charged to a report, so
+    set-up shared by reports is charged to the first of them.  The
+    running total charged is the elapsed time cut to whole milliseconds,
+    so the reports of one clock add up to its time less under 1 ms,
+    however many they are."""
 
     def __init__(self) -> None:
         self.start = time.perf_counter()
@@ -151,9 +154,10 @@ def _report(family: str, k: int, n: int, expected: str, actual: str,
 
 
 def cross_check(family: str, k: int, max_n: int, ham_cap: int = DEFAULT_HAM_CAP,
-                *, sweeps: _Sweeps | None = None) -> list[CheckReport]:
+                *, sweeps: _Sweeps | None = None,
+                clock: _Clock | None = None) -> list[CheckReport]:
     """One report per n comparing brute force against the series coefficient."""
-    clock = _Clock()
+    clock = clock or _Clock()
     coeffs = series.expand(FAMILIES[family].gf(k), max_n)
     out = []
     for n in range(1, max_n + 1):
@@ -179,10 +183,11 @@ def brute_totals(n: int, k: int, ham_cap: int = DEFAULT_HAM_CAP,
 
 
 def totals_check(k: int, max_n: int, ham_cap: int = DEFAULT_HAM_CAP,
-                 *, sweeps: _Sweeps | None = None) -> list[CheckReport]:
+                 *, sweeps: _Sweeps | None = None,
+                 clock: _Clock | None = None) -> list[CheckReport]:
     """Named univariate totals vs the weighted multivariate series vs brute
     force, one report per (name, n)."""
-    clock = _Clock()
+    clock = clock or _Clock()
     named = {name: series.expand_ints(series.gf_named_total(name, k), max_n)
              for name in TOTALS}
     weighted = {name: series.total_weight_series(FAMILIES[fam].gf(k), var, max_n)
@@ -202,9 +207,10 @@ def totals_check(k: int, max_n: int, ham_cap: int = DEFAULT_HAM_CAP,
     return out
 
 
-def ham_pair_check(max_k: int, max_n: int) -> list[CheckReport]:
+def ham_pair_check(max_k: int, max_n: int, *,
+                   clock: _Clock | None = None) -> list[CheckReport]:
     """Total-Hamiltonian series agree for the parameter pairs (2j, 2j+1)."""
-    clock = _Clock()
+    clock = clock or _Clock()
     out = []
     j = 1
     while 2 * j + 1 <= max_k:
@@ -216,30 +222,30 @@ def ham_pair_check(max_k: int, max_n: int) -> list[CheckReport]:
     return out
 
 
-def reversal_check(k: int, max_n: int, *, sweeps: _Sweeps | None = None) -> list[CheckReport]:
+def reversal_check(k: int, max_n: int, *, sweeps: _Sweeps | None = None,
+                   clock: _Clock | None = None) -> list[CheckReport]:
     """Statistics of every word agree with those of its reverse, and the
-    mirrored graph equals the reverse word's graph."""
-    clock = _Clock()
+    mirrored geometry equals the reverse word's geometry."""
+    clock = clock or _Clock()
     if sweeps is None:
         sweeps = _Sweeps(0)
     out = []
     for n in range(1, max_n + 1):
         stats = sweeps(n, k)
+        geos = {w.bits: polyomino.geometry(polyomino.from_word(w))
+                for w in words.iter_words(n, k)}
         bad = ""
-        for w in words.iter_words(n, k):
-            r = words.reverse(w)
-            if (stats[w.bits] != stats[r.bits]
-                    or graph.mirrored(graph.build_graph(polyomino.from_word(w)))
-                    != graph.build_graph(polyomino.from_word(r))):
-                bad = w.text
+        for bits, geo in geos.items():
+            rev = bits[::-1]
+            if stats[bits] != stats[rev] or graph.mirrored(geo) != geos[rev]:
+                bad = "".join(map(str, bits))
                 break
         out.append(_report("reversal", k, n, "symmetric",
                            f"asymmetric at {bad}" if bad else "symmetric", clock))
     return out
 
 
-def _formula_reports() -> list[CheckReport]:
-    clock = _Clock()
+def _formula_reports(clock: _Clock) -> list[CheckReport]:
     out = []
     poly_coeffs = series.expand(series.gf_polyomino(2), 30)
     graph_coeffs = series.expand(series.gf_graph(2), 30)
@@ -297,29 +303,31 @@ def _formula_reports() -> list[CheckReport]:
     return out
 
 
-def _family_suite(family: str) -> Callable[[int, int, int, _Sweeps], list[CheckReport]]:
+def _family_suite(family: str) -> Callable[[int, int, int, _Sweeps, _Clock],
+                                            list[CheckReport]]:
     """A family's cross checks for every k; the ham suite also runs the
     (2j, 2j+1) pair identity of the Hamiltonian totals."""
-    def run(max_n: int, max_k: int, ham_cap: int, sweeps: _Sweeps) -> list[CheckReport]:
+    def run(max_n: int, max_k: int, ham_cap: int, sweeps: _Sweeps,
+            clock: _Clock) -> list[CheckReport]:
         out = [r for k in range(2, max_k + 1)
-               for r in cross_check(family, k, max_n, ham_cap, sweeps=sweeps)]
+               for r in cross_check(family, k, max_n, ham_cap, sweeps=sweeps, clock=clock)]
         if family == "ham":
-            out += ham_pair_check(max_k, max(max_n, 12))
+            out += ham_pair_check(max_k, max(max_n, 12), clock=clock)
         return out
     return run
 
 
-# suite name -> its checks for (max_n, max_k, ham_cap, the sweeps the
-# suites of one run share), in report order
+# suite name -> its checks for (max_n, max_k, ham_cap, the sweeps and the
+# clock the suites of one run share), in report order
 SUITES = {
     **{family: _family_suite(family) for family in FAMILIES},
-    "totals": lambda max_n, max_k, ham_cap, sweeps: [
+    "totals": lambda max_n, max_k, ham_cap, sweeps, clock: [
         r for k in range(2, max_k + 1)
-        for r in totals_check(k, max_n, ham_cap, sweeps=sweeps)],
-    "formulas": lambda max_n, max_k, ham_cap, sweeps: _formula_reports(),
-    "reversal": lambda max_n, max_k, ham_cap, sweeps: [
+        for r in totals_check(k, max_n, ham_cap, sweeps=sweeps, clock=clock)],
+    "formulas": lambda max_n, max_k, ham_cap, sweeps, clock: _formula_reports(clock),
+    "reversal": lambda max_n, max_k, ham_cap, sweeps, clock: [
         r for k in range(2, max_k + 1)
-        for r in reversal_check(k, min(max_n, 10), sweeps=sweeps)],
+        for r in reversal_check(k, min(max_n, 10), sweeps=sweeps, clock=clock)],
 }
 
 
@@ -327,13 +335,15 @@ def run_all(max_n: int, max_k: int, ham_cap: int = DEFAULT_HAM_CAP,
             suites: tuple[str, ...] = tuple(SUITES)) -> Summary:
     """Run the requested suites for every k <= max_k and collect reports
     in deterministic (suite, k, n) order.  The suites share one sweep of
-    each (n, k), kept for this call only."""
+    each (n, k), kept for this call only, and one clock, so the reports'
+    `elapsed_ms` add up to the call's time less under 1 ms."""
+    clock = _Clock()
     if max_n < 1 or max_k < 2:
         raise ValueError("need max_n >= 1 and max_k >= 2")
     # only the ham and totals suites read Hamiltonicity
     sweeps = _Sweeps(ham_cap if {"ham", "totals"} & set(suites) else 0)
     return Summary([report for suite, run in SUITES.items() if suite in suites
-                    for report in run(max_n, max_k, ham_cap, sweeps)])
+                    for report in run(max_n, max_k, ham_cap, sweeps, clock)])
 
 
 # ---------------------------------------------------------------------
@@ -359,4 +369,7 @@ def to_csv(summary: Summary) -> str:
 
 
 def to_json_obj(summary: Summary) -> list[dict]:
-    return [dataclasses.asdict(r) for r in summary.reports]
+    """One flat dict per report, keyed by the `CheckReport` fields in order."""
+    return [{"family": r.family, "k": r.k, "n": r.n, "status": r.status,
+             "expected": r.expected, "actual": r.actual, "elapsed_ms": r.elapsed_ms}
+            for r in summary.reports]

@@ -101,6 +101,36 @@ class TestEnumerate:
         assert out.startswith("graph w0 {")
         assert "graph w1 {" in out
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_dot_rejects_json_and_csv(self, capsys, fmt):
+        code = cli.main(["enumerate", "--n", "1", "--k", "2", "--dot", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --dot prints DOT only; it takes no --format {fmt}\n"
+
+    @pytest.mark.parametrize("argv", [[], ["--format", "csv"], ["--with-stats"],
+                                      ["--with-stats", "--format", "csv"]])
+    def test_rows_stream_as_the_words_come(self, capsys, monkeypatch, argv):
+        iter_words = words.iter_words
+
+        def two_then_fail(n, k):
+            it = iter_words(n, k)
+            yield next(it)
+            yield next(it)
+            raise RuntimeError("no more words")
+
+        monkeypatch.setattr(words, "iter_words", two_then_fail)
+        monkeypatch.setattr(words, "enumerate_words", None)
+        code = cli.main(["enumerate", "--n", "3", "--k", "2", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: RuntimeError: no more words\n"
+        # a header line, except in the plain text listing, then two rows
+        lines = captured.out.splitlines()
+        assert [line.split(",")[0].split()[0] for line in lines[-2:]] == ["000", "001"]
+        assert len(lines) == (3 if argv else 2)
+
     def test_render_blocks(self, capsys):
         code, out = run(capsys, "enumerate", "--n", "2", "--k", "3", "--render")
         assert code == 0

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from kbonacci import formulas
 from kbonacci.formulas import (
     QuadraticConstant,
     binom,
@@ -102,6 +103,22 @@ class TestDegreePolynomials:
             degree_poly(5, 1)
         with pytest.raises(ValueError):
             degree_slice_from_gf(1, 5)
+
+
+class TestRecurrencesAtLargeN:
+    RECURRENCES = {"t": (t_poly, t_poly_closed), "v": (v_poly, v_poly_closed),
+                   "d2": (d2_poly, d2_poly_closed), "d3": (d3_poly, d3_poly_closed),
+                   "d4": (d4_poly, d4_poly_closed)}
+
+    @pytest.mark.parametrize("name", RECURRENCES)
+    def test_walk_reaches_n_3000_and_equals_the_closed_form(self, name):
+        walk, closed = self.RECURRENCES[name]
+        assert walk(3000) == closed(3000)
+
+    def test_nothing_is_cached(self):
+        assert not any(hasattr(f, "cache_info")
+                       for pair in self.RECURRENCES.values() for f in pair)
+        assert not hasattr(formulas, "lru_cache")
 
 
 class TestPaperErrataFixtures:

@@ -214,17 +214,44 @@ class TestOracleAgreesWithPublicFunctions:
                 }, (n, k)
 
 
+def tuple_mirror(g: GridGraph) -> GridGraph:
+    """The grid graph reflected by (x, y) -> (n - x, y), on (x, y) tuples."""
+    n = max(x for x, _ in g.vertices)
+
+    def flip(v):
+        return (n - v[0], v[1])
+
+    return GridGraph(frozenset(map(flip, g.vertices)),
+                     frozenset(tuple(sorted((flip(u), flip(v)))) for u, v in g.edges))
+
+
+def as_grid_graph(geo) -> GridGraph:
+    return GridGraph(frozenset(divmod(v, 3) for v in geo.vertices),
+                     frozenset((divmod(u, 3), divmod(v, 3)) for u, v in geo.edges))
+
+
 class TestReversalSymmetry:
     def test_invariants_and_mirror_map(self):
         for k in (2, 3, 4, 5):
             for n in range(1, 9):
                 for w in enumerate_words(n, k):
+                    geo = geometry(from_word(w))
+                    geo_r = geometry(from_word(reverse(w)))
+                    assert len(geo.vertices) == len(geo_r.vertices)
+                    assert len(geo.edges) == len(geo_r.edges)
+                    assert geo.semiperimeter == geo_r.semiperimeter
+                    assert (degree_counts(geo.vertices, geo.edges)
+                            == degree_counts(geo_r.vertices, geo_r.edges))
+                    assert mirrored(geo) == geo_r
+                    assert mirrored(geo_r) == geo
+
+    def test_mirror_agrees_with_the_tuple_graph_mirror(self):
+        for k in (2, 3, 4, 5):
+            for n in range(1, 9):
+                for w in enumerate_words(n, k):
                     g = build_graph(from_word(w))
-                    gr = build_graph(from_word(reverse(w)))
-                    assert len(g.vertices) == len(gr.vertices)
-                    assert len(g.edges) == len(gr.edges)
-                    assert degree_profile(g) == degree_profile(gr)
-                    assert mirrored(g) == gr
+                    assert as_grid_graph(mirrored(geometry(from_word(w)))) == tuple_mirror(g)
+                    assert tuple_mirror(g) == build_graph(from_word(reverse(w)))
 
 
 class TestSerialization:

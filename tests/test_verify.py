@@ -2,6 +2,7 @@ import collections
 import contextlib
 import dataclasses
 import io
+import json
 import time
 
 import pytest
@@ -93,6 +94,21 @@ class TestReversal:
         reports = reversal_check(3, 6)
         assert all(r.status == "pass" for r in reports)
 
+    def test_an_identity_mirror_fails_at_the_first_asymmetric_word(self, monkeypatch):
+        monkeypatch.setattr(graph, "mirrored", lambda geo: geo)
+        reports = reversal_check(2, 3)
+        # n = 1 has only palindromes; 01 is the first word unlike its reverse
+        assert [(r.n, r.status, r.actual) for r in reports] == [
+            (1, "pass", "symmetric"), (2, "fail", "asymmetric at 01"),
+            (3, "fail", "asymmetric at 001")]
+
+    def test_builds_no_grid_graph(self, monkeypatch):
+        def no_graph(p):
+            raise AssertionError("reversal_check built a GridGraph")
+
+        monkeypatch.setattr(graph, "build_graph", no_graph)
+        assert all(r.status == "pass" for r in reversal_check(3, 6))
+
 
 class TestRunAll:
     def test_small_run_green(self):
@@ -125,6 +141,15 @@ class TestTiming:
         calls = 4 * 2 + 1 + 2 + 1 + 2
         total_ms = sum(r.elapsed_ms for r in summary.reports)
         assert wall_ms - (calls + 2) <= total_ms <= wall_ms
+
+    def test_one_clock_per_run_loses_under_a_millisecond(self):
+        start = time.perf_counter()
+        summary = run_all(6, 3)
+        wall_ms = (time.perf_counter() - start) * 1000
+        total_ms = sum(r.elapsed_ms for r in summary.reports)
+        # the run's 14 check-function calls share one clock, so cutting
+        # its total to whole milliseconds loses under 1 ms in all
+        assert wall_ms - 2 <= total_ms <= wall_ms
 
     def test_set_up_is_charged_to_the_first_report(self, monkeypatch):
         expand = series.expand
@@ -265,6 +290,11 @@ class TestRendering:
         lines = csv.splitlines()
         assert lines[0] == "family,k,n,status,elapsed_ms"
         assert lines[1] == "poly,2,1,pass,3"
+
+    def test_json_equals_the_dataclass_rendering(self):
+        summary = run_all(4, 3)
+        assert json.dumps(to_json_obj(summary)) == json.dumps(
+            [dataclasses.asdict(r) for r in summary.reports])
 
     def test_json_keys(self):
         objs = to_json_obj(self.sample())
