@@ -40,10 +40,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text",
                         help="output format (default text)")
-    common.add_argument("--ham-cap", type=_positive, default=verify.DEFAULT_HAM_CAP,
-                        metavar="N",
-                        help="max word length for Hamiltonicity backtracking "
-                             f"(default {verify.DEFAULT_HAM_CAP})")
+    ham_cap = argparse.ArgumentParser(add_help=False)
+    ham_cap.add_argument("--ham-cap", type=_positive, default=verify.DEFAULT_HAM_CAP,
+                         metavar="N",
+                         help="max word length for Hamiltonicity backtracking "
+                              f"(default {verify.DEFAULT_HAM_CAP})")
 
     parser = argparse.ArgumentParser(
         prog="kbonacci",
@@ -56,17 +57,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--k", type=_k_param, default=2)
 
-    p = sub.add_parser("enumerate", parents=[common],
+    p = sub.add_parser("enumerate", parents=[common, ham_cap],
                        help="list words, optionally with their statistics")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--k", type=_k_param, default=2)
-    p.add_argument("--with-stats", action="store_true",
-                   help="add area, semiperimeter, vertex/edge counts, degree "
-                        "profile and Hamiltonicity")
-    p.add_argument("--render", action="store_true",
-                   help="draw each polyomino as two rows of block characters")
-    p.add_argument("--dot", action="store_true",
-                   help="emit each word's grid graph in DOT format instead")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--with-stats", action="store_true",
+                      help="add area, semiperimeter, vertex/edge counts, degree "
+                           "profile and Hamiltonicity")
+    mode.add_argument("--render", action="store_true",
+                      help="draw each polyomino as two rows of block characters")
+    mode.add_argument("--dot", action="store_true",
+                      help="emit each word's grid graph in DOT format instead")
 
     p = sub.add_parser("series", parents=[common],
                        help="expand a generating function")
@@ -77,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vars-at-1", default="", metavar="VARS",
                    help="comma-separated auxiliary variables to set to 1")
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, ham_cap],
                        help="run oracle cross-checks; exit 0 iff all pass")
     p.add_argument("--suite", choices=("all", *verify.SUITES), default="all")
     p.add_argument("--max-n", type=_positive, default=10)
@@ -106,6 +108,8 @@ def cmd_count(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.dot and args.format != "text":
         raise ValueError(f"--dot prints DOT only; it takes no --format {args.format}")
+    if args.render and args.format != "text":
+        raise ValueError(f"--render prints blocks only; it takes no --format {args.format}")
     word_iter = words.iter_words(args.n, args.k)
     if args.dot:
         for w in word_iter:
@@ -120,7 +124,7 @@ def cmd_enumerate(args) -> int:
         return 0
     if not args.with_stats:
         if args.format == "json":
-            print(json.dumps([{"word": w.text} for w in word_iter]))
+            _print_json_list({"word": w.text} for w in word_iter)
         elif args.format == "csv":
             print("word")
             for w in word_iter:
@@ -132,12 +136,12 @@ def cmd_enumerate(args) -> int:
     ham = args.n <= args.ham_cap
     rows = ((w, graph.word_stats(w, ham)) for w in word_iter)
     if args.format == "json":
-        print(json.dumps([
+        _print_json_list(
             {"word": w.text, "heights": list(polyomino.from_word(w).heights),
              "area": s.area, "sper": s.perimeter, "vertices": s.vertices,
              "edges": s.edges, "deg": [s.deg2, s.deg3, s.deg4],
              "hamiltonian": None if s.ham is None else bool(s.ham)}
-            for w, s in rows]))
+            for w, s in rows)
         return 0
     if args.format == "csv":
         print("word,area,sper,ver,edg,d2,d3,d4,ham")
@@ -152,6 +156,14 @@ def cmd_enumerate(args) -> int:
             print(f"{w.text:<{width}} {s.area:>4} {s.perimeter:>4} {s.vertices:>4} "
                   f"{s.edges:>4} {s.deg2:>3} {s.deg3:>3} {s.deg4:>3} {_ham_text(s)}")
     return 0
+
+
+def _print_json_list(items) -> None:
+    """Print the bytes of `json.dumps(list(items))`, one item at a time."""
+    print("[", end="")
+    for i, item in enumerate(items):
+        print(", " * (i > 0) + json.dumps(item), end="")
+    print("]")
 
 
 def _ham_text(s: graph.WordStats) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,18 +80,23 @@ class Summary:
         return [r for r in self.reports if r.status == "fail"]
 
 
-class _Sweeps:
-    """The `graph.WordStats` of every word that the checks of one
-    `run_all` call sweep: (n, k) -> {word bits: WordStats}, kept for that
-    call only.  The first check that needs a length fills its table, so
-    that check's `_Clock` is charged for it.  Hamiltonicity is searched
-    for, once per word, for lengths up to `ham_cap` (0: never)."""
+class _Run:
+    """One verification run: its Hamiltonicity cap (the longest word
+    searched; 0: never), the `graph.WordStats` of every word its checks
+    sweep, (n, k) -> {word bits: WordStats}, and its clock.  `run_all`
+    makes one run for all its suites; a check function called alone makes
+    its own, kept until it returns."""
 
     def __init__(self, ham_cap: int) -> None:
         self.ham_cap = ham_cap
         self.tables: dict[tuple[int, int], dict[tuple[int, ...], graph.WordStats]] = {}
+        self.start = time.perf_counter()
+        self.charged = 0
 
-    def __call__(self, n: int, k: int) -> dict[tuple[int, ...], graph.WordStats]:
+    def stats(self, n: int, k: int) -> dict[tuple[int, ...], graph.WordStats]:
+        """Every length-n word's statistics.  The first check that needs
+        a length fills its table, so that check's report is charged for
+        it; Hamiltonicity is searched for once per word, up to the cap."""
         table = self.tables.get((n, k))
         if table is None:
             ham = n <= self.ham_cap
@@ -99,139 +104,112 @@ class _Sweeps:
                                          for w in words.iter_words(n, k)}
         return table
 
-
-def _word_stats(n: int, k: int, ham: bool,
-                sweeps: _Sweeps | None) -> Iterable[graph.WordStats]:
-    """The statistics of every length-n word: read from `sweeps` when
-    given, else built one word at a time and not kept."""
-    if sweeps is None:
-        return (graph.word_stats(w, ham) for w in words.iter_words(n, k))
-    return sweeps(n, k).values()
+    def report(self, family: str, k: int, n: int, expected: str, actual: str,
+               skip: bool = False) -> CheckReport:
+        """A report charged with the whole milliseconds of the run not yet
+        charged, so set-up shared by reports is charged to the first of
+        them.  The running total charged is the elapsed time cut to whole
+        milliseconds, so the reports of one run add up to its time less
+        under 1 ms, however many they are."""
+        now = int((time.perf_counter() - self.start) * 1000)
+        elapsed, self.charged = now - self.charged, now
+        status = "skip" if skip else ("pass" if expected == actual else "fail")
+        return CheckReport(family, k, n, status, expected, actual, elapsed)
 
 
 def brute_stats_poly(n: int, k: int, family: str, ham_cap: int = DEFAULT_HAM_CAP,
-                     *, sweeps: _Sweeps | None = None) -> MultiPoly | None:
+                     *, run: _Run | None = None) -> MultiPoly | None:
     """Exact monomial aggregation over all length-n words, or None when
-    the family is ham and n exceeds the backtracking guard.  `run_all`
-    passes the `sweeps` its checks share."""
+    the family is ham and n exceeds the run's Hamiltonicity cap."""
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
     fields = FAMILIES[family].fields
-    ham = "ham" in fields
-    if ham and n > ham_cap:
+    run = run or _Run(ham_cap if family == "ham" else 0)
+    if family == "ham" and n > run.ham_cap:
         return None
     terms: dict[tuple[int, ...], int] = {}
-    for stats in _word_stats(n, k, ham, sweeps):
+    for stats in run.stats(n, k).values():
         key = tuple(getattr(stats, field) for field in fields)
         terms[key] = terms.get(key, 0) + 1
-    return MultiPoly(FAMILIES[family].gf(k).aux_variables, terms)
-
-
-class _Clock:
-    """Milliseconds since a check function, or a `run_all` call, started.
-    `lap` returns the whole milliseconds not yet charged to a report, so
-    set-up shared by reports is charged to the first of them.  The
-    running total charged is the elapsed time cut to whole milliseconds,
-    so the reports of one clock add up to its time less under 1 ms,
-    however many they are."""
-
-    def __init__(self) -> None:
-        self.start = time.perf_counter()
-        self.charged = 0
-
-    def lap(self) -> int:
-        now = int((time.perf_counter() - self.start) * 1000)
-        elapsed, self.charged = now - self.charged, now
-        return elapsed
-
-
-def _report(family: str, k: int, n: int, expected: str, actual: str,
-            clock: _Clock, skip: bool = False) -> CheckReport:
-    status = "skip" if skip else ("pass" if expected == actual else "fail")
-    return CheckReport(family, k, n, status, expected, actual, clock.lap())
+    return MultiPoly(tuple(TOTALS[field][1] for field in fields), terms)
 
 
 def cross_check(family: str, k: int, max_n: int, ham_cap: int = DEFAULT_HAM_CAP,
-                *, sweeps: _Sweeps | None = None,
-                clock: _Clock | None = None) -> list[CheckReport]:
+                *, run: _Run | None = None) -> list[CheckReport]:
     """One report per n comparing brute force against the series coefficient."""
-    clock = clock or _Clock()
+    run = run or _Run(ham_cap if family == "ham" else 0)
     coeffs = series.expand(FAMILIES[family].gf(k), max_n)
     out = []
     for n in range(1, max_n + 1):
-        brute = brute_stats_poly(n, k, family, ham_cap, sweeps=sweeps)
+        brute = brute_stats_poly(n, k, family, run=run)
         if brute is None:
-            out.append(_report(family, k, n, "", "guard exceeded", clock, skip=True))
+            out.append(run.report(family, k, n, "", "guard exceeded", skip=True))
             continue
-        out.append(_report(family, k, n, brute.to_text(), coeffs[n].to_text(), clock))
+        out.append(run.report(family, k, n, brute.to_text(), coeffs[n].to_text()))
     return out
 
 
 def brute_totals(n: int, k: int, ham_cap: int = DEFAULT_HAM_CAP,
-                 *, sweeps: _Sweeps | None = None) -> dict[str, int | None]:
+                 *, run: _Run | None = None) -> dict[str, int | None]:
     """All eight statistic totals over length-n words in one sweep: the
     sums of the `graph.WordStats` fields, with ham None when n exceeds
-    the backtracking guard."""
-    ham = n <= ham_cap
+    the run's Hamiltonicity cap."""
+    run = run or _Run(ham_cap)
+    ham = n <= run.ham_cap
     sums = {name: 0 for name in TOTALS if ham or name != "ham"}
-    for stats in _word_stats(n, k, ham, sweeps):
+    for stats in run.stats(n, k).values():
         for name in sums:
             sums[name] += getattr(stats, name)
     return {name: sums.get(name) for name in TOTALS}
 
 
 def totals_check(k: int, max_n: int, ham_cap: int = DEFAULT_HAM_CAP,
-                 *, sweeps: _Sweeps | None = None,
-                 clock: _Clock | None = None) -> list[CheckReport]:
+                 *, run: _Run | None = None) -> list[CheckReport]:
     """Named univariate totals vs the weighted multivariate series vs brute
     force, one report per (name, n)."""
-    clock = clock or _Clock()
+    run = run or _Run(ham_cap)
     named = {name: series.expand_ints(series.gf_named_total(name, k), max_n)
              for name in TOTALS}
     weighted = {name: series.total_weight_series(FAMILIES[fam].gf(k), var, max_n)
                 for name, (fam, var) in TOTALS.items()}
     out = []
-    brutes = {n: brute_totals(n, k, ham_cap, sweeps=sweeps) for n in range(1, max_n + 1)}
+    brutes = {n: brute_totals(n, k, run=run) for n in range(1, max_n + 1)}
     for name in TOTALS:
         for n in range(1, max_n + 1):
             b = brutes[n][name]
             if b is None:
-                out.append(_report(f"total:{name}", k, n, "", "guard exceeded",
-                                   clock, skip=True))
+                out.append(run.report(f"total:{name}", k, n, "", "guard exceeded",
+                                      skip=True))
                 continue
             actual = f"named={named[name][n]} weighted={weighted[name][n]}"
             expected = f"named={b} weighted={b}"
-            out.append(_report(f"total:{name}", k, n, expected, actual, clock))
+            out.append(run.report(f"total:{name}", k, n, expected, actual))
     return out
 
 
-def ham_pair_check(max_k: int, max_n: int, *,
-                   clock: _Clock | None = None) -> list[CheckReport]:
+def ham_pair_check(max_k: int, max_n: int, *, run: _Run | None = None) -> list[CheckReport]:
     """Total-Hamiltonian series agree for the parameter pairs (2j, 2j+1)."""
-    clock = clock or _Clock()
+    run = run or _Run(0)
     out = []
     j = 1
     while 2 * j + 1 <= max_k:
         even = series.expand_ints(series.gf_named_total("ham", 2 * j), max_n)
         odd = series.expand_ints(series.gf_named_total("ham", 2 * j + 1), max_n)
         for n in range(1, max_n + 1):
-            out.append(_report("ham-pair", 2 * j, n, str(even[n]), str(odd[n]), clock))
+            out.append(run.report("ham-pair", 2 * j, n, str(even[n]), str(odd[n])))
         j += 1
     return out
 
 
-def reversal_check(k: int, max_n: int, *, sweeps: _Sweeps | None = None,
-                   clock: _Clock | None = None) -> list[CheckReport]:
+def reversal_check(k: int, max_n: int, *, run: _Run | None = None) -> list[CheckReport]:
     """Statistics of every word agree with those of its reverse, and the
     mirrored geometry equals the reverse word's geometry."""
-    clock = clock or _Clock()
-    if sweeps is None:
-        sweeps = _Sweeps(0)
+    run = run or _Run(0)
     out = []
     for n in range(1, max_n + 1):
-        stats = sweeps(n, k)
+        stats = run.stats(n, k)
         geos = {w.bits: polyomino.geometry(polyomino.from_word(w))
                 for w in words.iter_words(n, k)}
         bad = ""
@@ -240,12 +218,12 @@ def reversal_check(k: int, max_n: int, *, sweeps: _Sweeps | None = None,
             if stats[bits] != stats[rev] or graph.mirrored(geo) != geos[rev]:
                 bad = "".join(map(str, bits))
                 break
-        out.append(_report("reversal", k, n, "symmetric",
-                           f"asymmetric at {bad}" if bad else "symmetric", clock))
+        out.append(run.report("reversal", k, n, "symmetric",
+                              f"asymmetric at {bad}" if bad else "symmetric"))
     return out
 
 
-def _formula_reports(clock: _Clock) -> list[CheckReport]:
+def _formula_reports(run: _Run) -> list[CheckReport]:
     out = []
     poly_coeffs = series.expand(series.gf_polyomino(2), 30)
     graph_coeffs = series.expand(series.gf_graph(2), 30)
@@ -255,95 +233,90 @@ def _formula_reports(clock: _Clock) -> list[CheckReport]:
     for n in range(1, 31):
         t = formulas.t_poly(n)
         ok = t == formulas.t_poly_closed(n) == poly_coeffs[n]
-        out.append(_report("formulas:t", 2, n, t.to_text(),
-                           t.to_text() if ok else "mismatch", clock))
+        out.append(run.report("formulas:t", 2, n, t.to_text(),
+                              t.to_text() if ok else "mismatch"))
         v = formulas.v_poly(n)
         ok = v == formulas.v_poly_closed(n) == graph_coeffs[n]
-        out.append(_report("formulas:v", 2, n, v.to_text(),
-                           v.to_text() if ok else "mismatch", clock))
+        out.append(run.report("formulas:v", 2, n, v.to_text(),
+                              v.to_text() if ok else "mismatch"))
         for j in (2, 3, 4):
             d = formulas.degree_poly(j, n)
             ok = d == closed[j](n) == d_slices[j][n]
-            out.append(_report(f"formulas:d{j}", 2, n, d.to_text(),
-                               d.to_text() if ok else "mismatch", clock))
+            out.append(run.report(f"formulas:d{j}", 2, n, d.to_text(),
+                                  d.to_text() if ok else "mismatch"))
     area_coeffs = series.expand_ints(series.gf_named_total("area", 2), 50)
     for n in range(1, 51):
-        out.append(_report("formulas:total-area", 2, n, str(area_coeffs[n]),
-                           str(formulas.total_area_closed(n)), clock))
+        out.append(run.report("formulas:total-area", 2, n, str(area_coeffs[n]),
+                              str(formulas.total_area_closed(n))))
     for a in range(1, 15):
-        out.append(_report("formulas:narayana", 2, a, str(formulas.narayana(a + 1)),
-                           str(formulas.count_polyominoes_by_area(a)), clock))
+        out.append(run.report("formulas:narayana", 2, a, str(formulas.narayana(a + 1)),
+                              str(formulas.count_polyominoes_by_area(a))))
     for n in range(0, 31):
         # fib_convolution raises if its two evaluations disagree
-        out.append(_report("formulas:fib-conv", 2, n, "consistent",
-                           "consistent" if formulas.fib_convolution(n) >= 0
-                           else "negative", clock))
+        out.append(run.report("formulas:fib-conv", 2, n, "consistent",
+                              "consistent" if formulas.fib_convolution(n) >= 0
+                              else "negative"))
     for which in ("rel1", "rel2"):
         for n in range(1, 21):
             results = [formulas.verify_certificate(which, n, i)
                        for i in range(0, n // 2 + 3)]
             checked = sum(1 for r in results if r is not None)
             good = sum(1 for r in results if r)
-            out.append(_report(f"formulas:cert-{which}", 2, n,
-                               f"{checked}/{checked}", f"{good}/{checked}", clock))
+            out.append(run.report(f"formulas:cert-{which}", 2, n,
+                                  f"{checked}/{checked}", f"{good}/{checked}"))
     eps = Fraction(5, 1000)
     gaps_ok = all(
         formulas.degree_proportion_limit(j).abs_diff_below(
             formulas.empirical_degree_ratio(j, 2000), eps)
         for j in (2, 3, 4))
-    out.append(_report("formulas:asymptotics", 2, 2000, "gaps < 5e-3",
-                       "gaps < 5e-3" if gaps_ok else "gap too large", clock))
+    out.append(run.report("formulas:asymptotics", 2, 2000, "gaps < 5e-3",
+                          "gaps < 5e-3" if gaps_ok else "gap too large"))
     # the degree-j shares of the vertices sum to 1 iff the counts sum to
     # the vertex total, as that total is positive
     d, *dj = (series.expand_ints(series.gf_named_total(name, 2), 2000)
               for name in ("vertices", "deg2", "deg3", "deg4"))
     partition_ok = all(sum(col[n] for col in dj) == d[n] for n in range(1, 2001))
-    out.append(_report("formulas:degree-partition", 2, 2000, "sum == 1",
-                       "sum == 1" if partition_ok else "partition broken", clock))
+    out.append(run.report("formulas:degree-partition", 2, 2000, "sum == 1",
+                          "sum == 1" if partition_ok else "partition broken"))
     return out
 
 
-def _family_suite(family: str) -> Callable[[int, int, int, _Sweeps, _Clock],
-                                            list[CheckReport]]:
+def _family_suite(family: str) -> Callable[[_Run, int, int], list[CheckReport]]:
     """A family's cross checks for every k; the ham suite also runs the
     (2j, 2j+1) pair identity of the Hamiltonian totals."""
-    def run(max_n: int, max_k: int, ham_cap: int, sweeps: _Sweeps,
-            clock: _Clock) -> list[CheckReport]:
-        out = [r for k in range(2, max_k + 1)
-               for r in cross_check(family, k, max_n, ham_cap, sweeps=sweeps, clock=clock)]
+    def suite(run: _Run, max_n: int, max_k: int) -> list[CheckReport]:
+        out = [r for k in range(2, max_k + 1) for r in cross_check(family, k, max_n, run=run)]
         if family == "ham":
-            out += ham_pair_check(max_k, max(max_n, 12), clock=clock)
+            out += ham_pair_check(max_k, max(max_n, 12), run=run)
         return out
-    return run
+    return suite
 
 
-# suite name -> its checks for (max_n, max_k, ham_cap, the sweeps and the
-# clock the suites of one run share), in report order
+# suite name -> its checks for (the run the suites share, max_n, max_k),
+# in report order
 SUITES = {
     **{family: _family_suite(family) for family in FAMILIES},
-    "totals": lambda max_n, max_k, ham_cap, sweeps, clock: [
+    "totals": lambda run, max_n, max_k: [
+        r for k in range(2, max_k + 1) for r in totals_check(k, max_n, run=run)],
+    "formulas": lambda run, max_n, max_k: _formula_reports(run),
+    "reversal": lambda run, max_n, max_k: [
         r for k in range(2, max_k + 1)
-        for r in totals_check(k, max_n, ham_cap, sweeps=sweeps, clock=clock)],
-    "formulas": lambda max_n, max_k, ham_cap, sweeps, clock: _formula_reports(clock),
-    "reversal": lambda max_n, max_k, ham_cap, sweeps, clock: [
-        r for k in range(2, max_k + 1)
-        for r in reversal_check(k, min(max_n, 10), sweeps=sweeps, clock=clock)],
+        for r in reversal_check(k, min(max_n, 10), run=run)],
 }
 
 
 def run_all(max_n: int, max_k: int, ham_cap: int = DEFAULT_HAM_CAP,
             suites: tuple[str, ...] = tuple(SUITES)) -> Summary:
     """Run the requested suites for every k <= max_k and collect reports
-    in deterministic (suite, k, n) order.  The suites share one sweep of
-    each (n, k), kept for this call only, and one clock, so the reports'
-    `elapsed_ms` add up to the call's time less under 1 ms."""
-    clock = _Clock()
+    in deterministic (suite, k, n) order.  The suites share one `_Run`:
+    one sweep of each (n, k), kept for this call only, and one clock, so
+    the reports' `elapsed_ms` add up to the call's time less under 1 ms."""
+    # only the ham and totals suites read Hamiltonicity
+    run = _Run(ham_cap if {"ham", "totals"} & set(suites) else 0)
     if max_n < 1 or max_k < 2:
         raise ValueError("need max_n >= 1 and max_k >= 2")
-    # only the ham and totals suites read Hamiltonicity
-    sweeps = _Sweeps(ham_cap if {"ham", "totals"} & set(suites) else 0)
-    return Summary([report for suite, run in SUITES.items() if suite in suites
-                    for report in run(max_n, max_k, ham_cap, sweeps, clock)])
+    return Summary([report for suite, checks in SUITES.items() if suite in suites
+                    for report in checks(run, max_n, max_k)])
 
 
 # ---------------------------------------------------------------------

@@ -5,6 +5,7 @@ and `graph.WordStats` agree with."""
 import argparse
 import ast
 import dataclasses
+import inspect
 import pathlib
 import re
 
@@ -99,3 +100,20 @@ def test_each_statistic_belongs_to_one_family():
         assert len(variables) == len(family.fields), name
         for field, var in zip(family.fields, variables):
             assert verify.TOTALS[field] == (name, var)
+
+
+def test_verify_threads_one_run_object():
+    """The checks share state through one keyword-only `run` and nothing
+    else: no other knob, and no second state class."""
+    public = {name: obj for name, obj in vars(verify).items()
+              if inspect.isfunction(obj) and obj.__module__ == verify.__name__
+              and not name.startswith("_")}
+    knobs = {name: [p.name for p in inspect.signature(f).parameters.values()
+                    if p.kind is inspect.Parameter.KEYWORD_ONLY]
+             for name, f in public.items()}
+    assert {name for name, kw in knobs.items() if kw} == {
+        "brute_stats_poly", "brute_totals", "cross_check", "totals_check",
+        "ham_pair_check", "reversal_check"}
+    assert all(kw in ([], ["run"]) for kw in knobs.values()), knobs
+    assert not hasattr(verify, "_Sweeps")
+    assert not hasattr(verify, "_Clock")

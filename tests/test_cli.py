@@ -109,6 +109,48 @@ class TestEnumerate:
         assert captured.out == ""
         assert captured.err == f"error: --dot prints DOT only; it takes no --format {fmt}\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_render_rejects_json_and_csv(self, capsys, fmt):
+        code = cli.main(["enumerate", "--n", "1", "--k", "2", "--render", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --render prints blocks only; it takes no --format {fmt}\n")
+
+    @pytest.mark.parametrize("modes", [["--with-stats", "--render"], ["--render", "--dot"],
+                                       ["--dot", "--with-stats"]])
+    def test_modes_are_exclusive(self, capsys, modes):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["enumerate", "--n", "1", "--k", "2", *modes])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"argument {modes[1]}: not allowed with argument {modes[0]}" in captured.err
+
+    def test_json_listing_is_one_array(self, capsys):
+        _, out = run(capsys, "enumerate", "--n", "4", "--k", "3", "--format", "json")
+        assert out == json.dumps([{"word": w.text} for w in words.iter_words(4, 3)]) + "\n"
+
+    @pytest.mark.parametrize("argv", [[], ["--with-stats"]])
+    def test_json_rows_stream_as_the_words_come(self, capsys, monkeypatch, argv):
+        iter_words = words.iter_words
+
+        def two_then_fail(n, k):
+            it = iter_words(n, k)
+            yield next(it)
+            yield next(it)
+            raise RuntimeError("no more words")
+
+        monkeypatch.setattr(words, "iter_words", two_then_fail)
+        code = cli.main(["enumerate", "--n", "3", "--k", "2", "--format", "json", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: RuntimeError: no more words\n"
+        assert captured.out.startswith('[{"word": "000"')
+        assert ', {"word": "001"' in captured.out
+        assert captured.out.endswith("}")
+
     @pytest.mark.parametrize("argv", [[], ["--format", "csv"], ["--with-stats"],
                                       ["--with-stats", "--format", "csv"]])
     def test_rows_stream_as_the_words_come(self, capsys, monkeypatch, argv):
@@ -268,6 +310,18 @@ class TestAsymptotics:
 
 
 class TestParser:
+    @pytest.mark.parametrize("argv", [["count", "--n", "3"],
+                                      ["series", "--family", "poly"],
+                                      ["asymptotics", "--degree", "2"]])
+    def test_ham_cap_only_where_it_is_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--ham-cap", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --ham-cap 4" in capsys.readouterr().err
+        parser = cli.build_parser()
+        for argv in (["enumerate", "--n", "1"], ["verify"]):
+            assert parser.parse_args([*argv, "--ham-cap", "4"]).ham_cap == 4
+
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             cli.main([])

@@ -239,6 +239,38 @@ class TestSharedSweeps:
         assert len(calls) == 2 * 6
 
 
+class TestOneRun:
+    def test_run_all_reports_are_the_standalone_reports(self):
+        def untimed(reports):
+            return [dataclasses.replace(r, elapsed_ms=0) for r in reports]
+
+        alone = []
+        for family in verify.FAMILIES:
+            alone += [r for k in (2, 3) for r in cross_check(family, k, 6)]
+        alone += ham_pair_check(3, 12)
+        alone += [r for k in (2, 3) for r in totals_check(k, 6)]
+        alone += [r for k in (2, 3) for r in reversal_check(k, 6)]
+        summary = run_all(6, 3)
+        assert untimed(r for r in summary.reports
+                       if not r.family.startswith("formulas:")) == untimed(alone)
+
+    def test_the_cap_has_one_source(self):
+        assert brute_totals(5, 3, run=verify._Run(0))["ham"] is None
+        assert brute_stats_poly(5, 3, "ham", run=verify._Run(0)) is None
+        assert brute_totals(5, 3, 4, run=verify._Run(5))["ham"] == brute_totals(5, 3)["ham"]
+        reports = cross_check("ham", 2, 3, run=verify._Run(2))
+        assert [r.status for r in reports] == ["pass", "pass", "skip"]
+
+    def test_a_check_alone_searches_only_for_the_ham_family(self, monkeypatch):
+        counts = _Counts(monkeypatch)
+        for family in ("poly", "graph", "degree"):
+            assert all(r.status == "pass" for r in cross_check(family, 3, 6))
+        assert all(r.status == "pass" for r in reversal_check(3, 6))
+        assert counts.searches == 0
+        assert all(r.status == "pass" for r in cross_check("ham", 3, 6))
+        assert counts.searches == sum(words.count_words(n, 3) for n in range(1, 7))
+
+
 class TestSharingWeakensNoCheck:
     def test_a_corrupt_record_fails_every_check_that_reads_it(self, monkeypatch):
         word_stats = graph.word_stats
