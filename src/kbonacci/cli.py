@@ -40,11 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text",
                         help="output format (default text)")
-    ham_cap = argparse.ArgumentParser(add_help=False)
-    ham_cap.add_argument("--ham-cap", type=_positive, default=verify.DEFAULT_HAM_CAP,
-                         metavar="N",
-                         help="max word length for Hamiltonicity backtracking "
-                              f"(default {verify.DEFAULT_HAM_CAP})")
 
     parser = argparse.ArgumentParser(
         prog="kbonacci",
@@ -57,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--k", type=_k_param, default=2)
 
-    p = sub.add_parser("enumerate", parents=[common, ham_cap],
+    p = sub.add_parser("enumerate", parents=[common],
                        help="list words, optionally with their statistics")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--k", type=_k_param, default=2)
@@ -79,11 +74,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vars-at-1", default="", metavar="VARS",
                    help="comma-separated auxiliary variables to set to 1")
 
-    p = sub.add_parser("verify", parents=[common, ham_cap],
+    p = sub.add_parser("verify", parents=[common],
                        help="run oracle cross-checks; exit 0 iff all pass")
     p.add_argument("--suite", choices=("all", *verify.SUITES), default="all")
     p.add_argument("--max-n", type=_positive, default=10)
     p.add_argument("--max-k", type=_k_param, default=5)
+    p.add_argument("--ham-cap", type=_positive, default=verify.DEFAULT_HAM_CAP,
+                   metavar="N",
+                   help="max word length for Hamiltonicity backtracking "
+                        f"(default {verify.DEFAULT_HAM_CAP})")
 
     p = sub.add_parser("asymptotics", parents=[common],
                        help="empirical degree proportion vs its exact limit")
@@ -133,28 +132,29 @@ def cmd_enumerate(args) -> int:
             for w in word_iter:
                 print(w.text or "ε")
         return 0
-    ham = args.n <= args.ham_cap
-    rows = ((w, graph.word_stats(w, ham)) for w in word_iter)
+    # Hamiltonicity by the proved odd-run rule, at every n; the backtracker
+    # is left to `verify` as its oracle
+    rows = ((w, graph.word_stats(w, False), graph.hamiltonian_by_odd_runs(w))
+            for w in word_iter)
     if args.format == "json":
         _print_json_list(
             {"word": w.text, "heights": list(polyomino.from_word(w).heights),
              "area": s.area, "sper": s.perimeter, "vertices": s.vertices,
-             "edges": s.edges, "deg": [s.deg2, s.deg3, s.deg4],
-             "hamiltonian": None if s.ham is None else bool(s.ham)}
-            for w, s in rows)
+             "edges": s.edges, "deg": [s.deg2, s.deg3, s.deg4], "hamiltonian": ham}
+            for w, s, ham in rows)
         return 0
     if args.format == "csv":
         print("word,area,sper,ver,edg,d2,d3,d4,ham")
-        for w, s in rows:
+        for w, s, ham in rows:
             print(f"{w.text},{s.area},{s.perimeter},{s.vertices},"
-                  f"{s.edges},{s.deg2},{s.deg3},{s.deg4},{_ham_text(s)}")
+                  f"{s.edges},{s.deg2},{s.deg3},{s.deg4},{str(ham).lower()}")
     else:
         width = max(4, args.n)
         print(f"{'word':<{width}} {'area':>4} {'sper':>4} {'ver':>4} "
               f"{'edg':>4} {'d2':>3} {'d3':>3} {'d4':>3} ham")
-        for w, s in rows:
+        for w, s, ham in rows:
             print(f"{w.text:<{width}} {s.area:>4} {s.perimeter:>4} {s.vertices:>4} "
-                  f"{s.edges:>4} {s.deg2:>3} {s.deg3:>3} {s.deg4:>3} {_ham_text(s)}")
+                  f"{s.edges:>4} {s.deg2:>3} {s.deg3:>3} {s.deg4:>3} {str(ham).lower()}")
     return 0
 
 
@@ -164,10 +164,6 @@ def _print_json_list(items) -> None:
     for i, item in enumerate(items):
         print(", " * (i > 0) + json.dumps(item), end="")
     print("]")
-
-
-def _ham_text(s: graph.WordStats) -> str:
-    return "-" if s.ham is None else str(bool(s.ham)).lower()
 
 
 def cmd_series(args) -> int:

@@ -233,18 +233,26 @@ def narayana(n: int) -> int:
     return by_rec
 
 
+def polyomino_counts_by_area(max_area: int) -> list[int]:
+    """counts[a] = the number of k = 2 polyominoes (any length) with
+    exactly a cells, for a = 0..max_area, counted by one sweep of the
+    words.  Each column holds at least one cell, so only word lengths up
+    to max_area can contribute."""
+    if max_area < 1:
+        raise ValueError(f"area must be >= 1, got {max_area}")
+    counts = [0] * (max_area + 1)
+    for n in range(1, max_area + 1):
+        for w in enumerate_words(n, 2):
+            a = n + sum(w.bits)
+            if a <= max_area:
+                counts[a] += 1
+    return counts
+
+
 def count_polyominoes_by_area(a: int) -> int:
     """Number of k = 2 polyominoes (any length) with exactly a cells,
-    counted by direct enumeration.  Each column holds at least one cell,
-    so only word lengths up to a can contribute."""
-    if a < 1:
-        raise ValueError(f"area must be >= 1, got {a}")
-    count = 0
-    for n in range((a + 1) // 2, a + 1):
-        for w in enumerate_words(n, 2):
-            if n + sum(w.bits) == a:
-                count += 1
-    return count
+    counted by direct enumeration."""
+    return polyomino_counts_by_area(a)[a]
 
 
 # ---------------------------------------------------------------------
@@ -440,11 +448,18 @@ def verify_certificate(which: str, n: int, i: int) -> bool | None:
 def degree_slice_from_gf(j: int, n_max: int) -> list[MultiPoly]:
     """Coefficients of the k = 2 degree generating function with the two
     other degree markers set to 1, as polynomials in q."""
-    from .series import gf_degree
-
     if j not in (2, 3, 4):
         raise ValueError(f"degree must be 2, 3 or 4, got {j}")
-    keep = f"q{j}"
-    others = {v: 1 for v in ("q2", "q3", "q4") if v != keep}
+    return degree_slices_from_gf(n_max)[j]
+
+
+def degree_slices_from_gf(n_max: int) -> dict[int, list[MultiPoly]]:
+    """`degree_slice_from_gf(j, n_max)` for j = 2, 3, 4, from one expansion."""
+    from .series import gf_degree
+
     coeffs = expand(gf_degree(2), n_max)
-    return [c.specialize(others).rename({keep: "q"}) for c in coeffs]
+    slices = {}
+    for j in (2, 3, 4):
+        others = {f"q{i}": 1 for i in (2, 3, 4) if i != j}
+        slices[j] = [c.specialize(others).rename({f"q{j}": "q"}) for c in coeffs]
+    return slices

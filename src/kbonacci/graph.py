@@ -6,7 +6,9 @@ have one implementation each, on integer vertex ids: `degree_counts`,
 `has_hamiltonian_cycle` and `mirrored`.  `word_stats` feeds the first
 two `polyomino.geometry` directly and is the one source of every
 per-word statistic; the `GridGraph` functions relabel their (x, y)
-vertices to ids first.
+vertices to ids first.  Hamiltonicity also has one O(n) fast path,
+`hamiltonian_by_odd_runs`, which `frontier.check_ham_rule` proves equal
+to the search on every word; the search stays as its independent oracle.
 """
 
 from __future__ import annotations
@@ -209,6 +211,29 @@ def has_hamiltonian_cycle(vertices: Sequence[int],
         return False
 
     return settle(list(vertices)) and solve(0)
+
+
+# The odd-run rule as a DFA on the letters 0 and 1: state 0 is outside a
+# run of 1's, 1 and 2 are inside a run of odd and of even length, and 3
+# follows an even run (dead).  ODD_RUN_STEP[s][b] is the state after
+# reading b in state s; ODD_RUN_ACCEPT[s] says whether a word that ends
+# in state s has every run of 1's odd.  `frontier.check_ham_rule` reads
+# these same tables, so its proof covers `hamiltonian_by_odd_runs`.
+ODD_RUN_STEP = ((0, 1), (0, 2), (3, 1), (3, 3))
+ODD_RUN_ACCEPT = (True, True, False, False)
+
+
+def hamiltonian_by_odd_runs(w: Word) -> bool:
+    """Whether the grid graph of a nonempty word has a Hamiltonian cycle,
+    by the rule "every maximal run of 1's has odd length", in O(n).  The
+    rule holds for every binary word (`frontier.check_ham_rule`), so for
+    every k; `has_hamiltonian_cycle` is its independent oracle."""
+    if not w.bits:
+        raise ValueError("the empty word has no polyomino")
+    state = 0
+    for b in w.bits:
+        state = ODD_RUN_STEP[state][b]
+    return ODD_RUN_ACCEPT[state]
 
 
 def is_hamiltonian(g: GridGraph) -> bool:

@@ -203,6 +203,21 @@ def ham_pair_check(max_k: int, max_n: int, *, run: _Run | None = None) -> list[C
     return out
 
 
+def _ham_rule_report(run: _Run) -> CheckReport:
+    """The ham-rule row: it passes iff `frontier.check_ham_rule` proves the
+    odd-run rule of `graph.hamiltonian_by_odd_runs` for every word, and
+    else names the shortest word on which the rule fails.  Its k = 2 and
+    n = 0 stand for every k and n."""
+    # imported here, not with the module: every command imports verify,
+    # and only this row needs the automaton
+    from . import frontier
+
+    found = frontier.check_ham_rule().counterexample
+    claim = "odd runs iff Hamiltonian"
+    return run.report("ham-rule", 2, 0, claim,
+                      claim if found is None else f"differs at {found}")
+
+
 def reversal_check(k: int, max_n: int, *, run: _Run | None = None) -> list[CheckReport]:
     """Statistics of every word agree with those of its reverse, and the
     mirrored geometry equals the reverse word's geometry."""
@@ -227,7 +242,7 @@ def _formula_reports(run: _Run) -> list[CheckReport]:
     out = []
     poly_coeffs = series.expand(series.gf_polyomino(2), 30)
     graph_coeffs = series.expand(series.gf_graph(2), 30)
-    d_slices = {j: formulas.degree_slice_from_gf(j, 30) for j in (2, 3, 4)}
+    d_slices = formulas.degree_slices_from_gf(30)
     closed = {2: formulas.d2_poly_closed, 3: formulas.d3_poly_closed,
               4: formulas.d4_poly_closed}
     for n in range(1, 31):
@@ -248,9 +263,10 @@ def _formula_reports(run: _Run) -> list[CheckReport]:
     for n in range(1, 51):
         out.append(run.report("formulas:total-area", 2, n, str(area_coeffs[n]),
                               str(formulas.total_area_closed(n))))
+    by_area = formulas.polyomino_counts_by_area(14)
     for a in range(1, 15):
         out.append(run.report("formulas:narayana", 2, a, str(formulas.narayana(a + 1)),
-                              str(formulas.count_polyominoes_by_area(a))))
+                              str(by_area[a])))
     for n in range(0, 31):
         # fib_convolution raises if its two evaluations disagree
         out.append(run.report("formulas:fib-conv", 2, n, "consistent",
@@ -283,11 +299,13 @@ def _formula_reports(run: _Run) -> list[CheckReport]:
 
 def _family_suite(family: str) -> Callable[[_Run, int, int], list[CheckReport]]:
     """A family's cross checks for every k; the ham suite also runs the
-    (2j, 2j+1) pair identity of the Hamiltonian totals."""
+    (2j, 2j+1) pair identity of the Hamiltonian totals and the proof of
+    the odd-run rule."""
     def suite(run: _Run, max_n: int, max_k: int) -> list[CheckReport]:
         out = [r for k in range(2, max_k + 1) for r in cross_check(family, k, max_n, run=run)]
         if family == "ham":
             out += ham_pair_check(max_k, max(max_n, 12), run=run)
+            out.append(_ham_rule_report(run))
         return out
     return suite
 

@@ -19,6 +19,10 @@ SRC = pathlib.Path(kbonacci.__file__).parent
 # public functions that only tests call, kept on purpose as reference code
 TEST_ONLY = {
     "series.gf_deg4_alternate",  # the rejected deg4 denominator, for criterion 4
+    # one area and one degree at a time, for criterion 8 and test_formulas;
+    # the formula suite reads all of them from one sweep and one expansion
+    "formulas.count_polyominoes_by_area",
+    "formulas.degree_slice_from_gf",
 }
 
 
@@ -117,3 +121,40 @@ def test_verify_threads_one_run_object():
     assert all(kw in ([], ["run"]) for kw in knobs.values()), knobs
     assert not hasattr(verify, "_Sweeps")
     assert not hasattr(verify, "_Clock")
+
+
+def _called_names(node: ast.AST) -> list[tuple[str, ast.Call]]:
+    """The name of every function called under `node` (`f(...)` or
+    `m.f(...)`), with its call."""
+    out = []
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            if isinstance(func, ast.Name):
+                out.append((func.id, call))
+            elif isinstance(func, ast.Attribute):
+                out.append((func.attr, call))
+    return out
+
+
+def test_hamiltonicity_has_one_fast_path_and_one_oracle():
+    """The CLI reads Hamiltonicity only from the odd-run rule, and
+    verify's sweep only from the backtracker."""
+    calls = _called_names(ast.parse((SRC / "cli.py").read_text()))
+    names = {name for name, _ in calls}
+    assert "hamiltonian_by_odd_runs" in names
+    assert not names & {"has_hamiltonian_cycle", "is_hamiltonian"}
+    for name, call in calls:
+        if name == "word_stats":
+            ham = call.args[1] if len(call.args) > 1 else next(
+                kw.value for kw in call.keywords if kw.arg == "ham")
+            assert isinstance(ham, ast.Constant) and ham.value is False, ast.unparse(call)
+
+    tree = ast.parse((SRC / "verify.py").read_text())
+    run = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "_Run")
+    stats = next(node for node in run.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "stats")
+    names = {name for name, _ in _called_names(stats)}
+    assert "word_stats" in names
+    assert "hamiltonian_by_odd_runs" not in names

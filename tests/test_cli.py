@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from kbonacci import cli, verify, words
+from kbonacci import cli, graph, polyomino, verify, words
 from kbonacci.verify import CheckReport, Summary
 
 
@@ -77,18 +77,32 @@ class TestEnumerate:
         assert lines[1].split() == ["0", "1", "2", "4", "4", "4", "0", "0", "true"]
         assert lines[2].split() == ["1", "2", "3", "6", "7", "4", "2", "0", "true"]
 
-    def test_ham_column_capped(self, capsys):
-        code, out = run(capsys, "enumerate", "--n", "5", "--k", "2",
-                        "--with-stats", "--ham-cap", "4", "--format", "csv")
+    def test_ham_column_filled_past_the_search_cap(self, capsys):
+        # n = 16 exceeds verify's default --ham-cap of 14; the column is
+        # read from the odd-run rule, so it is filled at every n
+        code, out = run(capsys, "enumerate", "--n", "16", "--k", "3",
+                        "--with-stats", "--format", "csv")
         assert code == 0
-        for line in out.splitlines()[1:]:
-            assert line.endswith(",-")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == words.count_words(16, 3)
+        assert {row[8] for row in rows} == {"true", "false"}
+        # all runs odd at k = 3 means all runs of length 1: Fibonacci many
+        assert sum(row[8] == "true" for row in rows) == 2584
+        for row in rows[::613]:
+            geo = polyomino.geometry(polyomino.from_word(words.Word.from_text(row[0], 3)))
+            ham = graph.has_hamiltonian_cycle(geo.vertices, geo.edges)
+            assert row[8] == str(ham).lower(), row[0]
 
-    def test_ham_column_at_the_cap(self, capsys):
-        code, out = run(capsys, "enumerate", "--n", "4", "--k", "2",
-                        "--with-stats", "--ham-cap", "4", "--format", "csv")
-        assert code == 0
-        assert all(line.endswith(",true") for line in out.splitlines()[1:])
+    def test_ham_column_in_every_format(self, capsys):
+        # 0110 has a run of even length; 0101 has none
+        _, out = run(capsys, "enumerate", "--n", "4", "--k", "3", "--with-stats",
+                     "--format", "json")
+        ham = {row["word"]: row["hamiltonian"] for row in json.loads(out)}
+        assert (ham["0101"], ham["0110"]) == (True, False)
+        _, out = run(capsys, "enumerate", "--n", "4", "--k", "3", "--with-stats")
+        ham = {line.split()[0]: line.split()[-1] for line in out.splitlines()[1:]}
+        assert (ham["0101"], ham["0110"]) == ("true", "false")
+        assert set(ham.values()) == {"true", "false"}
 
     def test_zero_length_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -312,15 +326,16 @@ class TestAsymptotics:
 class TestParser:
     @pytest.mark.parametrize("argv", [["count", "--n", "3"],
                                       ["series", "--family", "poly"],
-                                      ["asymptotics", "--degree", "2"]])
+                                      ["asymptotics", "--degree", "2"],
+                                      ["enumerate", "--n", "1"],
+                                      ["enumerate", "--n", "5", "--with-stats"]])
     def test_ham_cap_only_where_it_is_read(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--ham-cap", "4"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --ham-cap 4" in capsys.readouterr().err
         parser = cli.build_parser()
-        for argv in (["enumerate", "--n", "1"], ["verify"]):
-            assert parser.parse_args([*argv, "--ham-cap", "4"]).ham_cap == 4
+        assert parser.parse_args(["verify", "--ham-cap", "4"]).ham_cap == 4
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:

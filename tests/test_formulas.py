@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from kbonacci import formulas
+from kbonacci import formulas, verify
 from kbonacci.formulas import (
     QuadraticConstant,
     binom,
@@ -16,10 +16,12 @@ from kbonacci.formulas import (
     degree_poly,
     degree_proportion_limit,
     degree_slice_from_gf,
+    degree_slices_from_gf,
     empirical_degree_ratio,
     fib_convolution,
     fibonacci,
     narayana,
+    polyomino_counts_by_area,
     t_poly,
     t_poly_closed,
     total_area_closed,
@@ -103,6 +105,37 @@ class TestDegreePolynomials:
             degree_poly(5, 1)
         with pytest.raises(ValueError):
             degree_slice_from_gf(1, 5)
+
+
+class TestFormulaSuiteSweepsOnce:
+    def test_bulk_counts_equal_the_single_ones(self):
+        counts = polyomino_counts_by_area(14)
+        assert counts[1:] == [count_polyominoes_by_area(a) for a in range(1, 15)]
+        assert counts[0] == 0
+        with pytest.raises(ValueError, match="area must be >= 1, got 0"):
+            polyomino_counts_by_area(0)
+
+    def test_bulk_slices_equal_the_single_ones(self):
+        slices = degree_slices_from_gf(12)
+        assert slices == {j: degree_slice_from_gf(j, 12) for j in (2, 3, 4)}
+
+    def test_one_sweep_and_one_degree_expansion(self, monkeypatch):
+        swept, expanded = [], []
+        enumerate_words, expand_ = formulas.enumerate_words, formulas.expand
+
+        def counted_enumerate_words(n, k):
+            swept.append((n, k))
+            return enumerate_words(n, k)
+
+        def counted_expand(gf, n_max):
+            expanded.append(gf.aux_variables)
+            return expand_(gf, n_max)
+
+        monkeypatch.setattr(formulas, "enumerate_words", counted_enumerate_words)
+        monkeypatch.setattr(formulas, "expand", counted_expand)
+        assert verify.run_all(3, 2, suites=("formulas",)).ok
+        assert swept == [(n, 2) for n in range(1, 15)]
+        assert expanded == [("q2", "q3", "q4")]
 
 
 class TestRecurrencesAtLargeN:

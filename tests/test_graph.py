@@ -6,6 +6,7 @@ from kbonacci.graph import (
     degree_counts,
     degree_profile,
     grid_hamiltonian_rule,
+    hamiltonian_by_odd_runs,
     has_hamiltonian_cycle,
     is_hamiltonian,
     mirrored,
@@ -16,7 +17,7 @@ from kbonacci.graph import (
 from kbonacci.polyomino import Polyomino, area, from_word, geometry, semiperimeter
 from kbonacci.series import expand, gf_hamiltonian
 from kbonacci.verify import brute_totals
-from kbonacci.words import Word, enumerate_words, reverse
+from kbonacci.words import Word, count_words, enumerate_words, reverse
 
 
 def graph_of(text: str, k: int) -> GridGraph:
@@ -163,6 +164,21 @@ class TestIsHamiltonian:
                 for w in enumerate_words(n, k):
                     if all(r % 2 == 1 for r in w.ones_runs()):
                         assert is_hamiltonian(build_graph(from_word(w)))
+
+    def test_odd_run_rule_equals_the_search_on_every_word(self):
+        searched = {}  # bits -> the search's answer; a word's graph is free of k
+        for k in range(2, 7):
+            for n in range(1, 11):
+                for w in enumerate_words(n, k):
+                    if w.bits not in searched:
+                        geo = geometry(from_word(w))
+                        searched[w.bits] = has_hamiltonian_cycle(geo.vertices, geo.edges)
+                    assert hamiltonian_by_odd_runs(w) is searched[w.bits], (w.text, k)
+        assert len(searched) == sum(count_words(n, 6) for n in range(1, 11))
+
+    def test_odd_run_rule_rejects_the_empty_word(self):
+        with pytest.raises(ValueError, match="the empty word has no polyomino"):
+            hamiltonian_by_odd_runs(Word((), 2))
 
     def test_counts_match_series_marker(self):
         for k in (2, 3, 4, 5):

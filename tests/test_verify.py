@@ -3,11 +3,13 @@ import contextlib
 import dataclasses
 import io
 import json
+import subprocess
+import sys
 import time
 
 import pytest
 
-from kbonacci import cli, graph, series, verify, words
+from kbonacci import cli, frontier, graph, polyomino, series, verify, words
 from kbonacci.series import MultiPoly
 from kbonacci.verify import (
     CheckReport,
@@ -248,6 +250,7 @@ class TestOneRun:
         for family in verify.FAMILIES:
             alone += [r for k in (2, 3) for r in cross_check(family, k, 6)]
         alone += ham_pair_check(3, 12)
+        alone.append(verify._ham_rule_report(verify._Run(0)))
         alone += [r for k in (2, 3) for r in totals_check(k, 6)]
         alone += [r for k in (2, 3) for r in reversal_check(k, 6)]
         summary = run_all(6, 3)
@@ -269,6 +272,70 @@ class TestOneRun:
         assert counts.searches == 0
         assert all(r.status == "pass" for r in cross_check("ham", 3, 6))
         assert counts.searches == sum(words.count_words(n, 3) for n in range(1, 7))
+
+
+class TestHamRule:
+    CLAIM = "odd runs iff Hamiltonian"
+
+    def rule_row(self):
+        return verify._ham_rule_report(verify._Run(0))
+
+    def test_one_row_at_the_end_of_the_ham_suite(self):
+        reports = run_all(4, 5, suites=("ham",)).reports
+        assert reports[-1] == CheckReport("ham-rule", 2, 0, "pass", self.CLAIM, self.CLAIM,
+                                          reports[-1].elapsed_ms)
+        assert [r.family for r in reports].count("ham-rule") == 1
+        others = tuple(s for s in verify.SUITES if s != "ham")
+        assert "ham-rule" not in {r.family for r in run_all(3, 3, suites=others).reports}
+
+    def test_the_automaton_is_built_only_when_the_row_runs(self, monkeypatch):
+        calls = []
+        successors = frontier._successors
+
+        def counted(*args):
+            calls.append(args)
+            return successors(*args)
+
+        monkeypatch.setattr(frontier, "_successors", counted)
+        run_all(3, 3, suites=tuple(s for s in verify.SUITES if s != "ham"))
+        assert calls == []
+        assert self.rule_row().status == "pass"
+        assert calls
+        # importing the CLI loads no automaton and reads no line table: with
+        # the table emptied before the import, the row passes once it is back
+        code = ("import sys\n"
+                "from kbonacci import polyomino\n"
+                "lines, polyomino._LINES = polyomino._LINES, {}\n"
+                "from kbonacci import cli, verify\n"
+                "print('kbonacci.frontier' in sys.modules)\n"
+                "polyomino._LINES = lines\n"
+                "print(verify._ham_rule_report(verify._Run(0)).status)\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out == "False\npass\n"
+
+    def test_a_dropped_side_fails_the_row(self, monkeypatch):
+        # the bottom horizontal side of a height-1 column between two others
+        corners, sides, boundary = polyomino._LINES[1, 1]
+        dropped = tuple(side for side in sides if side != (0, 3))
+        assert len(dropped) == len(sides) - 1
+        monkeypatch.setitem(polyomino._LINES, (1, 1), (corners, dropped, boundary))
+        row = self.rule_row()
+        assert (row.status, row.actual) == ("fail", "differs at 00")
+        # the row names a true disagreement of the mutated graph and the rule
+        w = words.Word.from_text("00", 2)
+        geo = polyomino.geometry(polyomino.from_word(w))
+        assert graph.has_hamiltonian_cycle(geo.vertices, geo.edges) is False
+        assert graph.hamiltonian_by_odd_runs(w) is True
+
+    def test_a_dfa_that_accepts_even_runs_fails_the_row(self, monkeypatch):
+        # a word may end inside a run of even length
+        monkeypatch.setattr(graph, "ODD_RUN_ACCEPT", (True, True, True, False))
+        assert (self.rule_row().status, self.rule_row().actual) == ("fail", "differs at 11")
+        # a run of even length may end with a 0
+        monkeypatch.setattr(graph, "ODD_RUN_ACCEPT", (True, True, False, False))
+        monkeypatch.setattr(graph, "ODD_RUN_STEP", ((0, 1), (0, 2), (0, 1), (3, 3)))
+        assert (self.rule_row().status, self.rule_row().actual) == ("fail", "differs at 110")
 
 
 class TestSharingWeakensNoCheck:
