@@ -8,7 +8,19 @@ are numerator/denominator pairs whose first variable is the length marker
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
+
+
+@lru_cache(maxsize=4096)
+def _factor(variable: str, exponent: int) -> str:
+    """One variable's factor in a term of `MultiPoly.to_text`, with its
+    leading "*": "" at exponent 0, "*p" at 1, "*p^3" above."""
+    if exponent == 0:
+        return ""
+    if exponent == 1:
+        return "*" + variable
+    return f"*{variable}^{exponent}"
 
 
 class MultiPoly:
@@ -18,9 +30,12 @@ class MultiPoly:
 
     def __init__(self, variables: Sequence[str],
                  terms: Mapping[tuple[int, ...], int] | None = None):
-        object.__setattr__(self, "variables", tuple(variables))
+        variables = tuple(variables)
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"repeated variable name in {variables}")
+        object.__setattr__(self, "variables", variables)
         clean: dict[tuple[int, ...], int] = {}
-        arity = len(self.variables)
+        arity = len(variables)
         for exps, coef in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != arity:
@@ -28,9 +43,25 @@ class MultiPoly:
                                  f"expected {arity}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
+            if type(coef) is not int:
+                raise ValueError(f"coefficient {coef!r} of {exps} is not an int")
             if coef:
                 clean[exps] = clean.get(exps, 0) + coef
         object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
+
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...],
+                 terms: dict[tuple[int, ...], int]) -> "MultiPoly":
+        """A polynomial that stores its arguments as given, unchecked and
+        uncopied: `variables` a tuple of distinct names, `terms` a dict
+        from exponent tuples of their arity, none negative, to nonzero
+        ints.  Only the producers in this module whose terms come from
+        valid polynomials call it; everything else goes through
+        `MultiPoly(...)`."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("MultiPoly is immutable")
@@ -68,12 +99,12 @@ class MultiPoly:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0) + c
-        return MultiPoly(self.variables, terms)
+        return MultiPoly._trusted(self.variables, {e: c for e, c in terms.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly | int") -> "MultiPoly":
         if isinstance(other, int):
@@ -85,15 +116,17 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
         if isinstance(other, int):
-            return MultiPoly(self.variables,
-                             {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return MultiPoly.zero(self.variables)
+            return MultiPoly._trusted(self.variables,
+                                      {e: c * other for e, c in self.terms.items()})
         self._check_same(other)
         out: dict[tuple[int, ...], int] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 key = tuple(x + y for x, y in zip(ea, eb))
                 out[key] = out.get(key, 0) + ca * cb
-        return MultiPoly(self.variables, out)
+        return MultiPoly._trusted(self.variables, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -133,15 +166,20 @@ class MultiPoly:
             raise ValueError(f"unknown variables {sorted(unknown)}")
         if not values:
             return self
+        if any(type(value) is not int for value in values.values()):
+            raise ValueError(f"values {dict(values)} are not all ints")
         keep = [i for i, v in enumerate(self.variables) if v not in values]
+        # setting a variable to 1 leaves every coefficient as it is
+        scale = [(i, values[v]) for i, v in enumerate(self.variables)
+                 if values.get(v, 1) != 1]
         out: dict[tuple[int, ...], int] = {}
         for exps, coef in self.terms.items():
-            for i, v in enumerate(self.variables):
-                if v in values:
-                    coef *= values[v] ** exps[i]
-            key = tuple(exps[i] for i in keep)
+            for i, value in scale:
+                coef *= value ** exps[i]
+            key = tuple([exps[i] for i in keep])
             out[key] = out.get(key, 0) + coef
-        return MultiPoly(tuple(self.variables[i] for i in keep), out)
+        return MultiPoly._trusted(tuple(self.variables[i] for i in keep),
+                                  {e: c for e, c in out.items() if c})
 
     def rename(self, mapping: Mapping[str, str]) -> "MultiPoly":
         return MultiPoly(tuple(mapping.get(v, v) for v in self.variables), self.terms)
@@ -160,8 +198,11 @@ class MultiPoly:
         return sum(e[idx] * c for e, c in self.terms.items())
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in graded lexicographic order of the declared variables."""
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+        """Terms in graded lexicographic order of the declared variables:
+        by total degree, then by exponent tuple.  Exponent tuples are
+        distinct, so the coefficients are never compared."""
+        t = self.terms
+        return [(e, c) for _, e, c in sorted(zip(map(sum, t), t, t.values()))]
 
     # -- serialization ------------------------------------------------
 
@@ -170,25 +211,17 @@ class MultiPoly:
             return "0"
         parts = []
         for exps, coef in self.sorted_terms():
-            factors = []
-            for v, e in zip(self.variables, exps):
-                if e == 1:
-                    factors.append(v)
-                elif e > 1:
-                    factors.append(f"{v}^{e}")
-            mag = abs(coef)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
+            factors = "".join(map(_factor, self.variables, exps))  # "*p^2*q"
+            if coef < 0:
+                sign, coef = " - ", -coef
             else:
-                body = "*".join([str(mag)] + factors)
-            parts.append(("-" if coef < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+                sign = " + "
+            if coef == 1 and factors:
+                parts.append(sign + factors[1:])
+            else:
+                parts.append(f"{sign}{coef}{factors}")
+        text = "".join(parts)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def to_json_terms(self) -> list[dict]:
         return [{"exp": list(e), "coef": str(c)} for e, c in self.sorted_terms()]
@@ -258,9 +291,10 @@ def expand(gf: RationalGF, n_max: int) -> list[MultiPoly]:
     variable i takes bits [width*i, width*(i+1)) of the key, so
     multiplying monomials adds keys.  No exponent of c_n exceeds
     maxN + n*maxD (each D_j has j >= 1), and width bits hold that bound
-    at n = n_max, so no field overflows.  Each c_n becomes a validated
-    MultiPoly once it leaves the recurrence window, the denominator's
-    largest x-degree.
+    at n = n_max, so no field overflows.  Each c_n becomes a MultiPoly
+    once it leaves the recurrence window, the denominator's largest
+    x-degree; its terms are unpacked from valid ones with the zeros
+    dropped, so it is built by `MultiPoly._trusted` with no checks.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -293,7 +327,7 @@ def expand(gf: RationalGF, n_max: int) -> list[MultiPoly]:
     def unpack(packed: dict[int, int]) -> MultiPoly:
         fields = [[(key >> s) & mask for key in packed] for s in shifts]
         exps = zip(*fields) if fields else [()] * len(packed)
-        return MultiPoly(aux, dict(zip(exps, packed.values())))
+        return MultiPoly._trusted(aux, dict(zip(exps, packed.values())))
 
     coeffs: list[MultiPoly] = []
     window: list[dict[int, int]] = []  # c_{n-depth}..c_{n-1}, packed

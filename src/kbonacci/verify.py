@@ -136,9 +136,20 @@ def brute_stats_poly(n: int, k: int, family: str, ham_cap: int = DEFAULT_HAM_CAP
     return MultiPoly(tuple(TOTALS[field][1] for field in fields), terms)
 
 
+def _first_difference(brute: MultiPoly, gf: MultiPoly) -> str:
+    """Where two unequal polynomials first differ in graded-lex order:
+    the monomial and both coefficients."""
+    exps = (brute - gf).sorted_terms()[0][0]
+    monomial = MultiPoly(brute.variables, {exps: 1}).to_text()
+    return (f"differs at {monomial}: brute {brute.terms.get(exps, 0)}, "
+            f"series {gf.terms.get(exps, 0)}")
+
+
 def cross_check(family: str, k: int, max_n: int, ham_cap: int = DEFAULT_HAM_CAP,
                 *, run: _Run | None = None) -> list[CheckReport]:
-    """One report per n comparing brute force against the series coefficient."""
+    """One report per n comparing brute force against the series
+    coefficient; a failing report's `actual` starts with the first
+    monomial where they differ."""
     run = run or _Run(ham_cap if family == "ham" else 0)
     coeffs = series.expand(FAMILIES[family].gf(k), max_n)
     out = []
@@ -147,7 +158,10 @@ def cross_check(family: str, k: int, max_n: int, ham_cap: int = DEFAULT_HAM_CAP,
         if brute is None:
             out.append(run.report(family, k, n, "", "guard exceeded", skip=True))
             continue
-        out.append(run.report(family, k, n, brute.to_text(), coeffs[n].to_text()))
+        expected, actual = brute.to_text(), coeffs[n].to_text()
+        if actual != expected:
+            actual = f"{_first_difference(brute, coeffs[n])}; series = {actual}"
+        out.append(run.report(family, k, n, expected, actual))
     return out
 
 

@@ -158,3 +158,12 @@ def test_hamiltonicity_has_one_fast_path_and_one_oracle():
     names = {name for name, _ in _called_names(stats)}
     assert "word_stats" in names
     assert "hamiltonian_by_odd_runs" not in names
+
+
+def test_only_series_builds_unchecked_polynomials():
+    """`MultiPoly._trusted` skips validation, so it is called only where
+    series.py builds terms from valid polynomials; every other module
+    goes through the checking constructor."""
+    for path in sorted(SRC.glob("*.py")):
+        names = {name for name, _ in _called_names(ast.parse(path.read_text()))}
+        assert ("_trusted" in names) == (path.name == "series.py"), path.name

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from kbonacci.series import (
     gf_polyomino,
     total_weight_series,
 )
+from kbonacci.verify import FAMILIES, TOTALS
 from kbonacci.words import count_words
 
 PQ = ("p", "q")
@@ -56,6 +59,21 @@ class TestMultiPolyAlgebra:
         with pytest.raises(ValueError):
             MultiPoly(PQ, {(-1, 0): 1})
 
+    def test_repeated_variable_name_rejected(self):
+        with pytest.raises(ValueError, match="repeated variable"):
+            MultiPoly(("p", "p"), {(1, 2): 3})
+        with pytest.raises(ValueError, match="repeated variable"):
+            MultiPoly(("p", "q", "p"))
+        with pytest.raises(ValueError, match="repeated variable"):
+            MultiPoly.zero(("x", "x"))
+
+    @pytest.mark.parametrize("coef", [0.5, 2.0, Fraction(1, 2), Fraction(2), "3", True, None])
+    def test_non_int_coefficient_rejected(self, coef):
+        with pytest.raises(ValueError, match="not an int"):
+            MultiPoly(("p",), {(1,): coef})
+        with pytest.raises(ValueError, match="not an int"):
+            MultiPoly.constant(PQ, coef)
+
     def test_zero_terms_pruned(self):
         p = pq({(1, 1): 1}) - pq({(1, 1): 1})
         assert p.terms == {} and p.is_zero
@@ -87,6 +105,13 @@ class TestMultiPolyStructure:
         with pytest.raises(ValueError):
             p.specialize({"z": 1})
 
+    def test_specialize_drops_cancelled_terms(self):
+        p = pq({(1, 2): 3, (0, 2): 3, (0, 1): 1})
+        assert p.specialize({"p": -1}) == MultiPoly(("q",), {(1,): 1})
+        assert p.specialize({"p": 0, "q": 0}).is_zero
+        with pytest.raises(ValueError, match="not all ints"):
+            p.specialize({"p": 0.5})
+
     def test_specialize_nothing_is_identity(self):
         p = pq({(2, 1): 1, (0, 3): 2})
         assert p.specialize({}) is p
@@ -104,6 +129,10 @@ class TestMultiPolyStructure:
     def test_rename(self):
         p = MultiPoly(("q2",), {(3,): 1})
         assert p.rename({"q2": "q"}) == MultiPoly(("q",), {(3,): 1})
+
+    def test_rename_onto_another_variable_rejected(self):
+        with pytest.raises(ValueError, match="repeated variable"):
+            pq({(1, 2): 3}).rename({"p": "q"})
 
     def test_monomial_unknown_variable(self):
         with pytest.raises(ValueError):
@@ -130,6 +159,107 @@ class TestTextForm:
             {"exp": [0, 1], "coef": "-1"},
             {"exp": [2, 0], "coef": "12345678901234567890"},
         ]
+
+
+def _reference_sorted_terms(p):
+    return sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+
+
+def _reference_to_text(p):
+    """`MultiPoly.to_text` as it was written before factors were cached:
+    the reference its output must equal byte for byte."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for exps, coef in _reference_sorted_terms(p):
+        factors = []
+        for v, e in zip(p.variables, exps):
+            if e == 1:
+                factors.append(v)
+            elif e > 1:
+                factors.append(f"{v}^{e}")
+        mag = abs(coef)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        parts.append(("-" if coef < 0 else "+", body))
+    sign, body = parts[0]
+    text = ("-" if sign == "-" else "") + body
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
+def _reference_to_json_terms(p):
+    return [{"exp": list(e), "coef": str(c)} for e, c in _reference_sorted_terms(p)]
+
+
+@st.composite
+def any_polys(draw):
+    """Polynomials over 0..4 distinct variables, with unit, small and
+    huge coefficients of both signs and exponents from 0 up to large."""
+    variables = tuple(draw(st.lists(st.sampled_from(("x", "p", "q", "q2", "q3", "q4")),
+                                    unique=True, max_size=4)))
+    exps = st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 10 ** 4))
+                       for _ in variables])
+    coefs = st.one_of(st.sampled_from((-1, 1)), st.integers(-20, 20),
+                      st.integers(-10 ** 80, 10 ** 80))
+    return MultiPoly(variables, draw(st.dictionaries(exps, coefs, max_size=12)))
+
+
+class TestTextFormAgainstReference:
+    @given(any_polys())
+    @settings(max_examples=300)
+    def test_random_polynomials(self, p):
+        assert p.to_text() == _reference_to_text(p)
+        assert p.to_json_terms() == _reference_to_json_terms(p)
+
+    def test_edge_cases(self):
+        polys = [
+            MultiPoly.zero(()), MultiPoly.zero(PQ),
+            MultiPoly.constant((), 1), MultiPoly.constant((), -1),
+            MultiPoly.constant((), -10 ** 200), MultiPoly.constant(PQ, 1),
+            pq({(0, 0): -1, (1, 0): -1, (0, 1): 1, (7, 11): -10 ** 50}),
+            pq({(1, 0): 1, (0, 1): 1}), pq({(0, 0): 1}) * -1,
+        ]
+        for p in polys:
+            assert p.to_text() == _reference_to_text(p), p.terms
+            assert p.to_json_terms() == _reference_to_json_terms(p), p.terms
+
+
+class TestTrustedOutputs:
+    """`expand`, `specialize` and the ring operations build polynomials
+    with no checks; each must equal the checked constructor's result on
+    the same data, so it only ever holds what validation accepts."""
+
+    @staticmethod
+    def assert_valid(c):
+        assert type(c.variables) is tuple and type(c.terms) is dict
+        assert c == MultiPoly(c.variables, c.terms)
+
+    def gfs(self, k):
+        yield from (family.gf(k) for family in FAMILIES.values())
+        yield from (gf_named_total(name, k) for name in TOTALS)
+        yield gf_deg4_alternate(k)
+
+    def test_expand_and_specialize(self):
+        for k in range(2, 6):
+            for gf in self.gfs(k):
+                aux = gf.aux_variables
+                substitutions = [{v: 1 for v in aux[:i]} for i in range(1, len(aux) + 1)]
+                substitutions += [{v: value} for v in aux for value in (-1, 0, 2)]
+                for c in expand(gf, 20):
+                    self.assert_valid(c)
+                    for values in substitutions:
+                        self.assert_valid(c.specialize(values))
+
+    @given(small_polys(PQ, max_coef=2), small_polys(PQ, max_coef=2), st.integers(-2, 2))
+    def test_ring_operations(self, a, b, m):
+        for c in (a + b, a - b, -a, a * b, a * m, m * a, a + m, m - a, a ** 2):
+            self.assert_valid(c)
 
 
 class TestRationalGF:

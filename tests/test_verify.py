@@ -58,6 +58,30 @@ class TestCrossCheck:
         assert len(reports) == 5
         assert all(r.status == "pass" for r in reports)
 
+    def test_a_failing_report_names_the_first_differing_monomial(self, monkeypatch):
+        word_stats = graph.word_stats
+
+        def corrupt(w, ham):
+            s = word_stats(w, ham)
+            if w.bits == (1, 1, 0, 0) and w.k == 3:
+                return dataclasses.replace(s, area=s.area + 1)
+            return s
+
+        monkeypatch.setattr(graph, "word_stats", corrupt)
+        reports = cross_check("poly", 3, 4)
+        assert [r.status for r in reports] == ["pass"] * 3 + ["fail"]
+        assert all(r.actual == r.expected for r in reports[:3])
+        # 1100 moves from p^6*q^6 to p^6*q^7; degree 12 comes first
+        assert reports[3].actual == (
+            "differs at p^6*q^6: brute 2, series 3; "
+            "series = p^5*q^4 + 4*p^6*q^5 + 3*p^6*q^6 + 3*p^7*q^6 + 2*p^7*q^7")
+
+    def test_first_difference_at_a_constant_term(self):
+        brute = MultiPoly(("q",), {(0,): 2, (1,): 5})
+        gf = MultiPoly(("q",), {(1,): 4})
+        assert verify._first_difference(brute, gf) == "differs at 1: brute 2, series 0"
+        assert verify._first_difference(gf, brute) == "differs at 1: brute 0, series 2"
+
     def test_ham_k2_all_hamiltonian(self):
         reports = cross_check("ham", 2, 8)
         assert [r.status for r in reports] == ["pass"] * 8
