@@ -177,8 +177,9 @@ def cmd_series(args) -> int:
         print(f"error: variables {sorted(unknown)} not in {gf.aux_variables}",
               file=sys.stderr)
         return 2
-    coeffs = [c.specialize({v: 1 for v in at_one})
-              for c in series.expand(gf, args.terms)]
+    # specialized before expanding: with every marker at 1 the gf is in x
+    # alone, and `expand` runs it on integers
+    coeffs = series.expand(gf.specialize({v: 1 for v in at_one}), args.terms)
     if args.format == "json":
         payload = {
             "family": args.family,

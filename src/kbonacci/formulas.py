@@ -17,7 +17,7 @@ from fractions import Fraction
 # expand_ints and gf_named_total are unused here, but perfbench's
 # test_install_replaces_every_binding_site expects formulas to bind them
 from .series import MultiPoly, expand, expand_ints, gf_named_total  # noqa: F401
-from .words import enumerate_words
+from .words import enumerate_words, generalized_fibonacci
 
 PQ = ("p", "q")
 Q = ("q",)
@@ -33,16 +33,9 @@ def binom(m: int, r: int) -> int:
 
 
 def fibonacci(n: int) -> int:
-    """Classical Fibonacci numbers, F(1) = F(2) = 1, F(n) = 0 for n <= 0,
-    by doubling: F(2m) = F(m)(2F(m+1) - F(m)), F(2m+1) = F(m)^2 + F(m+1)^2."""
-    if n <= 0:
-        return 0
-    a, b = 0, 1  # F(m), F(m+1) for m the leading bits of n read so far
-    for bit in bin(n)[2:]:
-        a, b = a * (2 * b - a), a * a + b * b
-        if bit == "1":
-            a, b = b, a + b
-    return a
+    """Classical Fibonacci numbers, F(1) = F(2) = 1, F(n) = 0 for n <= 0:
+    F(n, 2) of `words.generalized_fibonacci`, by doubling."""
+    return generalized_fibonacci(n, 2)
 
 
 def _check_n(n: int) -> None:
@@ -447,19 +440,17 @@ def verify_certificate(which: str, n: int, i: int) -> bool | None:
 
 def degree_slice_from_gf(j: int, n_max: int) -> list[MultiPoly]:
     """Coefficients of the k = 2 degree generating function with the two
-    other degree markers set to 1, as polynomials in q."""
+    other degree markers set to 1, as polynomials in q.  The markers are
+    set before expanding, so the expansion runs in (x, q_j) alone."""
+    from .series import gf_degree
+
     if j not in (2, 3, 4):
         raise ValueError(f"degree must be 2, 3 or 4, got {j}")
-    return degree_slices_from_gf(n_max)[j]
+    others = {f"q{i}": 1 for i in (2, 3, 4) if i != j}
+    return [c.rename({f"q{j}": "q"})
+            for c in expand(gf_degree(2).specialize(others), n_max)]
 
 
 def degree_slices_from_gf(n_max: int) -> dict[int, list[MultiPoly]]:
-    """`degree_slice_from_gf(j, n_max)` for j = 2, 3, 4, from one expansion."""
-    from .series import gf_degree
-
-    coeffs = expand(gf_degree(2), n_max)
-    slices = {}
-    for j in (2, 3, 4):
-        others = {f"q{i}": 1 for i in (2, 3, 4) if i != j}
-        slices[j] = [c.specialize(others).rename({f"q{j}": "q"}) for c in coeffs]
-    return slices
+    """`degree_slice_from_gf(j, n_max)` for j = 2, 3, 4."""
+    return {j: degree_slice_from_gf(j, n_max) for j in (2, 3, 4)}

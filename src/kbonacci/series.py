@@ -4,6 +4,12 @@ Coefficients are arbitrary-precision integers; a polynomial is a map from
 exponent vectors to nonzero coefficients.  Rational generating functions
 are numerator/denominator pairs whose first variable is the length marker
 ``x``; series expansion is linear-recurrence long division on the x-slices.
+
+Univariate generating functions (the named totals, and any family with
+all its markers specialized) have integer kernels of their own: `expand`
+runs them on `expand_ints`, and `MultiPoly.to_text` renders a polynomial
+in no variables as its constant.  The packed multivariate recurrence
+serves only generating functions with markers.
 """
 
 from __future__ import annotations
@@ -207,6 +213,8 @@ class MultiPoly:
     # -- serialization ------------------------------------------------
 
     def to_text(self) -> str:
+        if not self.variables:  # a constant: the term loop yields str(c)
+            return str(self.terms.get((), 0))
         if not self.terms:
             return "0"
         parts = []
@@ -271,6 +279,18 @@ class RationalGF:
     def aux_variables(self) -> tuple[str, ...]:
         return self.variables[1:]
 
+    def specialize(self, values: Mapping[str, int]) -> "RationalGF":
+        """Substitute integers for some auxiliary variables in the
+        numerator and the denominator; an unknown name, or x, is a
+        `ValueError`.  Substitution is a ring map that fixes x, and
+        `expand` requires the denominator's x^0 slice to be the constant
+        1, which it leaves as it is; so wherever `expand` accepts this
+        gf, expanding the result equals specializing every coefficient
+        of its expansion."""
+        # without x the result fails RationalGF's own first-variable check
+        return RationalGF(self.numerator.specialize(values),
+                          self.denominator.specialize(values))
+
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, RationalGF)
                 and self.numerator == other.numerator
@@ -286,7 +306,9 @@ def expand(gf: RationalGF, n_max: int) -> list[MultiPoly]:
     """Coefficients of x^0..x^n_max as polynomials in the other variables.
 
     With numerator slices N_j and denominator slices D_j (D_0 = 1), the
-    coefficients satisfy c_n = N_n - sum_{j>=1} D_j c_{n-j}.  The
+    coefficients satisfy c_n = N_n - sum_{j>=1} D_j c_{n-j}.  A gf in x
+    alone runs the recurrence on plain ints (`expand_ints`), and each
+    c_n becomes a constant polynomial in no variables.  Otherwise the
     recurrence runs on dicts keyed by packed exponent vectors: auxiliary
     variable i takes bits [width*i, width*(i+1)) of the key, so
     multiplying monomials adds keys.  No exponent of c_n exceeds
@@ -299,6 +321,9 @@ def expand(gf: RationalGF, n_max: int) -> list[MultiPoly]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     aux = gf.aux_variables
+    if not aux:
+        return [MultiPoly._trusted((), {(): c} if c else {})
+                for c in expand_ints(gf, n_max)]
     num_terms = gf.numerator.terms
     den_terms = gf.denominator.terms
     width = 0

@@ -136,13 +136,14 @@ def brute_stats_poly(n: int, k: int, family: str, ham_cap: int = DEFAULT_HAM_CAP
     return MultiPoly(tuple(TOTALS[field][1] for field in fields), terms)
 
 
-def _first_difference(brute: MultiPoly, gf: MultiPoly) -> str:
+def _first_difference(left: MultiPoly, right: MultiPoly,
+                      names: tuple[str, str] = ("brute", "series")) -> str:
     """Where two unequal polynomials first differ in graded-lex order:
-    the monomial and both coefficients."""
-    exps = (brute - gf).sorted_terms()[0][0]
-    monomial = MultiPoly(brute.variables, {exps: 1}).to_text()
-    return (f"differs at {monomial}: brute {brute.terms.get(exps, 0)}, "
-            f"series {gf.terms.get(exps, 0)}")
+    the monomial and both coefficients, each after its side's name."""
+    exps = (left - right).sorted_terms()[0][0]
+    monomial = MultiPoly(left.variables, {exps: 1}).to_text()
+    return (f"differs at {monomial}: {names[0]} {left.terms.get(exps, 0)}, "
+            f"{names[1]} {right.terms.get(exps, 0)}")
 
 
 def cross_check(family: str, k: int, max_n: int, ham_cap: int = DEFAULT_HAM_CAP,
@@ -252,6 +253,18 @@ def reversal_check(k: int, max_n: int, *, run: _Run | None = None) -> list[Check
     return out
 
 
+def _formula_row(run: _Run, family: str, n: int, recurrence: MultiPoly,
+                 closed: MultiPoly, from_series: MultiPoly) -> CheckReport:
+    """A k = 2 polynomial row: it expects the recurrence's polynomial, and
+    a failing row names which of the closed form and the series differ
+    from it, each at its first differing monomial."""
+    expected = recurrence.to_text()
+    differ = [f"{name} {_first_difference(recurrence, other, ('recurrence', name))}"
+              for name, other in (("closed form", closed), ("series", from_series))
+              if other != recurrence]
+    return run.report(family, 2, n, expected, "; ".join(differ) or expected)
+
+
 def _formula_reports(run: _Run) -> list[CheckReport]:
     out = []
     poly_coeffs = series.expand(series.gf_polyomino(2), 30)
@@ -260,19 +273,13 @@ def _formula_reports(run: _Run) -> list[CheckReport]:
     closed = {2: formulas.d2_poly_closed, 3: formulas.d3_poly_closed,
               4: formulas.d4_poly_closed}
     for n in range(1, 31):
-        t = formulas.t_poly(n)
-        ok = t == formulas.t_poly_closed(n) == poly_coeffs[n]
-        out.append(run.report("formulas:t", 2, n, t.to_text(),
-                              t.to_text() if ok else "mismatch"))
-        v = formulas.v_poly(n)
-        ok = v == formulas.v_poly_closed(n) == graph_coeffs[n]
-        out.append(run.report("formulas:v", 2, n, v.to_text(),
-                              v.to_text() if ok else "mismatch"))
+        out.append(_formula_row(run, "formulas:t", n, formulas.t_poly(n),
+                                formulas.t_poly_closed(n), poly_coeffs[n]))
+        out.append(_formula_row(run, "formulas:v", n, formulas.v_poly(n),
+                                formulas.v_poly_closed(n), graph_coeffs[n]))
         for j in (2, 3, 4):
-            d = formulas.degree_poly(j, n)
-            ok = d == closed[j](n) == d_slices[j][n]
-            out.append(run.report(f"formulas:d{j}", 2, n, d.to_text(),
-                                  d.to_text() if ok else "mismatch"))
+            out.append(_formula_row(run, f"formulas:d{j}", n, formulas.degree_poly(j, n),
+                                    closed[j](n), d_slices[j][n]))
     area_coeffs = series.expand_ints(series.gf_named_total("area", 2), 50)
     for n in range(1, 51):
         out.append(run.report("formulas:total-area", 2, n, str(area_coeffs[n]),

@@ -96,10 +96,23 @@ def reverse(w: Word) -> Word:
 
 def generalized_fibonacci(n: int, k: int) -> int:
     """F(n, k) with F(n, k) = sum of the previous k values, F(1, k) = 1
-    and F(n, k) = 0 for n <= 0.  Exact for any n (arbitrary precision)."""
+    and F(n, k) = 0 for n <= 0.  Exact for any n (arbitrary precision).
+
+    k = 2 is the classical Fibonacci sequence, computed by doubling in
+    O(log n) big-int products: F(2m) = F(m)(2F(m+1) - F(m)) and
+    F(2m+1) = F(m)^2 + F(m+1)^2.  Other k take O(n) additions on a ring
+    of the last k values: doubling there (Fiduccia) needs O(k^2 log n)
+    big products, which loses to the ring at large k."""
     _check_k(k)
     if n <= 0:
         return 0
+    if k == 2:
+        a, b = 0, 1  # F(m), F(m+1) for m the leading bits of n read so far
+        for bit in bin(n)[2:]:
+            a, b = a * (2 * b - a), a * a + b * b
+            if bit == "1":
+                a, b = b, a + b
+        return a
     # ring of the last k values with their running sum; slot i holds the
     # oldest, which the next value replaces
     ring = [0] * (k - 1) + [1]  # F(2-k..0) = 0, F(1) = 1

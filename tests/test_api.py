@@ -19,10 +19,9 @@ SRC = pathlib.Path(kbonacci.__file__).parent
 # public functions that only tests call, kept on purpose as reference code
 TEST_ONLY = {
     "series.gf_deg4_alternate",  # the rejected deg4 denominator, for criterion 4
-    # one area and one degree at a time, for criterion 8 and test_formulas;
-    # the formula suite reads all of them from one sweep and one expansion
+    # one area at a time, for criterion 8 and test_formulas; the formula
+    # suite reads all of them from one sweep
     "formulas.count_polyominoes_by_area",
-    "formulas.degree_slice_from_gf",
 }
 
 

@@ -119,7 +119,9 @@ class TestFormulaSuiteSweepsOnce:
         slices = degree_slices_from_gf(12)
         assert slices == {j: degree_slice_from_gf(j, 12) for j in (2, 3, 4)}
 
-    def test_one_sweep_and_one_degree_expansion(self, monkeypatch):
+    def test_one_sweep_and_one_expansion_per_degree_slice(self, monkeypatch):
+        # each degree slice specializes the other two markers before it
+        # expands, so it expands a gf in (x, q_j) alone
         swept, expanded = [], []
         enumerate_words, expand_ = formulas.enumerate_words, formulas.expand
 
@@ -135,7 +137,7 @@ class TestFormulaSuiteSweepsOnce:
         monkeypatch.setattr(formulas, "expand", counted_expand)
         assert verify.run_all(3, 2, suites=("formulas",)).ok
         assert swept == [(n, 2) for n in range(1, 15)]
-        assert expanded == [("q2", "q3", "q4")]
+        assert expanded == [("q2",), ("q3",), ("q4",)]
 
 
 class TestRecurrencesAtLargeN:

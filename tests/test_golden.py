@@ -12,6 +12,12 @@
 - golden/asymptotics_sha256.json: `asymptotics --degree D --n N` for
   D = 2, 3, 4 and N = 1, 255, 256, 1111, 2000, 3461 in text, json and
   csv; 255/256 straddle the old table's power-of-two rounding.
+- golden/large_n_sha256.json: `count --n N --k K` for N = 0, 1, 2, 50,
+  4086, 29727 and K = 2, 3, 79 in text, json and csv; every named
+  total at --terms 2500, one k each, in text and json; and --vars-at-1
+  on degree (q2,q3,q4 and q3) and ham (q) at k = 2..5 and --terms 30 in
+  text, json and csv.  Taken from the running-sum ring at every k, the
+  packed multivariate recurrence and the term-sorting renderer.
 
 Any change to the code behind these commands must keep them byte for
 byte.  Regenerate one corpus (only for a deliberate output change,
@@ -21,6 +27,7 @@ recorded in CHANGES.md):
     PYTHONPATH=src python tests/test_golden.py enumerate > tests/golden/enumerate_sha256.json
     PYTHONPATH=src python tests/test_golden.py verify > tests/golden/verify_sha256.json
     PYTHONPATH=src python tests/test_golden.py asymptotics > tests/golden/asymptotics_sha256.json
+    PYTHONPATH=src python tests/test_golden.py large_n > tests/golden/large_n_sha256.json
 """
 
 import contextlib
@@ -77,11 +84,28 @@ def _asymptotics_cases() -> list[tuple[str, ...]]:
             for fmt in ("text", "json", "csv")]
 
 
+def _large_n_cases() -> list[tuple[str, ...]]:
+    cases = [("count", "--n", str(n), "--k", str(k), "--format", fmt)
+             for n in (0, 1, 2, 50, 4086, 29727) for k in (2, 3, 79)
+             for fmt in ("text", "json", "csv")]
+    cases += [("series", "--family", f"{name}-total", "--k", str(k),
+               "--terms", "2500", "--format", fmt)
+              for k, name in enumerate(verify.TOTALS, start=2)
+              for fmt in ("text", "json")]
+    cases += [("series", "--family", family, "--k", str(k), "--terms", "30",
+               "--format", fmt, "--vars-at-1", at_one)
+              for family, at_one in (("degree", "q2,q3,q4"), ("degree", "q3"),
+                                     ("ham", "q"))
+              for k in range(2, 6) for fmt in ("text", "json", "csv")]
+    return cases
+
+
 CORPORA = {
     "series": _series_cases,
     "enumerate": _enumerate_cases,
     "verify": _verify_cases,
     "asymptotics": _asymptotics_cases,
+    "large_n": _large_n_cases,
 }
 
 
@@ -128,6 +152,14 @@ def test_asymptotics_output_byte_identical(degree):
     recorded = _recorded("asymptotics")
     for argv in _asymptotics_cases():
         if argv[2] == str(degree):
+            assert _digest(argv) == recorded[" ".join(argv)], " ".join(argv)
+
+
+@pytest.mark.parametrize("command", ("count", "series"))
+def test_large_n_output_byte_identical(command):
+    recorded = _recorded("large_n")
+    for argv in _large_n_cases():
+        if argv[0] == command:
             assert _digest(argv) == recorded[" ".join(argv)], " ".join(argv)
 
 

@@ -363,6 +363,82 @@ def _expand_reference(gf, n_max):
     return coeffs
 
 
+class TestUnivariateKernel:
+    """`expand` of a gf in x alone runs on `expand_ints`; these compare it
+    with `_expand_reference`, which shares no code with either."""
+
+    def test_every_named_total_equals_the_reference(self):
+        for k in range(2, 9):
+            for name in TOTALS:
+                gf = gf_named_total(name, k)
+                assert expand(gf, 300) == _expand_reference(gf, 300), (name, k)
+
+    def test_coefficients_are_constants_in_no_variables(self):
+        coeffs = expand(gf_named_total("deg4", 3), 8)
+        assert all(c.variables == () for c in coeffs)
+        assert coeffs[0].terms == {} and coeffs[0].to_text() == "0"
+        assert [c.as_int() for c in coeffs] == expand_ints(gf_named_total("deg4", 3), 8)
+
+    def test_edge_cases(self):
+        v = ("x",)
+        den = MultiPoly(v, {(0,): 1, (1,): -1, (2,): 3})
+        cases = [
+            gf_named_total("ham", 3),
+            RationalGF(MultiPoly.zero(v), den),
+            RationalGF(MultiPoly(v, {(0,): 3, (1,): 2, (5,): 7, (9,): -1}), den),
+            RationalGF(MultiPoly(v, {(0,): 5}), MultiPoly.constant(v, 1)),
+            # non-unit constant term, normalised away by RationalGF
+            RationalGF(MultiPoly(v, {(1,): 6, (2,): -3}),
+                       MultiPoly(v, {(0,): -3, (1,): 6, (3,): 9})),
+        ]
+        for gf in cases:
+            for n_max in (0, 1, 4, 5, 8, 12):
+                assert expand(gf, n_max) == _expand_reference(gf, n_max), (gf, n_max)
+        assert expand(cases[1], 6) == [MultiPoly.zero(())] * 7
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            expand(cases[0], -1)
+
+
+class TestSpecializeBeforeExpanding:
+    """Substitution is a ring map fixing x, and every denominator's x^0
+    slice is the constant 1, so specializing a gf commutes with expanding
+    it."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_commutes_with_expand(self, family):
+        for k in range(2, 6):
+            gf = FAMILIES[family].gf(k)
+            coeffs = expand(gf, 14)
+            aux = gf.aux_variables
+            for mask in range(1, 2 ** len(aux)):
+                names = [v for i, v in enumerate(aux) if mask >> i & 1]
+                for value in (1, -1, 2, 0):
+                    values = dict.fromkeys(names, value)
+                    assert expand(gf.specialize(values), 14) == [
+                        c.specialize(values) for c in coeffs], (family, k, values)
+
+    def test_all_markers_give_a_gf_in_x_alone(self):
+        gf = gf_degree(3).specialize({"q2": 1, "q3": 1, "q4": 1})
+        assert gf.variables == ("x",)
+        assert [c.as_int() for c in expand(gf, 10)] == [0] + [
+            count_words(n, 3) for n in range(1, 11)]
+
+    def test_empty_values_leave_the_gf(self):
+        gf = gf_graph(3)
+        assert gf.specialize({}) == gf
+
+    def test_rejects_x_and_unknown_names(self):
+        gf = gf_polyomino(2)
+        with pytest.raises(ValueError, match="series variable x"):
+            gf.specialize({"x": 1})
+        with pytest.raises(ValueError, match="series variable x"):
+            gf.specialize({"x": 1, "p": 1})
+        with pytest.raises(ValueError, match="series variable x"):
+            gf_named_total("area", 3).specialize({"x": 2})
+        with pytest.raises(ValueError, match="unknown variables"):
+            gf.specialize({"r": 1})
+
+
 def random_gfs(aux=("p", "q"), max_exp=60):
     """Random num/den over (x, *aux) with D(0) = 1 and aux exponents up to
     max_exp, so the packed fields are wide and their sums near the bound."""

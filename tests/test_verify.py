@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from kbonacci import cli, frontier, graph, polyomino, series, verify, words
+from kbonacci import cli, formulas, frontier, graph, polyomino, series, verify, words
 from kbonacci.series import MultiPoly
 from kbonacci.verify import (
     CheckReport,
@@ -95,6 +95,47 @@ class TestCrossCheck:
 
     def test_degree_family_k5(self):
         assert all(r.status == "pass" for r in cross_check("degree", 5, 6))
+
+
+class TestFormulaRows:
+    @staticmethod
+    def _row(family, n):
+        summary = run_all(6, 2, suites=("formulas",))
+        return next(r for r in summary.reports if r.family == family and r.n == n)
+
+    def test_a_failing_row_names_the_closed_form_and_the_monomial(self, monkeypatch):
+        t_poly_closed = formulas.t_poly_closed
+
+        def corrupt(n):
+            t = t_poly_closed(n)
+            return t + MultiPoly.monomial(("p", "q"), 1, p=6, q=5) if n == 4 else t
+
+        monkeypatch.setattr(formulas, "t_poly_closed", corrupt)
+        row = self._row("formulas:t", 4)
+        assert row.status == "fail"
+        assert row.expected == formulas.t_poly(4).to_text()
+        # t_4 = p^5*q^4 + 4*p^6*q^5 + 3*p^7*q^6
+        assert row.actual == "closed form differs at p^6*q^5: recurrence 4, closed form 5"
+        assert self._row("formulas:t", 3).status == "pass"
+
+    def test_a_failing_row_names_the_series(self, monkeypatch):
+        slices = formulas.degree_slices_from_gf
+
+        def corrupt(n_max):
+            out = slices(n_max)
+            out[3][2] = out[3][2] - MultiPoly.constant(("q",), 1)
+            return out
+
+        monkeypatch.setattr(formulas, "degree_slices_from_gf", corrupt)
+        row = self._row("formulas:d3", 2)
+        assert row.status == "fail"
+        # d_{2,3} = 3*q^2
+        assert row.actual == "series differs at 1: recurrence 0, series -1"
+
+    def test_passing_rows_keep_their_bytes(self):
+        row = self._row("formulas:d2", 5)
+        assert row.status == "pass"
+        assert row.actual == row.expected == formulas.degree_poly(2, 5).to_text()
 
 
 class TestTotalsAndPairs:

@@ -90,6 +90,16 @@ class TestGeneralizedFibonacci:
             for n in range(-2, 201):
                 assert generalized_fibonacci(n, k) == window_version(n, k), (n, k)
 
+    def test_k2_doubling_matches_an_additive_loop(self):
+        # k = 2 runs by doubling; this loop shares no code with it
+        values = [0, 1]  # F(0), F(1)
+        while len(values) <= 30002:
+            values.append(values[-1] + values[-2])
+        for n in range(-3, 601):
+            assert generalized_fibonacci(n, 2) == values[max(n, 0)], n
+        assert generalized_fibonacci(30002, 2) == values[30002]
+        assert count_words(30000, 2) == values[30002]
+
 
 class TestCountWords:
     def test_paper_listings(self):
