@@ -15,25 +15,15 @@ from . import formulas, graph, polyomino, series, verify, words
 from .formulas import format_fraction
 
 
-def _nonnegative(text: str) -> int:
-    v = int(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {v}")
-    return v
-
-
-def _positive(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
-    return v
-
-
-def _k_param(text: str) -> int:
-    v = int(text)
-    if v < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {v}")
-    return v
+def _at_least(low: int):
+    """An argparse type: an int that is at least `low`."""
+    def parse(text: str) -> int:
+        v = int(text)
+        if v < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {v}")
+        return v
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,13 +39,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", parents=[common],
                        help="number of valid words of length n")
-    p.add_argument("--n", type=_nonnegative, required=True)
-    p.add_argument("--k", type=_k_param, default=2)
+    p.add_argument("--n", type=_at_least(0), required=True)
+    p.add_argument("--k", type=_at_least(2), default=2)
 
     p = sub.add_parser("enumerate", parents=[common],
                        help="list words, optionally with their statistics")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--k", type=_k_param, default=2)
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--k", type=_at_least(2), default=2)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--with-stats", action="store_true",
                       help="add area, semiperimeter, vertex/edge counts, degree "
@@ -69,25 +59,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="expand a generating function")
     p.add_argument("--family", required=True,
                    choices=(*verify.FAMILIES, *(f"{name}-total" for name in verify.TOTALS)))
-    p.add_argument("--k", type=_k_param, default=2)
-    p.add_argument("--terms", type=_positive, default=10)
+    p.add_argument("--k", type=_at_least(2), default=2)
+    p.add_argument("--terms", type=_at_least(1), default=10)
     p.add_argument("--vars-at-1", default="", metavar="VARS",
                    help="comma-separated auxiliary variables to set to 1")
 
     p = sub.add_parser("verify", parents=[common],
                        help="run oracle cross-checks; exit 0 iff all pass")
     p.add_argument("--suite", choices=("all", *verify.SUITES), default="all")
-    p.add_argument("--max-n", type=_positive, default=10)
-    p.add_argument("--max-k", type=_k_param, default=5)
-    p.add_argument("--ham-cap", type=_positive, default=verify.DEFAULT_HAM_CAP,
+    p.add_argument("--max-n", type=_at_least(1), default=10)
+    p.add_argument("--max-k", type=_at_least(2), default=5)
+    p.add_argument("--ham-cap", type=_at_least(1), default=verify.DEFAULT_HAM_CAP,
                    metavar="N",
                    help="max word length for Hamiltonicity backtracking "
                         f"(default {verify.DEFAULT_HAM_CAP})")
 
     p = sub.add_parser("asymptotics", parents=[common],
                        help="empirical degree proportion vs its exact limit")
-    p.add_argument("--degree", type=int, choices=(2, 3, 4), required=True)
-    p.add_argument("--n", type=_positive, default=2000)
+    p.add_argument("--degree", type=int, choices=tuple(formulas.DEGREES), required=True)
+    p.add_argument("--n", type=_at_least(1), default=2000)
 
     return parser
 
@@ -174,9 +164,7 @@ def cmd_series(args) -> int:
     at_one = [v for v in args.vars_at_1.split(",") if v]
     unknown = set(at_one) - set(gf.aux_variables)
     if unknown:
-        print(f"error: variables {sorted(unknown)} not in {gf.aux_variables}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"variables {sorted(unknown)} not in {gf.aux_variables}")
     # specialized before expanding: with every marker at 1 the gf is in x
     # alone, and `expand` runs it on integers
     coeffs = series.expand(gf.specialize({v: 1 for v in at_one}), args.terms)

@@ -1,6 +1,12 @@
 """Closed-form sequences, recurrences, identities, telescoping-certificate
 checks, and the exact asymptotic degree proportions for the k = 2 family.
 
+Each k = 2 fact is held once: `RECURRENCES`, `CLOSED_FORMS` and
+`series_sides` for the five polynomial families t, v, d2, d3 and d4, and
+`DEGREES` for the degree index j, which `verify`'s formula suite loops
+over.  An identity's functions each return one evaluation, so a
+disagreement is a failing verify row, not an exception.
+
 Binomial convention: C(m, r) = 0 unless 0 <= r <= m, with one boundary
 extension on the Pascal diagonal: C(m, m) = 1 also for negative m.  The
 degree-count closed-form sums hit C(-1, -1) at n = 1 and the extension is
@@ -12,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
-# expand_ints and gf_named_total are unused here, but perfbench's
-# test_install_replaces_every_binding_site expects formulas to bind them
-from .series import MultiPoly, expand, expand_ints, gf_named_total  # noqa: F401
+from .series import (MultiPoly, expand, expand_ints, gf_degree, gf_graph, gf_named_total,
+                     gf_polyomino)
 from .words import enumerate_words, generalized_fibonacci
 
 PQ = ("p", "q")
@@ -38,9 +44,9 @@ def fibonacci(n: int) -> int:
     return generalized_fibonacci(n, 2)
 
 
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
+def _check_n(n: int, low: int = 1) -> None:
+    if n < low:
+        raise ValueError(f"index must be >= {low}, got {n}")
 
 
 def _walk(n: int, variables: tuple[str, ...],
@@ -176,12 +182,31 @@ def d4_poly_closed(n: int) -> MultiPoly:
     return MultiPoly(Q, terms)
 
 
+# The k = 2 polynomial families in report order: name -> recurrence and
+# name -> binomial closed form.
+RECURRENCES = {"t": t_poly, "v": v_poly, "d2": d2_poly, "d3": d3_poly, "d4": d4_poly}
+CLOSED_FORMS = {"t": t_poly_closed, "v": v_poly_closed, "d2": d2_poly_closed,
+                "d3": d3_poly_closed, "d4": d4_poly_closed}
+
+
 def degree_poly(j: int, n: int) -> MultiPoly:
     """d_{n,j}(q) for j in {2, 3, 4}."""
-    try:
-        return {2: d2_poly, 3: d3_poly, 4: d4_poly}[j](n)
-    except KeyError:
-        raise ValueError(f"degree must be 2, 3 or 4, got {j}")
+    _degree(j)
+    return RECURRENCES[f"d{j}"](n)
+
+
+def series_sides(n_max: int) -> dict[str, list[MultiPoly]]:
+    """Coefficients 0..n_max of each family's generating function, keyed
+    as `RECURRENCES`: t from gf_polyomino(2), v from gf_graph(2), and d_j
+    from gf_degree(2) with the two other degree markers set to 1 before it
+    expands, so that expansion runs in (x, q_j) alone, and q_j renamed q."""
+    degree = gf_degree(2)
+    sides = {"t": expand(gf_polyomino(2), n_max), "v": expand(gf_graph(2), n_max)}
+    for j in DEGREES:
+        others = {f"q{i}": 1 for i in DEGREES if i != j}
+        sides[f"d{j}"] = [c.rename({f"q{j}": "q"})
+                          for c in expand(degree.specialize(others), n_max)]
+    return sides
 
 
 # ---------------------------------------------------------------------
@@ -199,31 +224,43 @@ def total_area_closed(n: int) -> int:
 
 
 def fib_convolution(n: int) -> int:
-    """c(n) = sum_i F(i) F(n-i), cross-checked against the closed form
-    ((n-1) F(n) + 2n F(n-1)) / 5."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    direct = sum(fibonacci(i) * fibonacci(n - i) for i in range(n + 1))
-    v = (n - 1) * fibonacci(n) + 2 * n * fibonacci(n - 1)
-    if v % 5 or v // 5 != direct:
-        raise ArithmeticError(f"Fibonacci convolution identity fails at n={n}")
-    return direct
+    """c(n) = sum_i F(i) F(n-i), summed directly."""
+    _check_n(n, 0)
+    return sum(fibonacci(i) * fibonacci(n - i) for i in range(n + 1))
+
+
+def fib_convolution_closed(n: int) -> Fraction:
+    """The closed form ((n-1) F(n) + 2n F(n-1)) / 5 of `fib_convolution`,
+    exactly, so a wrong closed form gives an unequal value, not an error."""
+    _check_n(n, 0)
+    return Fraction((n - 1) * fibonacci(n) + 2 * n * fibonacci(n - 1), 5)
 
 
 def narayana(n: int) -> int:
     """Narayana's cows sequence b_n = b_{n-1} + b_{n-3} in the indexing of
     its generating function 1/(1 - x - x^3): b_0 = b_1 = b_2 = 1, so
-    b_6 = 6.  Cross-checked against the binomial sum of C(n-2i, i)."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    b_6 = 6; by the recurrence."""
+    _check_n(n, 0)
     seq = [1, 1, 1]
     for m in range(3, n + 1):
         seq.append(seq[-1] + seq[-3])
-    by_rec = seq[n] if n < len(seq) else seq[-1]
-    by_sum = sum(binom(n - 2 * i, i) for i in range(n // 3 + 1))
-    if by_rec != by_sum:
-        raise ArithmeticError(f"Narayana recurrence/binomial mismatch at n={n}")
-    return by_rec
+    return seq[n]
+
+
+def narayana_binomial(n: int) -> int:
+    """`narayana(n)` as the binomial sum of C(n-2i, i)."""
+    _check_n(n, 0)
+    return sum(binom(n - 2 * i, i) for i in range(n // 3 + 1))
+
+
+def degree_partition_break(n_max: int) -> int | None:
+    """The first n <= n_max at which the totals of degree-2, 3 and 4
+    vertices over length-n words with k = 2 do not sum to the vertex
+    total, by their named generating functions, or None."""
+    vertices = expand_ints(gf_named_total("vertices", 2), n_max)
+    counts = [expand_ints(gf_named_total(f"deg{j}", 2), n_max) for j in DEGREES]
+    return next((n for n in range(1, n_max + 1)
+                 if sum(c[n] for c in counts) != vertices[n]), None)
 
 
 def polyomino_counts_by_area(max_area: int) -> list[int]:
@@ -288,70 +325,55 @@ class QuadraticConstant:
 
 
 def format_fraction(f: Fraction, digits: int) -> str:
-    """Round a positive rational to `digits` significant digits."""
+    """Round a rational to `digits` significant digits, halves away from
+    zero, in positional notation."""
     if f == 0:
         return "0"
-    sign = "-" if f < 0 else ""
-    f = abs(f)
-    mag = 0
-    while f >= 10:
-        f /= 10
-        mag += 1
-    while f < 1:
-        f *= 10
-        mag -= 1
-    scaled = f * 10 ** (digits - 1)
-    n = scaled.numerator // scaled.denominator
-    if 2 * (scaled - n) >= 1:
-        n += 1
-    s = str(n)
-    if len(s) > digits:  # rounding overflowed, e.g. 9.99 -> 10.0
-        s = s[:digits]
-        mag += 1
-    point = mag + 1
-    if 0 < point <= digits:
-        text = s[:point] + ("." + s[point:] if point < digits else "")
-    elif point <= 0:
-        text = "0." + "0" * (-point) + s
-    else:
-        text = s + "0" * (point - digits)
-    return sign + text
+    d = Context(prec=digits, rounding=ROUND_HALF_UP).divide(f.numerator, f.denominator)
+    # an exact quotient may be shorter: pad it to `digits` digits
+    return format(d.quantize(Decimal(1).scaleb(d.adjusted() + 1 - digits)), "f")
+
+
+# DEGREES: j -> (the limit of the degree-j share of the vertices, and
+# (a, b, c, d) such that 5 x the degree-j total over all length-n words
+# with k = 2 is (a n + b) F(n) + (c n + d) F(n+1) for n >= 1), the
+# partial-fraction form of the named totals, whose denominator is
+# ((1 - x)(1 - x - x^2))^2 at k = 2; the tests check it against their
+# series.  The vertex total has the same form.
+_K2_VERTEX_TOTAL = (14, 14, 12, 10)
+DEGREES = {
+    2: (QuadraticConstant(7, -1, 22), (4, 14, 2, 20)),
+    3: (QuadraticConstant(4, 1, 11), (6, 6, 8, -10)),
+    4: (QuadraticConstant(7, -1, 22), (4, -6, 2, 0)),
+}
+
+
+def _degree(j: int) -> tuple[QuadraticConstant, tuple[int, int, int, int]]:
+    """The `DEGREES` entry of j: the one check of a degree index."""
+    try:
+        return DEGREES[j]
+    except KeyError:
+        raise ValueError(f"degree must be 2, 3 or 4, got {j}") from None
 
 
 def degree_proportion_limit(j: int) -> QuadraticConstant:
     """Limit of (total degree-j vertices) / (total vertices) over the
     k = 2 family: (7 - sqrt5)/22 for j = 2 and j = 4, (4 + sqrt5)/11 for
     j = 3."""
-    try:
-        return {
-            2: QuadraticConstant(7, -1, 22),
-            3: QuadraticConstant(4, 1, 11),
-            4: QuadraticConstant(7, -1, 22),
-        }[j]
-    except KeyError:
-        raise ValueError(f"degree must be 2, 3 or 4, got {j}")
-
-
-# (a, b, c, d): 5 x the total over all length-n words with k = 2 is
-# (a n + b) F(n) + (c n + d) F(n+1) for n >= 1, the partial-fraction form
-# of the named totals, whose denominator is ((1 - x)(1 - x - x^2))^2 at
-# k = 2; the tests check it against their series
-_K2_VERTEX_TOTAL = (14, 14, 12, 10)
-_K2_DEGREE_TOTALS = {2: (4, 14, 2, 20), 3: (6, 6, 8, -10), 4: (4, -6, 2, 0)}
+    return _degree(j)[0]
 
 
 def empirical_degree_ratio(j: int, n: int) -> Fraction:
     """Exact rational (total degree-j vertices) / (total vertices) over
     all length-n words with k = 2."""
-    if j not in (2, 3, 4):
-        raise ValueError(f"degree must be 2, 3 or 4, got {j}")
+    degree_total = _degree(j)[1]
     _check_n(n)
     f, g = fibonacci(n), fibonacci(n + 1)
 
     def total(a: int, b: int, c: int, d: int) -> int:
         return (a * n + b) * f + (c * n + d) * g
 
-    return Fraction(total(*_K2_DEGREE_TOTALS[j]), total(*_K2_VERTEX_TOTAL))
+    return Fraction(total(*degree_total), total(*_K2_VERTEX_TOTAL))
 
 
 # ---------------------------------------------------------------------
@@ -433,24 +455,3 @@ def verify_certificate(which: str, n: int, i: int) -> bool | None:
         return lhs == rhs
     raise ValueError(f"unknown certificate {which!r}; expected rel1 or rel2")
 
-
-# ---------------------------------------------------------------------
-# Convenience: the n-th coefficient of a degree-family slice of the
-# multivariate degree generating function, for cross checks.
-
-def degree_slice_from_gf(j: int, n_max: int) -> list[MultiPoly]:
-    """Coefficients of the k = 2 degree generating function with the two
-    other degree markers set to 1, as polynomials in q.  The markers are
-    set before expanding, so the expansion runs in (x, q_j) alone."""
-    from .series import gf_degree
-
-    if j not in (2, 3, 4):
-        raise ValueError(f"degree must be 2, 3 or 4, got {j}")
-    others = {f"q{i}": 1 for i in (2, 3, 4) if i != j}
-    return [c.rename({f"q{j}": "q"})
-            for c in expand(gf_degree(2).specialize(others), n_max)]
-
-
-def degree_slices_from_gf(n_max: int) -> dict[int, list[MultiPoly]]:
-    """`degree_slice_from_gf(j, n_max)` for j = 2, 3, 4."""
-    return {j: degree_slice_from_gf(j, n_max) for j in (2, 3, 4)}

@@ -205,16 +205,17 @@ def totals_check(k: int, max_n: int, ham_cap: int = DEFAULT_HAM_CAP,
 
 
 def ham_pair_check(max_k: int, max_n: int, *, run: _Run | None = None) -> list[CheckReport]:
-    """Total-Hamiltonian series agree for the parameter pairs (2j, 2j+1)."""
+    """Total-Hamiltonian series agree for the parameter pairs (2j, 2j+1):
+    the named total of 2j against the total of the multivariate
+    Hamiltonian gf of 2j+1.  The named total reads k only through
+    2*floor(k/2), so the odd side must come from the other gf."""
     run = run or _Run(0)
     out = []
-    j = 1
-    while 2 * j + 1 <= max_k:
+    for j in range(1, (max_k - 1) // 2 + 1):
         even = series.expand_ints(series.gf_named_total("ham", 2 * j), max_n)
-        odd = series.expand_ints(series.gf_named_total("ham", 2 * j + 1), max_n)
+        odd = series.total_weight_series(series.gf_hamiltonian(2 * j + 1), "q", max_n)
         for n in range(1, max_n + 1):
             out.append(run.report("ham-pair", 2 * j, n, str(even[n]), str(odd[n])))
-        j += 1
     return out
 
 
@@ -267,32 +268,28 @@ def _formula_row(run: _Run, family: str, n: int, recurrence: MultiPoly,
 
 def _formula_reports(run: _Run) -> list[CheckReport]:
     out = []
-    poly_coeffs = series.expand(series.gf_polyomino(2), 30)
-    graph_coeffs = series.expand(series.gf_graph(2), 30)
-    d_slices = formulas.degree_slices_from_gf(30)
-    closed = {2: formulas.d2_poly_closed, 3: formulas.d3_poly_closed,
-              4: formulas.d4_poly_closed}
+    sides = formulas.series_sides(30)
     for n in range(1, 31):
-        out.append(_formula_row(run, "formulas:t", n, formulas.t_poly(n),
-                                formulas.t_poly_closed(n), poly_coeffs[n]))
-        out.append(_formula_row(run, "formulas:v", n, formulas.v_poly(n),
-                                formulas.v_poly_closed(n), graph_coeffs[n]))
-        for j in (2, 3, 4):
-            out.append(_formula_row(run, f"formulas:d{j}", n, formulas.degree_poly(j, n),
-                                    closed[j](n), d_slices[j][n]))
+        for name, recurrence in formulas.RECURRENCES.items():
+            out.append(_formula_row(run, f"formulas:{name}", n, recurrence(n),
+                                    formulas.CLOSED_FORMS[name](n), sides[name][n]))
     area_coeffs = series.expand_ints(series.gf_named_total("area", 2), 50)
     for n in range(1, 51):
         out.append(run.report("formulas:total-area", 2, n, str(area_coeffs[n]),
                               str(formulas.total_area_closed(n))))
     by_area = formulas.polyomino_counts_by_area(14)
     for a in range(1, 15):
-        out.append(run.report("formulas:narayana", 2, a, str(formulas.narayana(a + 1)),
-                              str(by_area[a])))
+        # expects the recurrence; a failing row names each side that differs
+        b = formulas.narayana(a + 1)
+        differ = [f"{name} {value}" for name, value in
+                  (("binomial sum", formulas.narayana_binomial(a + 1)),
+                   ("area count", by_area[a])) if value != b]
+        out.append(run.report("formulas:narayana", 2, a, str(b), "; ".join(differ) or str(b)))
     for n in range(0, 31):
-        # fib_convolution raises if its two evaluations disagree
+        direct, closed = formulas.fib_convolution(n), formulas.fib_convolution_closed(n)
         out.append(run.report("formulas:fib-conv", 2, n, "consistent",
-                              "consistent" if formulas.fib_convolution(n) >= 0
-                              else "negative"))
+                              "consistent" if direct == closed
+                              else f"sum {direct}, closed form {closed}"))
     for which in ("rel1", "rel2"):
         for n in range(1, 21):
             results = [formulas.verify_certificate(which, n, i)
@@ -305,16 +302,14 @@ def _formula_reports(run: _Run) -> list[CheckReport]:
     gaps_ok = all(
         formulas.degree_proportion_limit(j).abs_diff_below(
             formulas.empirical_degree_ratio(j, 2000), eps)
-        for j in (2, 3, 4))
+        for j in formulas.DEGREES)
     out.append(run.report("formulas:asymptotics", 2, 2000, "gaps < 5e-3",
                           "gaps < 5e-3" if gaps_ok else "gap too large"))
     # the degree-j shares of the vertices sum to 1 iff the counts sum to
     # the vertex total, as that total is positive
-    d, *dj = (series.expand_ints(series.gf_named_total(name, 2), 2000)
-              for name in ("vertices", "deg2", "deg3", "deg4"))
-    partition_ok = all(sum(col[n] for col in dj) == d[n] for n in range(1, 2001))
+    broken = formulas.degree_partition_break(2000)
     out.append(run.report("formulas:degree-partition", 2, 2000, "sum == 1",
-                          "sum == 1" if partition_ok else "partition broken"))
+                          "sum == 1" if broken is None else f"partition broken at n={broken}"))
     return out
 
 

@@ -22,6 +22,9 @@ TEST_ONLY = {
     # one area at a time, for criterion 8 and test_formulas; the formula
     # suite reads all of them from one sweep
     "formulas.count_polyominoes_by_area",
+    # d_{n,j} by its index j; perfbench traces it by this name, while the
+    # formula suite reads `formulas.RECURRENCES`
+    "formulas.degree_poly",
 }
 
 

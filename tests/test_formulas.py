@@ -8,19 +8,17 @@ from kbonacci.formulas import (
     binom,
     count_polyominoes_by_area,
     d2_poly,
-    d2_poly_closed,
     d3_poly,
     d3_poly_closed,
     d4_poly,
-    d4_poly_closed,
     degree_poly,
     degree_proportion_limit,
-    degree_slice_from_gf,
-    degree_slices_from_gf,
     empirical_degree_ratio,
     fib_convolution,
+    fib_convolution_closed,
     fibonacci,
     narayana,
+    narayana_binomial,
     polyomino_counts_by_area,
     t_poly,
     t_poly_closed,
@@ -94,17 +92,37 @@ class TestDegreePolynomials:
         assert d4_poly(1) == qp({0: 2})
 
     def test_closed_equals_recurrence_equals_series_slice(self):
-        closed = {2: d2_poly_closed, 3: d3_poly_closed, 4: d4_poly_closed}
-        for j in (2, 3, 4):
-            slices = degree_slice_from_gf(j, 30)
+        sides = formulas.series_sides(30)
+        for j in formulas.DEGREES:
+            name = f"d{j}"
             for n in range(1, 31):
-                assert degree_poly(j, n) == closed[j](n) == slices[n]
+                assert (degree_poly(j, n) == formulas.CLOSED_FORMS[name](n)
+                        == sides[name][n]), (name, n)
 
     def test_degree_validation(self):
-        with pytest.raises(ValueError):
-            degree_poly(5, 1)
-        with pytest.raises(ValueError):
-            degree_slice_from_gf(1, 5)
+        # one check of j, so one message, from every function that takes j
+        for bad in (1, 5):
+            for call in (lambda: degree_poly(bad, 1),
+                         lambda: degree_proportion_limit(bad),
+                         lambda: empirical_degree_ratio(bad, 10)):
+                with pytest.raises(ValueError, match=f"^degree must be 2, 3 or 4, got {bad}$"):
+                    call()
+
+
+class TestFamilyTables:
+    def test_one_entry_per_family_in_report_order(self):
+        names = ["t", "v", "d2", "d3", "d4"]
+        assert list(formulas.RECURRENCES) == list(formulas.CLOSED_FORMS) == names
+        assert list(formulas.series_sides(3)) == names
+        assert list(formulas.DEGREES) == [2, 3, 4]
+
+    def test_values_are_the_module_functions(self):
+        # perfbench's tracer rewrites the values of module-level dicts, so
+        # a call through a table counts as a call of the function
+        for table, suffix in ((formulas.RECURRENCES, "_poly"),
+                              (formulas.CLOSED_FORMS, "_poly_closed")):
+            for name, f in table.items():
+                assert f is getattr(formulas, name + suffix)
 
 
 class TestFormulaSuiteSweepsOnce:
@@ -115,13 +133,9 @@ class TestFormulaSuiteSweepsOnce:
         with pytest.raises(ValueError, match="area must be >= 1, got 0"):
             polyomino_counts_by_area(0)
 
-    def test_bulk_slices_equal_the_single_ones(self):
-        slices = degree_slices_from_gf(12)
-        assert slices == {j: degree_slice_from_gf(j, 12) for j in (2, 3, 4)}
-
     def test_one_sweep_and_one_expansion_per_degree_slice(self, monkeypatch):
-        # each degree slice specializes the other two markers before it
-        # expands, so it expands a gf in (x, q_j) alone
+        # one expansion per family; each degree slice specializes the other
+        # two markers before it expands, so it expands a gf in (x, q_j) alone
         swept, expanded = [], []
         enumerate_words, expand_ = formulas.enumerate_words, formulas.expand
 
@@ -137,22 +151,18 @@ class TestFormulaSuiteSweepsOnce:
         monkeypatch.setattr(formulas, "expand", counted_expand)
         assert verify.run_all(3, 2, suites=("formulas",)).ok
         assert swept == [(n, 2) for n in range(1, 15)]
-        assert expanded == [("q2",), ("q3",), ("q4",)]
+        assert expanded == [("p", "q"), ("p", "q"), ("q2",), ("q3",), ("q4",)]
 
 
 class TestRecurrencesAtLargeN:
-    RECURRENCES = {"t": (t_poly, t_poly_closed), "v": (v_poly, v_poly_closed),
-                   "d2": (d2_poly, d2_poly_closed), "d3": (d3_poly, d3_poly_closed),
-                   "d4": (d4_poly, d4_poly_closed)}
-
-    @pytest.mark.parametrize("name", RECURRENCES)
+    @pytest.mark.parametrize("name", formulas.RECURRENCES)
     def test_walk_reaches_n_3000_and_equals_the_closed_form(self, name):
-        walk, closed = self.RECURRENCES[name]
-        assert walk(3000) == closed(3000)
+        assert formulas.RECURRENCES[name](3000) == formulas.CLOSED_FORMS[name](3000)
 
     def test_nothing_is_cached(self):
         assert not any(hasattr(f, "cache_info")
-                       for pair in self.RECURRENCES.values() for f in pair)
+                       for table in (formulas.RECURRENCES, formulas.CLOSED_FORMS)
+                       for f in table.values())
         assert not hasattr(formulas, "lru_cache")
 
 
@@ -252,10 +262,14 @@ class TestIntegerSequences:
         assert fib_convolution(4) == 5
         assert fib_convolution(10) == sum(
             fibonacci(i) * fibonacci(10 - i) for i in range(11))
+        assert [fib_convolution_closed(n) for n in range(40)] == [
+            fib_convolution(n) for n in range(40)]
 
     def test_narayana_values(self):
         assert [narayana(n) for n in range(8)] == [1, 1, 1, 2, 3, 4, 6, 9]
         assert narayana(9) == narayana(8) + narayana(6)
+        assert [narayana_binomial(n) for n in range(60)] == [
+            narayana(n) for n in range(60)]
 
     def test_polyomino_area_counts(self):
         assert count_polyominoes_by_area(1) == 1
@@ -269,8 +283,9 @@ class TestIntegerSequences:
     def test_validation(self):
         with pytest.raises(ValueError):
             total_area_closed(0)
-        with pytest.raises(ValueError):
-            fib_convolution(-1)
+        for f in (fib_convolution, fib_convolution_closed, narayana, narayana_binomial):
+            with pytest.raises(ValueError, match="index must be >= 0, got -1"):
+                f(-1)
         with pytest.raises(ValueError):
             count_polyominoes_by_area(0)
 
@@ -295,6 +310,14 @@ class TestAsymptotics:
         assert degree_proportion_limit(2).decimal(8) == "0.21654236"
         assert degree_proportion_limit(3).decimal(8) == "0.56691527"
         assert degree_proportion_limit(4).decimal(9) == "0.216542365"
+
+    def test_format_fraction_rounds_half_away_from_zero(self):
+        cases = {(Fraction(25, 1000), 1): "0.03", (Fraction(-5, 2), 1): "-3",
+                 (Fraction(1, 2), 3): "0.500", (Fraction(9995, 1000), 3): "10.0",
+                 (Fraction(123456), 3): "123000", (Fraction(-1, 3), 4): "-0.3333",
+                 (Fraction(1, 8000), 2): "0.00013", (Fraction(0), 5): "0"}
+        for (f, digits), text in cases.items():
+            assert formulas.format_fraction(f, digits) == text, (f, digits)
 
     def test_ratios_partition_unity(self):
         for n in (1, 2, 3, 17, 100, 300):

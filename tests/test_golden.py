@@ -9,6 +9,10 @@
   column comes from the odd-run rule, as at every n.
 - golden/verify_sha256.json: `verify --suite S --max-n 6 --max-k 4
   --format text` for every suite, `all` included.
+- golden/verify_json_sha256.json: `verify --suite S --max-n 6 --max-k 5
+  --format json` for S = formulas and ham, hashed with every row's
+  elapsed_ms set to 0, so the expected and actual strings of passing
+  rows, which the text table leaves out, are pinned too.
 - golden/asymptotics_sha256.json: `asymptotics --degree D --n N` for
   D = 2, 3, 4 and N = 1, 255, 256, 1111, 2000, 3461 in text, json and
   csv; 255/256 straddle the old table's power-of-two rounding.
@@ -26,6 +30,7 @@ recorded in CHANGES.md):
     PYTHONPATH=src python tests/test_golden.py series > tests/golden/series_sha256.json
     PYTHONPATH=src python tests/test_golden.py enumerate > tests/golden/enumerate_sha256.json
     PYTHONPATH=src python tests/test_golden.py verify > tests/golden/verify_sha256.json
+    PYTHONPATH=src python tests/test_golden.py verify_json > tests/golden/verify_json_sha256.json
     PYTHONPATH=src python tests/test_golden.py asymptotics > tests/golden/asymptotics_sha256.json
     PYTHONPATH=src python tests/test_golden.py large_n > tests/golden/large_n_sha256.json
 """
@@ -78,6 +83,12 @@ def _verify_cases() -> list[tuple[str, ...]]:
             for suite in ("all", *verify.SUITES)]
 
 
+def _verify_json_cases() -> list[tuple[str, ...]]:
+    return [("verify", "--suite", suite, "--max-n", "6", "--max-k", "5",
+             "--format", "json")
+            for suite in ("formulas", "ham")]
+
+
 def _asymptotics_cases() -> list[tuple[str, ...]]:
     return [("asymptotics", "--degree", str(degree), "--n", str(n), "--format", fmt)
             for degree in (2, 3, 4) for n in (1, 255, 256, 1111, 2000, 3461)
@@ -104,6 +115,7 @@ CORPORA = {
     "series": _series_cases,
     "enumerate": _enumerate_cases,
     "verify": _verify_cases,
+    "verify_json": _verify_json_cases,
     "asymptotics": _asymptotics_cases,
     "large_n": _large_n_cases,
 }
@@ -114,7 +126,14 @@ def _digest(argv: tuple[str, ...]) -> str:
     with contextlib.redirect_stdout(out):
         code = cli.main(list(argv))
     assert code == 0, argv
-    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    text = out.getvalue()
+    if argv[0] == "verify" and argv[-1] == "json":
+        # timings vary from run to run; every other byte is pinned
+        rows = json.loads(text)
+        for row in rows:
+            row["elapsed_ms"] = 0
+        text = json.dumps(rows)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _recorded(corpus: str) -> dict[str, str]:
@@ -145,6 +164,11 @@ def test_enumerate_output_byte_identical(k):
 @pytest.mark.parametrize("argv", _verify_cases(), ids=lambda argv: argv[2])
 def test_verify_output_byte_identical(argv):
     assert _digest(argv) == _recorded("verify")[" ".join(argv)], " ".join(argv)
+
+
+@pytest.mark.parametrize("argv", _verify_json_cases(), ids=lambda argv: argv[2])
+def test_verify_json_rows_byte_identical(argv):
+    assert _digest(argv) == _recorded("verify_json")[" ".join(argv)], " ".join(argv)
 
 
 @pytest.mark.parametrize("degree", (2, 3, 4))

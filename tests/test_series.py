@@ -314,20 +314,22 @@ class TestExpand:
             expand_ints(gf_named_total("area", 2), -1)
 
     def test_expand_ints_equals_expand(self):
+        # `expand` runs `expand_ints` for a gf in x alone, so both are
+        # compared with the independent reference instead
         for k in range(2, 9):
             for name in ("area", "perimeter", "vertices", "edges",
                          "deg2", "deg3", "deg4", "ham"):
                 gf = gf_named_total(name, k)
-                assert expand_ints(gf, 300) == [c.as_int() for c in expand(gf, 300)], (name, k)
+                assert expand_ints(gf, 300) == _reference_ints(gf, 300), (name, k)
 
     def test_expand_ints_edge_cases(self):
         gf = gf_named_total("ham", 3)
-        assert expand_ints(gf, 0) == [c.as_int() for c in expand(gf, 0)] == [0]
+        assert expand_ints(gf, 0) == _reference_ints(gf, 0) == [0]
         v = ("x",)
         beyond = RationalGF(MultiPoly(v, {(0,): 3, (1,): 2, (5,): 7, (9,): -1}),
                             MultiPoly(v, {(0,): 1, (1,): -1, (2,): 3}))
         for n_max in (0, 1, 4, 5, 8, 12):
-            assert expand_ints(beyond, n_max) == [c.as_int() for c in expand(beyond, n_max)]
+            assert expand_ints(beyond, n_max) == _reference_ints(beyond, n_max)
 
     @given(small_polys(), small_polys(), small_polys(max_terms=3, max_exp=3))
     @settings(max_examples=30)
@@ -339,6 +341,10 @@ class TestExpand:
         gab = RationalGF(a + b, den)
         ca, cb, cab = expand(ga, 6), expand(gb, 6), expand(gab, 6)
         assert all(ca[n] + cb[n] == cab[n] for n in range(7))
+
+
+def _reference_ints(gf, n_max):
+    return [c.as_int() for c in _expand_reference(gf, n_max)]
 
 
 def _expand_reference(gf, n_max):

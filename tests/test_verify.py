@@ -110,7 +110,7 @@ class TestFormulaRows:
             t = t_poly_closed(n)
             return t + MultiPoly.monomial(("p", "q"), 1, p=6, q=5) if n == 4 else t
 
-        monkeypatch.setattr(formulas, "t_poly_closed", corrupt)
+        monkeypatch.setitem(formulas.CLOSED_FORMS, "t", corrupt)
         row = self._row("formulas:t", 4)
         assert row.status == "fail"
         assert row.expected == formulas.t_poly(4).to_text()
@@ -119,14 +119,14 @@ class TestFormulaRows:
         assert self._row("formulas:t", 3).status == "pass"
 
     def test_a_failing_row_names_the_series(self, monkeypatch):
-        slices = formulas.degree_slices_from_gf
+        sides = formulas.series_sides
 
         def corrupt(n_max):
-            out = slices(n_max)
-            out[3][2] = out[3][2] - MultiPoly.constant(("q",), 1)
+            out = sides(n_max)
+            out["d3"][2] = out["d3"][2] - MultiPoly.constant(("q",), 1)
             return out
 
-        monkeypatch.setattr(formulas, "degree_slices_from_gf", corrupt)
+        monkeypatch.setattr(formulas, "series_sides", corrupt)
         row = self._row("formulas:d3", 2)
         assert row.status == "fail"
         # d_{2,3} = 3*q^2
@@ -136,6 +136,32 @@ class TestFormulaRows:
         row = self._row("formulas:d2", 5)
         assert row.status == "pass"
         assert row.actual == row.expected == formulas.degree_poly(2, 5).to_text()
+
+    @staticmethod
+    def _failing_formula_rows(capsys):
+        """The failing rows of `verify --suite formulas`, which must exit 1:
+        a wrong identity is a failing row, not an abort."""
+        code = cli.main(["verify", "--suite", "formulas", "--max-n", "2", "--max-k", "2",
+                         "--format", "json"])
+        assert code == 1
+        return [r for r in json.loads(capsys.readouterr().out) if r["status"] == "fail"]
+
+    def test_a_wrong_fib_convolution_closed_form_fails_its_row(self, capsys, monkeypatch):
+        closed = formulas.fib_convolution_closed
+        monkeypatch.setattr(formulas, "fib_convolution_closed",
+                            lambda n: closed(n) + (n == 7))
+        [row] = self._failing_formula_rows(capsys)
+        assert (row["family"], row["n"]) == ("formulas:fib-conv", 7)
+        c7 = sum(formulas.fibonacci(i) * formulas.fibonacci(7 - i) for i in range(8))
+        assert row["actual"] == f"sum {c7}, closed form {c7 + 1}"
+
+    def test_a_wrong_narayana_binomial_sum_fails_its_row(self, capsys, monkeypatch):
+        binomial = formulas.narayana_binomial
+        monkeypatch.setattr(formulas, "narayana_binomial", lambda n: binomial(n) - (n == 6))
+        [row] = self._failing_formula_rows(capsys)
+        # b_6 = 6 counts the polyominoes of area 5
+        assert (row["family"], row["n"]) == ("formulas:narayana", 5)
+        assert (row["expected"], row["actual"]) == ("6", "binomial sum 5")
 
 
 class TestTotalsAndPairs:
@@ -154,6 +180,17 @@ class TestTotalsAndPairs:
         reports = ham_pair_check(7, 12)
         assert {r.k for r in reports} == {2, 4, 6}
         assert all(r.status == "pass" for r in reports)
+
+    def test_a_wrong_odd_hamiltonian_gf_fails_its_pairs(self, monkeypatch):
+        # the odd side comes from the multivariate gf of 2j+1, not from the
+        # named total, which reads k only through 2*floor(k/2)
+        gf_hamiltonian = series.gf_hamiltonian
+        monkeypatch.setattr(series, "gf_hamiltonian",
+                            lambda k: gf_hamiltonian(k + 1 if k % 2 else k))
+        reports = ham_pair_check(5, 12)
+        failing = {(r.k, r.n) for r in reports if r.status == "fail"}
+        assert {k for k, _ in failing} == {2, 4}
+        assert all(r.status == "pass" for r in reports if r.n < 3)
 
 
 class TestReversal:
@@ -421,7 +458,7 @@ class TestSharingWeakensNoCheck:
             "asymmetric at 0011")
 
     def test_a_corrupt_degree_count_breaks_the_partition(self, monkeypatch):
-        expand_ints = series.expand_ints
+        expand_ints = formulas.expand_ints
         deg3 = series.gf_named_total("deg3", 2)
 
         def corrupt(gf, n_max):
@@ -430,9 +467,10 @@ class TestSharingWeakensNoCheck:
                 coeffs[1234] += 1
             return coeffs
 
-        monkeypatch.setattr(series, "expand_ints", corrupt)
+        monkeypatch.setattr(formulas, "expand_ints", corrupt)
         summary = run_all(3, 2, suites=("formulas",))
         assert [r.family for r in summary.failing] == ["formulas:degree-partition"]
+        assert summary.failing[0].actual == "partition broken at n=1234"
 
 
 class TestRendering:
