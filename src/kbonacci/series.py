@@ -37,6 +37,8 @@ class MultiPoly:
     def __init__(self, variables: Sequence[str],
                  terms: Mapping[tuple[int, ...], int] | None = None):
         variables = tuple(variables)
+        if any(type(v) is not str or not v for v in variables):
+            raise ValueError(f"variable names {variables} are not all nonempty strs")
         if len(set(variables)) != len(variables):
             raise ValueError(f"repeated variable name in {variables}")
         object.__setattr__(self, "variables", variables)
@@ -47,8 +49,8 @@ class MultiPoly:
             if len(exps) != arity:
                 raise ValueError(f"exponent vector {exps} has arity {len(exps)}, "
                                  f"expected {arity}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
+            if any(type(e) is not int or e < 0 for e in exps):
+                raise ValueError(f"exponent in {exps} is negative or not an int")
             if type(coef) is not int:
                 raise ValueError(f"coefficient {coef!r} of {exps} is not an int")
             if coef:
@@ -240,7 +242,8 @@ class MultiPoly:
 
 class RationalGF:
     """Quotient of two polynomials whose first variable is the series
-    variable ``x``; the denominator's constant term normalizes to 1."""
+    variable ``x``; the denominator's x^0 slice must be the constant 1
+    (D(0) = 1), which is what `expand`'s recurrence needs."""
 
     __slots__ = ("numerator", "denominator")
 
@@ -249,22 +252,9 @@ class RationalGF:
             raise ValueError("numerator and denominator must share variables")
         if not numerator.variables or numerator.variables[0] != "x":
             raise ValueError("the first variable must be the series variable x")
-        arity = len(denominator.variables)
-        const = denominator.terms.get((0,) * arity, 0)
-        if const == 0:
-            raise ValueError("denominator has no constant term; cannot expand")
-        if const != 1:
-            def exact_div(p: MultiPoly) -> MultiPoly:
-                out = {}
-                for e, c in p.terms.items():
-                    if c % const:
-                        raise ValueError(
-                            f"denominator constant term {const} does not divide "
-                            "all coefficients; normalization impossible")
-                    out[e] = c // const
-                return MultiPoly(p.variables, out)
-            numerator = exact_div(numerator)
-            denominator = exact_div(denominator)
+        x0_slice = {e: c for e, c in denominator.terms.items() if not e[0]}
+        if x0_slice != {(0,) * len(denominator.variables): 1}:
+            raise ValueError("denominator's x^0 slice must be the constant 1")
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
 
@@ -282,11 +272,10 @@ class RationalGF:
     def specialize(self, values: Mapping[str, int]) -> "RationalGF":
         """Substitute integers for some auxiliary variables in the
         numerator and the denominator; an unknown name, or x, is a
-        `ValueError`.  Substitution is a ring map that fixes x, and
-        `expand` requires the denominator's x^0 slice to be the constant
-        1, which it leaves as it is; so wherever `expand` accepts this
-        gf, expanding the result equals specializing every coefficient
-        of its expansion."""
+        `ValueError`.  Substitution is a ring map that fixes x and
+        constants, so it leaves the denominator's x^0 slice the constant
+        1, and expanding the result equals specializing every
+        coefficient of this gf's expansion."""
         # without x the result fails RationalGF's own first-variable check
         return RationalGF(self.numerator.specialize(values),
                           self.denominator.specialize(values))
@@ -343,16 +332,14 @@ def expand(gf: RationalGF, n_max: int) -> list[MultiPoly]:
             num.setdefault(exps[0], {})[pack(exps)] = coef
     den: dict[int, list[tuple[int, int]]] = {}
     for exps, coef in den_terms.items():
-        den.setdefault(exps[0], []).append((pack(exps), coef))
-    if den.pop(0, None) != [(0, 1)]:
-        raise ValueError("denominator's x^0 slice must be the constant 1")
+        if exps[0]:
+            den.setdefault(exps[0], []).append((pack(exps), coef))
     den_slices = sorted(den.items())
     depth = den_slices[-1][0] if den_slices else 0
 
     def unpack(packed: dict[int, int]) -> MultiPoly:
         fields = [[(key >> s) & mask for key in packed] for s in shifts]
-        exps = zip(*fields) if fields else [()] * len(packed)
-        return MultiPoly._trusted(aux, dict(zip(exps, packed.values())))
+        return MultiPoly._trusted(aux, dict(zip(zip(*fields), packed.values())))
 
     coeffs: list[MultiPoly] = []
     window: list[dict[int, int]] = []  # c_{n-depth}..c_{n-1}, packed
@@ -376,7 +363,8 @@ def expand(gf: RationalGF, n_max: int) -> list[MultiPoly]:
 
 def expand_ints(gf: RationalGF, n_max: int) -> list[int]:
     """expand() for a univariate gf, coefficients as plain integers: the
-    same recurrence c_n = N_n - sum_{j>=1} D_j c_{n-j} on ints."""
+    same recurrence c_n = N_n - sum_{j>=1} D_j c_{n-j} on ints, with
+    D_0 = 1 guaranteed by `RationalGF`."""
     if gf.aux_variables:
         raise ValueError("expand_ints requires a gf in x alone")
     if n_max < 0:

@@ -102,10 +102,13 @@ def generalized_fibonacci(n: int, k: int) -> int:
     O(log n) big-int products: F(2m) = F(m)(2F(m+1) - F(m)) and
     F(2m+1) = F(m)^2 + F(m+1)^2.  Other k take O(n) additions on a ring
     of the last k values: doubling there (Fiduccia) needs O(k^2 log n)
-    big products, which loses to the ring at large k."""
+    big products, which loses to the ring at large k.  Up to index k + 1
+    each value is the sum of all earlier ones, so F(n, k) = F(n, n - 1)
+    for k >= n - 1, and the ring never holds more than n - 1 slots."""
     _check_k(k)
     if n <= 0:
         return 0
+    k = max(2, min(k, n - 1))
     if k == 2:
         a, b = 0, 1  # F(m), F(m+1) for m the leading bits of n read so far
         for bit in bin(n)[2:]:

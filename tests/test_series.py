@@ -59,6 +59,21 @@ class TestMultiPolyAlgebra:
         with pytest.raises(ValueError):
             MultiPoly(PQ, {(-1, 0): 1})
 
+    @pytest.mark.parametrize("exps", [(1.0, 2), (1, 2.5), (True, 0), (0, False)])
+    def test_non_int_exponent_rejected(self, exps):
+        with pytest.raises(ValueError, match="negative or not an int"):
+            MultiPoly(("x", "q"), {exps: 3})
+        with pytest.raises(ValueError, match="negative or not an int"):
+            MultiPoly(("x", "q"), {exps: 0})
+
+    @pytest.mark.parametrize("variables", [("",), (1,), ("p", None), ("p", ("q",))])
+    def test_variable_names_must_be_nonempty_strs(self, variables):
+        exps = (1,) * len(variables)
+        with pytest.raises(ValueError, match="not all nonempty strs"):
+            MultiPoly(variables, {exps: 1})
+        with pytest.raises(ValueError, match="not all nonempty strs"):
+            MultiPoly.zero(variables)
+
     def test_repeated_variable_name_rejected(self):
         with pytest.raises(ValueError, match="repeated variable"):
             MultiPoly(("p", "p"), {(1, 2): 3})
@@ -268,13 +283,12 @@ class TestRationalGF:
         with pytest.raises(ValueError):
             RationalGF(one, one)
 
-    def test_constant_normalization(self):
+    def test_non_unit_constant_rejected(self):
+        # every coefficient is divisible by the constant term; still refused
         x = ("x",)
-        num = MultiPoly(x, {(1,): 2})
-        den = MultiPoly(x, {(0,): 2, (1,): -4})
-        gf = RationalGF(num, den)
-        assert gf.denominator == MultiPoly(x, {(0,): 1, (1,): -2})
-        assert gf.numerator == MultiPoly(x, {(1,): 1})
+        for const in (2, -1):
+            with pytest.raises(ValueError, match=r"x\^0 slice must be the constant 1"):
+                RationalGF(MultiPoly(x, {(1,): 2}), MultiPoly(x, {(0,): const, (1,): -4}))
 
     def test_zero_constant_rejected(self):
         x = ("x",)
@@ -393,9 +407,9 @@ class TestUnivariateKernel:
             RationalGF(MultiPoly.zero(v), den),
             RationalGF(MultiPoly(v, {(0,): 3, (1,): 2, (5,): 7, (9,): -1}), den),
             RationalGF(MultiPoly(v, {(0,): 5}), MultiPoly.constant(v, 1)),
-            # non-unit constant term, normalised away by RationalGF
-            RationalGF(MultiPoly(v, {(1,): 6, (2,): -3}),
-                       MultiPoly(v, {(0,): -3, (1,): 6, (3,): 9})),
+            # (6x - 3x^2) / (-3 + 6x + 9x^3), divided through by -3
+            RationalGF(MultiPoly(v, {(1,): -2, (2,): 1}),
+                       MultiPoly(v, {(0,): 1, (1,): -2, (3,): -3})),
         ]
         for gf in cases:
             for n_max in (0, 1, 4, 5, 8, 12):
@@ -459,6 +473,55 @@ def random_gfs(aux=("p", "q"), max_exp=60):
         MultiPoly(variables, nd[0]), MultiPoly(variables, {**nd[1], **one})))
 
 
+@st.composite
+def unchecked_gf_terms(draw):
+    """Numerator and denominator term dicts over (x,), (x, p) or (x, p, q)
+    that RationalGF may refuse: the denominator's x^0 slice is the
+    constant 1, 0, 2 or -1, sometimes with a marker term beside it, and
+    a term may carry a float or bool exponent."""
+    variables = draw(st.sampled_from((("x",), ("x", "p"), ("x", "p", "q"))))
+    aux_exps = [st.integers(0, 6)] * (len(variables) - 1)
+    coefs = st.integers(-9, 9)
+    num = draw(st.dictionaries(st.tuples(st.integers(0, 4), *aux_exps), coefs, max_size=5))
+    den = draw(st.dictionaries(st.tuples(st.integers(1, 4), *aux_exps), coefs, max_size=5))
+    den[(0,) * len(variables)] = draw(st.sampled_from((1, 1, 1, 0, 2, -1)))
+    if len(variables) > 1 and draw(st.integers(0, 3)) == 0:
+        den[(0, *draw(st.tuples(st.integers(1, 3), *aux_exps[1:])))] = draw(
+            st.sampled_from((1, -1, 4)))
+    if draw(st.integers(0, 3)) == 0:
+        exps = list(draw(st.tuples(st.integers(0, 4), *aux_exps)))
+        exps[draw(st.integers(0, len(exps) - 1))] = draw(
+            st.sampled_from((0.0, 1.0, 2.5, True, False)))
+        draw(st.sampled_from((num, den)))[tuple(exps)] = draw(coefs)
+    return variables, num, den
+
+
+def _acceptable(variables, num, den):
+    """RationalGF's preconditions, stated independently of series.py."""
+    if any(type(e) is not int for exps in (*num, *den) for e in exps):
+        return False
+    return {e: c for e, c in den.items() if e[0] == 0 and c} == {(0,) * len(variables): 1}
+
+
+class TestConstructionIsTheOnlyFailurePoint:
+    """Whatever RationalGF accepts, both kernels expand exactly; whatever
+    they could not expand, construction refuses with a ValueError."""
+
+    @given(unchecked_gf_terms(), st.integers(0, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_gfs_expand_like_the_reference(self, terms, n_max):
+        variables, num, den = terms
+        try:
+            gf = RationalGF(MultiPoly(variables, num), MultiPoly(variables, den))
+        except ValueError:
+            assert not _acceptable(variables, num, den)
+            return
+        assert _acceptable(variables, num, den)
+        assert expand(gf, n_max) == _expand_reference(gf, n_max)
+        if not gf.aux_variables:
+            assert expand_ints(gf, n_max) == _reference_ints(gf, n_max)
+
+
 class TestExpandEquivalence:
     def test_family_constructors(self):
         for k in range(2, 7):
@@ -505,19 +568,17 @@ class TestExpandEquivalence:
                         MultiPoly.constant(v, 1))
         assert expand(gf, 5) == _expand_reference(gf, 5)
 
-    def test_normalised_denominator_constant(self):
+    def test_non_unit_denominator_constant_rejected(self):
         v = ("x", "p")
-        gf = RationalGF(MultiPoly(v, {(1, 2): 6, (2, 0): -3}),
-                        MultiPoly(v, {(0, 0): -3, (1, 1): 6, (3, 4): 9}))
-        assert gf.denominator.terms[(0, 0)] == 1
-        assert expand(gf, 12) == _expand_reference(gf, 12)
+        with pytest.raises(ValueError, match=r"x\^0 slice must be the constant 1"):
+            RationalGF(MultiPoly(v, {(1, 2): 6, (2, 0): -3}),
+                       MultiPoly(v, {(0, 0): -3, (1, 1): 6, (3, 4): 9}))
 
     def test_x0_slice_must_be_one(self):
         v = ("x", "p")
-        gf = RationalGF(MultiPoly(v, {(1, 0): 1}),
-                        MultiPoly(v, {(0, 0): 1, (0, 1): 1}))
-        with pytest.raises(ValueError):
-            expand(gf, 3)
+        with pytest.raises(ValueError, match=r"x\^0 slice must be the constant 1"):
+            RationalGF(MultiPoly(v, {(1, 0): 1}),
+                       MultiPoly(v, {(0, 0): 1, (0, 1): 1}))
 
     @given(random_gfs(), st.integers(0, 12))
     @settings(max_examples=60, deadline=None)

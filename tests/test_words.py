@@ -1,4 +1,5 @@
 from functools import lru_cache
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -89,6 +90,28 @@ class TestGeneralizedFibonacci:
         for k in range(2, 9):
             for n in range(-2, 201):
                 assert generalized_fibonacci(n, k) == window_version(n, k), (n, k)
+
+    def test_k_far_beyond_n_allocates_no_ring_of_k_slots(self):
+        tracemalloc.start()
+        try:
+            value = generalized_fibonacci(5, 10 ** 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 8
+        assert peak < 2 ** 20
+
+    def test_k_near_and_beyond_n_matches_an_additive_loop(self):
+        def additive(n, k):
+            values = [1]  # F(1)
+            while len(values) < n:
+                values.append(sum(values[-k:]))
+            return values[n - 1]
+
+        for n in range(1, 40):
+            for k in {*range(max(2, n - 2), n + 2), 10 ** 7}:
+                assert generalized_fibonacci(n, k) == additive(n, k), (n, k)
+        assert count_words(3, 10 ** 7) == 8
 
     def test_k2_doubling_matches_an_additive_loop(self):
         # k = 2 runs by doubling; this loop shares no code with it
