@@ -6,7 +6,7 @@ have one implementation each, on integer vertex ids: `degree_counts`,
 `has_hamiltonian_cycle` and `mirrored`.  `word_stats` feeds the first
 two `polyomino.geometry` directly and is the one source of every
 per-word statistic; the `GridGraph` functions relabel their (x, y)
-vertices to ids first.  Hamiltonicity also has one O(n) fast path,
+vertices to their ranks first.  Hamiltonicity also has one O(n) fast path,
 `hamiltonian_by_odd_runs`, which `frontier.check_ham_rule` proves equal
 to the search on every word; the search stays as its independent oracle.
 """
@@ -43,21 +43,15 @@ def build_graph(p: Polyomino) -> GridGraph:
                      frozenset((divmod(u, 3), divmod(v, 3)) for u, v in geo.edges))
 
 
-def _relabel(g: GridGraph) -> tuple[list[int], list[tuple[int, int]],
+def _relabel(g: GridGraph) -> tuple[range, list[tuple[int, int]],
                                     Callable[[int], Vertex]]:
-    """`g` on the ids (x - x0)·H + (y - y0), with (x0, y0) the least
-    coordinates and H the height of the vertex set, so that ids order as
-    the (x, y) pairs do.  Returns the ascending ids, the edges as id pairs
-    in ascending (that is, sorted `g.edges`) order, and the map back."""
-    x0 = min((x for x, _ in g.vertices), default=0)
-    y0 = min((y for _, y in g.vertices), default=0)
-    h = max((y for _, y in g.vertices), default=0) - y0 + 1
-    ids = {v: (v[0] - x0) * h + v[1] - y0 for v in g.vertices}
-
-    def corner(v: int) -> Vertex:
-        return v // h + x0, v % h + y0
-
-    return sorted(ids.values()), sorted((ids[u], ids[v]) for u, v in g.edges), corner
+    """`g` on the ids 0, 1, ..., each vertex's rank in sorted (x, y)
+    order, so that ids order as the (x, y) pairs do.  Returns the ids,
+    the edges as id pairs in ascending (that is, sorted `g.edges`) order,
+    and the map back."""
+    order = sorted(g.vertices)
+    rank = {v: i for i, v in enumerate(order)}
+    return range(len(order)), sorted((rank[u], rank[v]) for u, v in g.edges), order.__getitem__
 
 
 def degree_counts(vertices: Sequence[int], edges: Sequence[tuple[int, int]],
@@ -100,8 +94,9 @@ def mirrored(geo: Geometry) -> Geometry:
 
 def grid_hamiltonian_rule(m: int, n: int) -> bool:
     """Whether the grid graph on an m x n vertex array has a Hamiltonian
-    cycle: true iff m*n is even, or m = n = 1."""
-    return (m * n) % 2 == 0 or (m == 1 and n == 1)
+    cycle: true iff m, n >= 2 and m*n is even (a 1 x n strip is a path),
+    or, by convention, m = n = 1."""
+    return m >= 2 and n >= 2 and m * n % 2 == 0 or m == n == 1
 
 
 def has_hamiltonian_cycle(vertices: Sequence[int],
@@ -114,8 +109,10 @@ def has_hamiltonian_cycle(vertices: Sequence[int],
     both edges at every degree-2 vertex); closing a cycle before all
     vertices are covered is a dead end.  Branching takes the first
     undecided edge in the order of `edges`, chosen first, so the search
-    is deterministic.  Decisions go on a trail and are undone on
-    backtracking (Knuth, TAOCP 7.2.2); nothing is copied.
+    is deterministic.  Decisions go on a trail; a dead end pops the latest
+    pending branch, undoes the trail back to it and decides its edge out.
+    It is one loop, with no recursion limit, and copies nothing (Knuth,
+    TAOCP 7.2.2, Algorithm B).
     """
     n = len(vertices)
     if n < 3:
@@ -125,7 +122,7 @@ def has_hamiltonian_cycle(vertices: Sequence[int],
     for i, (u, v) in enumerate(edges):
         incident[u].append(i)
         incident[v].append(i)
-    state = [_UNDECIDED] * len(edges)
+    state = [_UNDECIDED] * (len(edges) + 1)  # and a sentinel after the last edge
     chosen_at = [0] * size                # chosen edges at each vertex
     open_at = [len(f) for f in incident]  # undecided edges at each vertex
     end = list(range(size))  # at an end of a chosen path: its other end
@@ -180,8 +177,25 @@ def has_hamiltonian_cycle(vertices: Sequence[int],
                     queue.append(u + v - w)
         return True
 
-    def undo(to_trail: int, to_links: int, to_chosen: int) -> None:
-        nonlocal chosen
+    # pending branches: the edge tried _IN, and len(trail), len(links), chosen before
+    stack: list[tuple[int, int, int, int]] = []
+    branch = 0
+    consistent = settle(list(vertices))
+    while True:
+        if consistent:
+            # edges before the last branch edge are all decided
+            branch = state.index(_UNDECIDED, branch)
+            if branch < len(edges):
+                stack.append((branch, len(trail), len(links), chosen))
+                consistent = put(branch, _IN) and settle(list(edges[branch]))
+                continue
+            # every vertex has at most two chosen edges, so n of them
+            # means exactly two at each: one cycle through all vertices
+            if chosen == n:
+                return True
+        if not stack:
+            return False
+        branch, to_trail, to_links, chosen = stack.pop()
         for e in trail[to_trail:]:
             u, v = edges[e]
             open_at[u] += 1
@@ -194,23 +208,7 @@ def has_hamiltonian_cycle(vertices: Sequence[int],
         for i in range(len(links) - 2, to_links - 1, -2):
             end[links[i]] = links[i + 1]
         del links[to_links:]
-        chosen = to_chosen
-
-    def solve(first: int) -> bool:
-        try:  # edges before the last branch edge are all decided
-            branch = state.index(_UNDECIDED, first)
-        except ValueError:
-            # every vertex has at most two chosen edges, so n of them
-            # means exactly two at each: one cycle through all vertices
-            return chosen == n
-        mark = len(trail), len(links), chosen
-        for val in (_IN, _OUT):
-            if put(branch, val) and settle(list(edges[branch])) and solve(branch):
-                return True
-            undo(*mark)
-        return False
-
-    return settle(list(vertices)) and solve(0)
+        consistent = put(branch, _OUT) and settle(list(edges[branch]))
 
 
 # The odd-run rule as a DFA on the letters 0 and 1: state 0 is outside a
@@ -239,9 +237,9 @@ def hamiltonian_by_odd_runs(w: Word) -> bool:
 def is_hamiltonian(g: GridGraph) -> bool:
     """Whether `g` has a Hamiltonian cycle, decided by `has_hamiltonian_cycle`.
 
-    The vertices are relabelled to the order-preserving ids
-    (x - x0)·H + (y - y0) (H the height of the vertex set), so the search
-    branches on edges in sorted (x, y) endpoint order, chosen first.
+    The vertices are relabelled to their ranks in sorted (x, y) order, so
+    the search branches on edges in sorted (x, y) endpoint order, chosen
+    first.
     """
     vertices, edges, _ = _relabel(g)
     return has_hamiltonian_cycle(vertices, edges)

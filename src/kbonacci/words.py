@@ -11,23 +11,27 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
+_LETTERS = {0: 0, 1: 1, "0": 0, "1": 1}
+_LETTER_TYPES = {int, str}
+
+
 def _as_bits(bits: Iterable[int] | str) -> tuple[int, ...]:
-    if isinstance(bits, str):
-        out = []
-        for ch in bits:
-            if ch not in "01":
-                raise ValueError(f"invalid character {ch!r} in word")
-            out.append(int(ch))
-        return tuple(out)
-    out = tuple(map(int, bits))
-    if not {*out} <= {0, 1}:
-        raise ValueError("word letters must be 0 or 1")
-    return out
+    """The 0/1 tuple of a word given by its letters, each the int 0 or 1
+    or the character "0" or "1" (not 1.0 or True, which equal 1)."""
+    bits = tuple(bits)
+    try:
+        if {*map(type, bits)} <= _LETTER_TYPES:
+            return tuple(map(_LETTERS.__getitem__, bits))
+    except KeyError:
+        pass
+    bad = next(b for b in bits if type(b) not in _LETTER_TYPES or b not in _LETTERS)
+    raise ValueError(f"invalid letter {bad!r} in word")
 
 
-def _check_k(k: int) -> None:
-    if k < 2:
-        raise ValueError(f"avoidance parameter k must be >= 2, got {k}")
+def check_k(k: int) -> None:
+    """Reject an avoidance parameter k that is not an int >= 2."""
+    if type(k) is not int or k < 2:
+        raise ValueError(f"avoidance parameter k must be an int >= 2, got {k!r}")
 
 
 def _avoids(bits: tuple[int, ...], k: int) -> bool:
@@ -42,7 +46,7 @@ def _avoids(bits: tuple[int, ...], k: int) -> bool:
 
 def is_kbonacci(bits: Iterable[int] | str, k: int) -> bool:
     """True iff no run of 1's in `bits` has length >= k."""
-    _check_k(k)
+    check_k(k)
     return _avoids(_as_bits(bits), k)
 
 
@@ -56,13 +60,13 @@ class Word:
     def __post_init__(self) -> None:
         bits = _as_bits(self.bits)
         object.__setattr__(self, "bits", bits)
-        _check_k(self.k)
+        check_k(self.k)
         if not _avoids(bits, self.k):
             raise ValueError(f"word {self.text!r} contains {self.k} consecutive 1's")
 
     @classmethod
     def from_text(cls, text: str, k: int) -> "Word":
-        return cls(_as_bits(text), k)
+        return cls(text, k)
 
     @property
     def text(self) -> str:
@@ -105,7 +109,7 @@ def generalized_fibonacci(n: int, k: int) -> int:
     big products, which loses to the ring at large k.  Up to index k + 1
     each value is the sum of all earlier ones, so F(n, k) = F(n, n - 1)
     for k >= n - 1, and the ring never holds more than n - 1 slots."""
-    _check_k(k)
+    check_k(k)
     if n <= 0:
         return 0
     k = max(2, min(k, n - 1))
@@ -131,7 +135,7 @@ def generalized_fibonacci(n: int, k: int) -> int:
 
 def count_words(n: int, k: int) -> int:
     """Number of valid words of length n, i.e. F(n+2, k)."""
-    _check_k(k)
+    check_k(k)
     if n < 0:
         raise ValueError(f"word length must be >= 0, got {n}")
     return generalized_fibonacci(n + 2, k)
@@ -145,7 +149,7 @@ def iter_words(n: int, k: int) -> Iterator[Word]:
     does, and every letter after it becomes 0.  Invalid words are never
     materialized, and no recursion limits n.
     """
-    _check_k(k)
+    check_k(k)
     if n < 0:
         raise ValueError(f"word length must be >= 0, got {n}")
     bits = [0] * n

@@ -169,3 +169,38 @@ def test_only_series_builds_unchecked_polynomials():
     for path in sorted(SRC.glob("*.py")):
         names = {name for name, _ in _called_names(ast.parse(path.read_text()))}
         assert ("_trusted" in names) == (path.name == "series.py"), path.name
+
+
+def _self_calls(tree: ast.AST) -> list[str]:
+    """Every function under `tree` that calls itself, by its bare name or
+    as `self.<name>` (a call on another object, such as
+    `self.numerator.specialize`, is not a self call)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(node):
+                func = call.func if isinstance(call, ast.Call) else None
+                if (isinstance(func, ast.Name) and func.id == node.name
+                        or isinstance(func, ast.Attribute) and func.attr == node.name
+                        and isinstance(func.value, ast.Name) and func.value.id == "self"):
+                    out.append(node.name)
+                    break
+    return out
+
+
+def test_the_self_call_finder():
+    tree = ast.parse("def f(n):\n    return f(n - 1)\n"
+                     "class A:\n"
+                     "    def g(self):\n        return self.g()\n"
+                     "    def h(self):\n        return self.x.h()\n"
+                     "def outer():\n"
+                     "    def inner(k):\n        return inner(k - 1)\n"
+                     "    return inner(3)\n")
+    assert sorted(_self_calls(tree)) == ["f", "g", "inner"]
+
+
+def test_no_function_calls_itself():
+    """No recursion in the package, so no recursion limit caps n."""
+    found = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+             for name in _self_calls(ast.parse(path.read_text()))]
+    assert found == []

@@ -127,6 +127,14 @@ class TestHamiltonianRule:
             for n in range(2, 5):
                 assert is_hamiltonian(rectangle_grid(m, n)) == grid_hamiltonian_rule(m, n)
 
+    def test_strips_are_paths(self):
+        for n in range(2, 7):
+            assert grid_hamiltonian_rule(1, n) is False
+            assert grid_hamiltonian_rule(n, 1) is False
+            if n >= 3:
+                assert is_hamiltonian(rectangle_grid(1, n)) is False
+                assert is_hamiltonian(rectangle_grid(n, 1)) is False
+
     def test_relabelling_ignores_position(self):
         for m, n in ((2, 3), (3, 3), (4, 5)):
             g = rectangle_grid(m, n)
@@ -152,6 +160,10 @@ class TestIsHamiltonian:
         tiny = GridGraph(frozenset([(0, 0), (1, 0)]), frozenset([((0, 0), (1, 0))]))
         with pytest.raises(ValueError):
             is_hamiltonian(tiny)
+
+    def test_long_words_need_no_recursion(self):
+        assert word_stats(Word("10" * 995, 2), True).ham == 1
+        assert word_stats(Word("1" * 995, 996), True).ham == 1
 
     def test_fibonacci_graphs_always_hamiltonian(self):
         for n in range(1, 11):

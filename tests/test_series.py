@@ -55,6 +55,16 @@ class TestMultiPolyAlgebra:
         with pytest.raises(ValueError):
             MultiPoly(PQ, {(1,): 1})
 
+    @pytest.mark.parametrize("key", [1, "ab", "a", frozenset({1})])
+    def test_key_must_be_a_tuple(self, key):
+        with pytest.raises(ValueError, match="is not a tuple of arity 1"):
+            MultiPoly(("x",), {key: 1})
+
+    @pytest.mark.parametrize("power", [2.5, 2.0, True, -1, "2", None])
+    def test_power_must_be_a_non_negative_int(self, power):
+        with pytest.raises(ValueError, match="is not a non-negative int"):
+            MultiPoly(("x",), {(1,): 1}) ** power
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             MultiPoly(PQ, {(-1, 0): 1})
@@ -592,6 +602,13 @@ class TestExpandEquivalence:
 
 
 class TestFamilyConstructors:
+    @pytest.mark.parametrize("k", [1, 2.0, 2.5, True])
+    def test_k_must_be_an_int_of_at_least_two(self, k):
+        for build in (gf_polyomino, gf_graph, gf_degree, gf_hamiltonian, gf_deg4_alternate,
+                      lambda k: gf_named_total("vertices", k)):
+            with pytest.raises(ValueError, match="must be an int >= 2"):
+                build(k)
+
     def test_polyomino_coefficients(self):
         coeffs = expand(gf_polyomino(3), 3)
         assert coeffs[1] == pq({(2, 1): 1, (3, 2): 1})

@@ -213,3 +213,47 @@ class TestWord:
         w = Word(tuple(bits), k)
         assert reverse(reverse(w)) == w
         assert is_kbonacci(reverse(w).bits, k)
+
+
+class TestLetters:
+    """A letter is the int 0 or 1 or the character "0" or "1", nothing
+    that merely converts to one."""
+
+    @pytest.mark.parametrize("bits", [[0.5, 1], [1.9, 0], [" 1"], [1.0, 0], [True, 0],
+                                      ["1", 2], "1 0", [[1]]])
+    def test_non_letters_rejected(self, bits):
+        with pytest.raises(ValueError, match="invalid letter"):
+            Word(bits, 2)
+        with pytest.raises(ValueError, match="invalid letter"):
+            is_kbonacci(bits, 3)
+
+    def test_float_letters_are_not_kbonacci(self):
+        with pytest.raises(ValueError, match=r"invalid letter 0\.7"):
+            is_kbonacci([0.7, 1.2], 2)
+
+    def test_ints_characters_and_iterators_read_alike(self):
+        for bits in ("0101", [0, 1, 0, 1], (0, 1, "0", "1"), iter("0101"), map(int, "0101")):
+            assert Word(bits, 2).bits == (0, 1, 0, 1)
+        assert Word("", 2).bits == Word([], 2).bits == ()
+
+
+class TestIntK:
+    """k is an int >= 2 at every entry point, checked before any work."""
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, True, "3", None])
+    def test_non_int_k_rejected(self, k):
+        with pytest.raises(ValueError, match="must be an int >= 2"):
+            Word((1,), k)
+        with pytest.raises(ValueError, match="must be an int >= 2"):
+            is_kbonacci("1", k)
+        with pytest.raises(ValueError, match="must be an int >= 2"):
+            count_words(5, k)
+        with pytest.raises(ValueError, match="must be an int >= 2"):
+            generalized_fibonacci(5, k)
+        with pytest.raises(ValueError, match="must be an int >= 2"):
+            enumerate_words(3, k)
+
+    def test_iter_words_rejects_before_yielding(self):
+        words = iter_words(3, 2.5)
+        with pytest.raises(ValueError, match="must be an int >= 2"):
+            next(words)
