@@ -124,8 +124,8 @@ def cmd_enumerate(args) -> int:
         return 0
     # Hamiltonicity by the proved odd-run rule, at every n; the backtracker
     # is left to `verify` as its oracle
-    rows = ((w, graph.word_stats(w, False), graph.hamiltonian_by_odd_runs(w))
-            for w in word_iter)
+    rows = ((w, s, graph.hamiltonian_by_odd_runs(w))
+            for w, s in graph.sweep_stats(word_iter, False))
     if args.format == "json":
         _print_json_list(
             {"word": w.text, "heights": list(polyomino.from_word(w).heights),

@@ -3,20 +3,25 @@ sides are edges.  All vertices have degree 2, 3 or 4.
 
 The degree profile, the Hamiltonicity search and the mirror x -> n - x
 have one implementation each, on integer vertex ids: `degree_counts`,
-`has_hamiltonian_cycle` and `mirrored`.  `word_stats` feeds the first
-two `polyomino.geometry` directly and is the one source of every
-per-word statistic; the `GridGraph` functions relabel their (x, y)
-vertices to their ranks first.  Hamiltonicity also has one O(n) fast path,
+`has_hamiltonian_cycle` and `mirrored`.  One private record builder feeds
+the first two a word's `polyomino` geometry and is the one source of
+every per-word statistic: `word_stats` builds one word's geometry, and
+`sweep_stats` takes a sequence of words on `polyomino.geometries`, which
+rebuilds only the lines past the letters a word shares with the previous
+one.  The `GridGraph` functions relabel their (x, y) vertices to their
+ranks first.  The search refutes a bipartite graph with sides of
+different sizes before it backtracks, which holds for every graph.
+Hamiltonicity also has one O(n) fast path,
 `hamiltonian_by_odd_runs`, which `frontier.check_ham_rule` proves equal
 to the search on every word; the search stays as its independent oracle.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .polyomino import Geometry, Polyomino, area, from_word, geometry
+from .polyomino import Geometry, Polyomino, from_word, geometries, geometry
 from .words import Word
 
 Vertex = tuple[int, int]
@@ -102,26 +107,56 @@ def grid_hamiltonian_rule(m: int, n: int) -> bool:
 def has_hamiltonian_cycle(vertices: Sequence[int],
                           edges: Sequence[tuple[int, int]]) -> bool:
     """Decide Hamiltonicity of a graph on integer ids (ascending
-    `vertices`) by backtracking with forced-edge propagation.
+    `vertices`): refute it at once when it is bipartite with sides of
+    different sizes, and else backtrack with forced-edge propagation.
 
-    A vertex with two chosen edges excludes its remaining ones; a vertex
-    with exactly two edges not excluded forces both in (at the start:
-    both edges at every degree-2 vertex); closing a cycle before all
-    vertices are covered is a dead end.  Branching takes the first
-    undecided edge in the order of `edges`, chosen first, so the search
-    is deterministic.  Decisions go on a trail; a dead end pops the latest
-    pending branch, undoes the trail back to it and decides its edge out.
-    It is one loop, with no recursion limit, and copies nothing (Knuth,
-    TAOCP 7.2.2, Algorithm B).
+    The refutation holds for every graph: a Hamiltonian cycle alternates
+    between the two sides of a bipartite graph, so they have the same
+    size.  One pass along `edges` 2-colours the graph from its first
+    vertex, each edge giving its uncoloured end the colour its other end
+    lacks.  It stops at an edge with two uncoloured ends, or with two
+    ends of one colour (an odd cycle); only a pass that gets through
+    every edge and colours every vertex, which is then a proper
+    2-colouring of a connected graph, refutes anything.  In this
+    package's ascending edge order every corner of a polyomino but the
+    first meets a side from a smaller corner, so the pass colours the
+    grid graph of every word.
+
+    The search: a vertex with two chosen edges excludes its remaining
+    ones; a vertex with exactly two edges not excluded forces both in (at
+    the start: both edges at every degree-2 vertex); closing a cycle
+    before all vertices are covered is a dead end.  Branching takes the
+    first undecided edge in the order of `edges`, chosen first, so the
+    search is deterministic.  Decisions go on a trail; a dead end pops the
+    latest pending branch, undoes the trail back to it and decides its
+    edge out.  It is one loop, with no recursion limit, and copies nothing
+    (Knuth, TAOCP 7.2.2, Algorithm B).
     """
     n = len(vertices)
     if n < 3:
         raise ValueError("Hamiltonicity needs at least 3 vertices")
     size = vertices[-1] + 1
-    incident: list[list[int]] = [[] for _ in range(size)]
+    side = [-1] * size
+    side[vertices[0]] = 0
+    for u, v in edges:
+        a, b = side[u], side[v]
+        if a == b:  # two uncoloured ends, or an odd cycle
+            break
+        if a < 0:
+            side[u] = 1 - b
+        elif b < 0:
+            side[v] = 1 - a
+    else:
+        ones = side.count(1)
+        if side.count(0) + ones == n and 2 * ones != n:
+            return False
+
+    # each vertex's edges as (edge, its other end) pairs
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(size)]
     for i, (u, v) in enumerate(edges):
-        incident[u].append(i)
-        incident[v].append(i)
+        incident[u].append((i, v))
+        incident[v].append((i, u))
+
     state = [_UNDECIDED] * (len(edges) + 1)  # and a sentinel after the last edge
     chosen_at = [0] * size                # chosen edges at each vertex
     open_at = [len(f) for f in incident]  # undecided edges at each vertex
@@ -129,38 +164,54 @@ def has_hamiltonian_cycle(vertices: Sequence[int],
     trail: list[int] = []    # decided edges, in order
     links: list[int] = []    # (vertex, its previous end) pairs, flattened
     chosen = 0
-
-    def put(e: int, val: int) -> bool:
-        """Decide edge e; false if that makes a vertex of degree 3 in the
-        cycle or closes a cycle short of all vertices."""
-        nonlocal chosen
-        state[e] = val
-        trail.append(e)
-        u, v = edges[e]
-        open_at[u] -= 1
-        open_at[v] -= 1
-        if val == _IN:
-            chosen_at[u] += 1
-            chosen_at[v] += 1
-            chosen += 1
-            if chosen_at[u] > 2 or chosen_at[v] > 2:
-                return False
-            a, b = end[u], end[v]
-            if a == v:  # u, v are the two ends of one chosen path
-                return chosen == n
-            links.extend((a, end[a], b, end[b]))
-            end[a] = b
-            end[b] = a
-        return True
-
-    def settle(queue: list[int]) -> bool:
-        """Apply the forcing rules at the queued vertices, and at the far
-        ends of every edge they decide, until none applies."""
-        while queue:
+    # pending branches: the edge tried _IN, and len(trail), len(links), chosen before
+    stack: list[tuple[int, int, int, int]] = []
+    branch = 0
+    # The loop decides `val` on each undecided (edge, far end) pair of
+    # `todo`, edges at vertex w, queueing each far end; then it pops the
+    # next vertex w of `queue` at which a forcing rule applies, and so
+    # on.  A branch is the one pair of its edge, from its first end, with
+    # that end queued first, so both ends get settled.  At the start a
+    # rule applies only at vertices of degree 2 or less; any other vertex
+    # is queued again once an edge at it is decided.
+    queue = [v for v in vertices if open_at[v] <= 2]
+    todo: Sequence[tuple[int, int]] = ()
+    w = val = 0
+    while True:
+        consistent = True
+        while True:
+            for e, x in todo:
+                if state[e]:  # decided already: _UNDECIDED is 0
+                    continue
+                state[e] = val
+                trail.append(e)
+                open_at[w] -= 1
+                open_at[x] -= 1
+                if val == _IN:
+                    chosen += 1
+                    chosen_at[w] += 1
+                    chosen_at[x] += 1
+                    if chosen_at[w] > 2 or chosen_at[x] > 2:
+                        consistent = False
+                        break
+                    a, b = end[w], end[x]
+                    if a == x:  # w, x are the two ends of one chosen path
+                        if chosen == n:  # the cycle it closes covers every vertex
+                            return True
+                        consistent = False
+                        break
+                    links += (a, end[a], b, end[b])
+                    end[a] = b
+                    end[b] = a
+                queue.append(x)
+            if not consistent or not queue:
+                break
             w = queue.pop()
             have, free = chosen_at[w], open_at[w]
+            todo = ()
             if have + free < 2:
-                return False
+                consistent = False
+                break
             if not free:
                 continue
             if have == 2:
@@ -169,25 +220,14 @@ def has_hamiltonian_cycle(vertices: Sequence[int],
                 val = _IN
             else:
                 continue
-            for e in incident[w]:
-                if state[e] == _UNDECIDED:
-                    if not put(e, val):
-                        return False
-                    u, v = edges[e]
-                    queue.append(u + v - w)
-        return True
-
-    # pending branches: the edge tried _IN, and len(trail), len(links), chosen before
-    stack: list[tuple[int, int, int, int]] = []
-    branch = 0
-    consistent = settle(list(vertices))
-    while True:
+            todo = incident[w]
         if consistent:
             # edges before the last branch edge are all decided
             branch = state.index(_UNDECIDED, branch)
             if branch < len(edges):
                 stack.append((branch, len(trail), len(links), chosen))
-                consistent = put(branch, _IN) and settle(list(edges[branch]))
+                w, x = edges[branch]
+                queue, todo, val = [w], ((branch, x),), _IN
                 continue
             # every vertex has at most two chosen edges, so n of them
             # means exactly two at each: one cycle through all vertices
@@ -208,7 +248,8 @@ def has_hamiltonian_cycle(vertices: Sequence[int],
         for i in range(len(links) - 2, to_links - 1, -2):
             end[links[i]] = links[i + 1]
         del links[to_links:]
-        consistent = put(branch, _OUT) and settle(list(edges[branch]))
+        w, x = edges[branch]
+        queue, todo, val = [w], ((branch, x),), _OUT
 
 
 # The odd-run rule as a DFA on the letters 0 and 1: state 0 is outside a
@@ -263,14 +304,28 @@ class WordStats:
     ham: int | None
 
 
+def _record(w: Word, geo: Geometry, ham: bool) -> WordStats:
+    """The statistics of a nonempty word from the integer geometry of its
+    polyomino; the area sums the column heights b + 1 over its letters b.
+    Hamiltonicity is searched for only when `ham` is set."""
+    vertices, edges = geo.vertices, geo.edges
+    return WordStats(len(w.bits) + sum(w.bits), geo.semiperimeter, len(vertices), len(edges),
+                     *degree_counts(vertices, edges),
+                     int(has_hamiltonian_cycle(vertices, edges)) if ham else None)
+
+
 def word_stats(w: Word, ham: bool) -> WordStats:
     """The statistics of a nonempty word, read off the integer geometry of
     its polyomino; Hamiltonicity is searched for only when `ham` is set."""
-    p = from_word(w)
-    geo = geometry(p)
-    return WordStats(area(p), geo.semiperimeter, len(geo.vertices), len(geo.edges),
-                     *degree_counts(geo.vertices, geo.edges),
-                     int(has_hamiltonian_cycle(geo.vertices, geo.edges)) if ham else None)
+    return _record(w, geometry(from_word(w)), ham)
+
+
+def sweep_stats(words: Iterable[Word], ham: bool) -> Iterator[tuple[Word, WordStats]]:
+    """Each nonempty word of `words` with its statistics, equal to
+    `word_stats(w, ham)`, built on `polyomino.geometries`: a word rebuilds
+    only the lines past the letters it shares with the previous word."""
+    for w, geo in geometries(words):
+        yield w, _record(w, geo, ham)
 
 
 def to_dot(g: GridGraph, name: str = "G") -> str:

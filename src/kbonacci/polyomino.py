@@ -3,10 +3,18 @@
 Coordinates: column i (1-based) occupies x in [i-1, i]; a column of
 height h covers the unit cells with y in [0, h).  This fixes the vertex
 labels used by the graph module.
+
+`geometry` builds a polyomino's corners and sides line by line, from the
+vertical line x = 0 to x = n, each line from the heights of the columns
+on either side of it (`_LINES`).  `geometries` does the same for a
+sequence of words and keeps the lines a word shares with the previous
+one: line x reads only letters x - 1 and x, so the words of one length in
+`iter_words` order rebuild about three lines each, not n + 1.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .words import Word
@@ -78,25 +86,65 @@ _LINES = {(left, right): _line(left, right)
           for left in range(3) for right in range(3) if left or right}
 
 
-def geometry(p: Polyomino) -> Geometry:
-    """Corners and sides of every cell, built line by line from the
-    column heights.  Each line's ids exceed the previous line's, so the
-    vertices and edges come out in ascending order without a sort."""
-    vertices: list[int] = []
-    edges: list[tuple[int, int]] = []
-    boundary = 0
-    base = 0
-    left = 0
-    for right in p.heights + (0,):
+def _add_lines(heights: tuple[int, ...], x: int, vertices: list[int],
+               edges: list[tuple[int, int]], marks: list[tuple[int, int, int]]) -> None:
+    """Rebuild lines x, x + 1, ..., n of the columns `heights` (n of them):
+    cut `vertices` and `edges` back to their lengths before line x, then
+    append the corners and sides of each line.  `marks[i]` holds the two
+    lengths and the boundary count before line i, so `marks[:x + 1]` must
+    describe lines 0..x - 1; on return `marks[n + 1]` holds the totals.
+    Each line's ids exceed the previous line's, so both lists stay in
+    ascending order without a sort."""
+    nv, ne, boundary = marks[x]
+    del vertices[nv:], edges[ne:], marks[x + 1:]
+    base = 3 * x
+    left = heights[x - 1] if x else 0
+    for right in heights[x:] + (0,):
         corners, sides, b = _LINES[left, right]
         for y in corners:
             vertices.append(base + y)
         for u, v in sides:
             edges.append((base + u, base + v))
         boundary += b
+        marks.append((len(vertices), len(edges), boundary))
         base += 3
         left = right
-    return Geometry(tuple(vertices), tuple(edges), boundary)
+
+
+def geometry(p: Polyomino) -> Geometry:
+    """Corners and sides of every cell, built line by line from the
+    column heights."""
+    vertices: list[int] = []
+    edges: list[tuple[int, int]] = []
+    marks = [(0, 0, 0)]
+    _add_lines(p.heights, 0, vertices, edges, marks)
+    return Geometry(tuple(vertices), tuple(edges), marks[-1][2])
+
+
+def geometries(words: Iterable[Word]) -> Iterator[tuple[Word, Geometry]]:
+    """Each nonempty word with the geometry of its polyomino, equal to
+    `geometry(from_word(w))`, built once per prefix: line x depends only
+    on letters x - 1 and x (counting from 0), so a word that shares its
+    first i letters with the previous one keeps the previous word's lines
+    0..i - 1 and rebuilds the rest.  In `iter_words` order, i is the new
+    word's last 1 (the letter the successor raised; every later letter is
+    0), and comparing the first i letters confirms it.  When they differ,
+    or the length changes, every line is rebuilt, so any order of words
+    gets the right geometries."""
+    vertices: list[int] = []
+    edges: list[tuple[int, int]] = []
+    marks = [(0, 0, 0)]
+    last: tuple[int, ...] = ()
+    for w in words:
+        bits = w.bits
+        if not bits:
+            raise ValueError("the empty word has no polyomino")
+        x = len(bits) - 1 - bits[::-1].index(1) if 1 in bits else 0
+        if len(bits) != len(last) or bits[:x] != last[:x]:
+            x = 0
+        _add_lines(tuple([b + 1 for b in bits]), x, vertices, edges, marks)
+        last = bits
+        yield w, Geometry(tuple(vertices), tuple(edges), marks[-1][2])
 
 
 def area(p: Polyomino) -> int:

@@ -94,14 +94,15 @@ class _Run:
         self.charged = 0
 
     def stats(self, n: int, k: int) -> dict[tuple[int, ...], graph.WordStats]:
-        """Every length-n word's statistics.  The first check that needs
+        """Every length-n word's statistics, from one `graph.sweep_stats`
+        over the words in `iter_words` order.  The first check that needs
         a length fills its table, so that check's report is charged for
         it; Hamiltonicity is searched for once per word, up to the cap."""
         table = self.tables.get((n, k))
         if table is None:
             ham = n <= self.ham_cap
-            table = self.tables[n, k] = {w.bits: graph.word_stats(w, ham)
-                                         for w in words.iter_words(n, k)}
+            table = self.tables[n, k] = {
+                w.bits: stats for w, stats in graph.sweep_stats(words.iter_words(n, k), ham)}
         return table
 
     def report(self, family: str, k: int, n: int, expected: str, actual: str,
@@ -183,7 +184,10 @@ def brute_totals(n: int, k: int, ham_cap: int = DEFAULT_HAM_CAP,
 def totals_check(k: int, max_n: int, ham_cap: int = DEFAULT_HAM_CAP,
                  *, run: _Run | None = None) -> list[CheckReport]:
     """Named univariate totals vs the weighted multivariate series vs brute
-    force, one report per (name, n)."""
+    force, one report per (name, n).  A row expects both series to equal
+    the brute-force total; a failing row names each side that differs,
+    with both values: `named 41 differs from brute 40`, joined by `; `
+    when both do."""
     run = run or _Run(ham_cap)
     named = {name: series.expand_ints(series.gf_named_total(name, k), max_n)
              for name in TOTALS}
@@ -198,9 +202,12 @@ def totals_check(k: int, max_n: int, ham_cap: int = DEFAULT_HAM_CAP,
                 out.append(run.report(f"total:{name}", k, n, "", "guard exceeded",
                                       skip=True))
                 continue
-            actual = f"named={named[name][n]} weighted={weighted[name][n]}"
+            sides = (("named", named[name][n]), ("weighted", weighted[name][n]))
             expected = f"named={b} weighted={b}"
-            out.append(run.report(f"total:{name}", k, n, expected, actual))
+            differ = [f"{side} {value} differs from brute {b}"
+                      for side, value in sides if value != b]
+            out.append(run.report(f"total:{name}", k, n, expected,
+                                  "; ".join(differ) or expected))
     return out
 
 
@@ -241,8 +248,7 @@ def reversal_check(k: int, max_n: int, *, run: _Run | None = None) -> list[Check
     out = []
     for n in range(1, max_n + 1):
         stats = run.stats(n, k)
-        geos = {w.bits: polyomino.geometry(polyomino.from_word(w))
-                for w in words.iter_words(n, k)}
+        geos = {w.bits: geo for w, geo in polyomino.geometries(words.iter_words(n, k))}
         bad = ""
         for bits, geo in geos.items():
             rev = bits[::-1]

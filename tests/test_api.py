@@ -145,9 +145,10 @@ def test_hamiltonicity_has_one_fast_path_and_one_oracle():
     calls = _called_names(ast.parse((SRC / "cli.py").read_text()))
     names = {name for name, _ in calls}
     assert "hamiltonian_by_odd_runs" in names
-    assert not names & {"has_hamiltonian_cycle", "is_hamiltonian"}
+    assert not names & {"has_hamiltonian_cycle", "is_hamiltonian", "word_stats"}
+    assert "sweep_stats" in names
     for name, call in calls:
-        if name == "word_stats":
+        if name == "sweep_stats":
             ham = call.args[1] if len(call.args) > 1 else next(
                 kw.value for kw in call.keywords if kw.arg == "ham")
             assert isinstance(ham, ast.Constant) and ham.value is False, ast.unparse(call)
@@ -158,7 +159,7 @@ def test_hamiltonicity_has_one_fast_path_and_one_oracle():
     stats = next(node for node in run.body
                  if isinstance(node, ast.FunctionDef) and node.name == "stats")
     names = {name for name, _ in _called_names(stats)}
-    assert "word_stats" in names
+    assert "sweep_stats" in names
     assert "hamiltonian_by_odd_runs" not in names
 
 
@@ -204,3 +205,22 @@ def test_no_function_calls_itself():
     found = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
              for name in _self_calls(ast.parse(path.read_text()))]
     assert found == []
+
+
+def test_the_search_reads_only_the_graph():
+    """`has_hamiltonian_cycle` stays an oracle independent of the odd-run
+    rule: the only names it reads from outside its body are the edge
+    states and builtins, never a word, the rule's tables or the
+    frontier automaton."""
+    tree = ast.parse((SRC / "graph.py").read_text())
+    search = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "has_hamiltonian_cycle")
+    annotations = {id(name) for node in ast.walk(search) if isinstance(node, ast.AnnAssign)
+                   for name in ast.walk(node.annotation)}
+    names = [node for stmt in search.body for node in ast.walk(stmt)
+             if isinstance(node, ast.Name) and id(node) not in annotations]
+    bound = {a.arg for a in search.args.args}
+    bound |= {node.id for node in names if isinstance(node.ctx, ast.Store)}
+    free = {node.id for node in names if isinstance(node.ctx, ast.Load)} - bound
+    assert free == {"_UNDECIDED", "_IN", "_OUT", "ValueError", "enumerate", "len",
+                    "list", "range"}

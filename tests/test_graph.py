@@ -10,14 +10,17 @@ from kbonacci.graph import (
     has_hamiltonian_cycle,
     is_hamiltonian,
     mirrored,
+    sweep_stats,
     to_dot,
     word_stats,
     WordStats,
 )
-from kbonacci.polyomino import Polyomino, area, from_word, geometry, semiperimeter
+from kbonacci.polyomino import Polyomino, area, from_word, geometries, geometry, semiperimeter
 from kbonacci.series import expand, gf_hamiltonian
 from kbonacci.verify import brute_totals
-from kbonacci.words import Word, count_words, enumerate_words, reverse
+from kbonacci.words import Word, count_words, enumerate_words, iter_words, reverse
+
+from test_polyomino import sweep_orders
 
 
 def graph_of(text: str, k: int) -> GridGraph:
@@ -161,6 +164,65 @@ class TestIsHamiltonian:
         with pytest.raises(ValueError):
             is_hamiltonian(tiny)
 
+    def test_unbalanced_bipartite_graphs_are_refuted_at_once(self):
+        # a 3 x 61 grid: 92 vertices on one side, 91 on the other, which
+        # the backtracker alone takes exponential time to refute
+        assert word_stats(Word("1" * 60, 61), True).ham == 0
+        assert is_hamiltonian(rectangle_grid(3, 3)) is False
+
+    def test_graphs_that_are_not_bipartite_are_searched(self):
+        def complete(m):
+            return [(u, v) for u in range(m) for v in range(u + 1, m)]
+
+        assert has_hamiltonian_cycle(range(4), complete(4)) is True
+        # an odd number of vertices does not refute a graph with an odd cycle
+        assert has_hamiltonian_cycle(range(3), complete(3)) is True
+        assert has_hamiltonian_cycle(range(5), complete(5)) is True
+        # a 5-cycle with a pendant vertex: not bipartite and not Hamiltonian
+        five = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+        assert has_hamiltonian_cycle(range(6), five + [(4, 5)]) is False
+
+    def test_disconnected_graphs_have_no_cycle(self):
+        square = [(0, 1), (0, 2), (1, 3), (2, 3)]
+        assert has_hamiltonian_cycle(range(8), square + [(u + 4, v + 4) for u, v in square]) is False
+        assert has_hamiltonian_cycle(range(5), square) is False  # vertex 4 has no edge
+
+    def test_an_edge_order_the_colouring_cannot_follow_leaves_the_search(self):
+        # the 3 x 3 grid's edges from the last: the first has two uncoloured
+        # ends, so nothing is refuted and the search decides
+        g = rectangle_grid(3, 3)
+        order = sorted(g.vertices)
+        rank = {v: i for i, v in enumerate(order)}
+        edges = sorted(((rank[u], rank[v]) for u, v in g.edges), reverse=True)
+        assert has_hamiltonian_cycle(range(9), edges) is False
+        assert has_hamiltonian_cycle(range(9), sorted(edges)) is False
+
+    def test_balanced_graphs_without_a_cycle_are_still_searched(self):
+        # 1^(2a) 0 1^(2b): the two sides of the grid graph, by the parity of
+        # x + y, have the same size, so only the search refutes them
+        for a, b in ((1, 1), (1, 2), (2, 3)):
+            w = Word("1" * (2 * a) + "0" + "1" * (2 * b), 7)
+            geo = geometry(from_word(w))
+            ones = sum(sum(divmod(v, 3)) % 2 for v in geo.vertices)
+            assert 2 * ones == len(geo.vertices), w.text
+            assert has_hamiltonian_cycle(geo.vertices, geo.edges) is False, w.text
+
+    def test_the_search_agrees_with_the_odd_run_rule_up_to_n_12(self):
+        """All 33,596 words with k = 2..7 and n <= 12.  `frontier.check_ham_rule`
+        proves the rule for every word, so an answer that differs is a
+        fault of the search; its graph is free of k, so each bit string is
+        searched once."""
+        searched = {}
+        pairs = 0
+        for k in range(2, 8):
+            for n in range(1, 13):
+                for w, geo in geometries(iter_words(n, k)):
+                    if w.bits not in searched:
+                        searched[w.bits] = has_hamiltonian_cycle(geo.vertices, geo.edges)
+                    assert searched[w.bits] is hamiltonian_by_odd_runs(w), (w.text, k)
+                    pairs += 1
+        assert pairs == 33596
+
     def test_long_words_need_no_recursion(self):
         assert word_stats(Word("10" * 995, 2), True).ham == 1
         assert word_stats(Word("1" * 995, 996), True).ham == 1
@@ -217,6 +279,18 @@ class TestOracleAgreesWithPublicFunctions:
                     assert degree_counts(geo.vertices, geo.edges) == degree_profile(g), w.text
                     assert (has_hamiltonian_cycle(geo.vertices, geo.edges)
                             == is_hamiltonian(g)), w.text
+
+    def test_the_sweep_equals_one_record_per_word_in_any_order(self):
+        expected = {}  # bits -> word_stats; a word's record is free of k
+        for ws in sweep_orders():
+            swept = list(sweep_stats(ws, True))
+            assert [w for w, _ in swept] == ws
+            for w, stats in swept:
+                if w.bits not in expected:
+                    expected[w.bits] = word_stats(w, True)
+                assert stats == expected[w.bits], w.text
+        ws = list(iter_words(7, 3))
+        assert [s for _, s in sweep_stats(ws, False)] == [word_stats(w, False) for w in ws]
 
     def test_hamiltonicity_only_when_asked(self):
         w = Word.from_text("0110", 3)

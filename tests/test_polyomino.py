@@ -1,16 +1,20 @@
+import random
+
 import pytest
 from hypothesis import given
 
+from kbonacci import polyomino
 from kbonacci.polyomino import (
     Polyomino,
     area,
     from_word,
+    geometries,
     geometry,
     render,
     semiperimeter,
     semiperimeter_closed,
 )
-from kbonacci.words import Word, enumerate_words, reverse
+from kbonacci.words import Word, enumerate_words, iter_words, reverse
 
 from test_words import valid_words
 
@@ -69,6 +73,49 @@ class TestGeometry:
                     assert list(geo.vertices) == sorted(set(geo.vertices))
                     assert list(geo.edges) == sorted(set(geo.edges))
                     assert all(u < v for u, v in geo.edges)
+
+
+def sweep_orders():
+    """Word lists for the sweep: every word with k = 2..6 and n <= 10 in
+    `iter_words` order, one list per (k, n), then the same words reversed,
+    shuffled with a fixed seed, and all lengths of one k mixed."""
+    by_kn = [list(iter_words(n, k)) for k in range(2, 7) for n in range(1, 11)]
+    mixed = [[w for n in range(1, 11) for w in iter_words(n, k)] for k in range(2, 7)]
+    rng = random.Random(14)
+    shuffled = [rng.sample(ws, len(ws)) for ws in mixed]
+    return by_kn + [ws[::-1] for ws in by_kn] + shuffled + mixed
+
+
+class TestGeometries:
+    def test_equal_to_one_geometry_per_word_in_any_order(self):
+        for ws in sweep_orders():
+            swept = list(geometries(ws))
+            assert [w for w, _ in swept] == ws
+            for w, geo in swept:
+                assert geo == geometry(from_word(w)), w.text
+
+    def test_each_word_rebuilds_the_lines_from_its_last_one(self, monkeypatch):
+        """A guard against full rebuilds: in `iter_words` order a word
+        shares every line before its last 1 with the previous word, so the
+        sweep of the 912 words of length 10 at k = 5 builds about 3 lines
+        a word, where a full build is 11."""
+        built = []
+        add_lines = polyomino._add_lines
+
+        def counted(heights, x, *lists):
+            built.append(len(heights) + 1 - x)
+            return add_lines(heights, x, *lists)
+
+        monkeypatch.setattr(polyomino, "_add_lines", counted)
+        ws = list(iter_words(10, 5))
+        assert len(list(geometries(ws))) == len(ws) == 912
+        last_ones = [max(i for i, b in enumerate(w.bits) if b) for w in ws[1:]]
+        assert built == [11] + [11 - i for i in last_ones]
+        assert sum(built) < 3.1 * len(ws)
+
+    def test_empty_word_rejected(self):
+        with pytest.raises(ValueError, match="the empty word has no polyomino"):
+            list(geometries([Word("01", 2), Word((), 2)]))
 
 
 class TestSemiperimeter:

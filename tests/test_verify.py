@@ -27,6 +27,20 @@ from kbonacci.verify import (
 )
 
 
+def corrupt_area_of_1100(monkeypatch):
+    """Add 1 to the area of the record of 1100 at k = 3, wherever the
+    sweep yields it."""
+    sweep = graph.sweep_stats
+
+    def corrupt(ws, ham):
+        for w, s in sweep(ws, ham):
+            if w.bits == (1, 1, 0, 0) and w.k == 3:
+                s = dataclasses.replace(s, area=s.area + 1)
+            yield w, s
+
+    monkeypatch.setattr(graph, "sweep_stats", corrupt)
+
+
 class TestBruteStats:
     def test_polyomino_family(self):
         expected = MultiPoly(("p", "q"), {(4, 3): 1, (5, 4): 3, (5, 5): 2, (6, 5): 1})
@@ -59,15 +73,7 @@ class TestCrossCheck:
         assert all(r.status == "pass" for r in reports)
 
     def test_a_failing_report_names_the_first_differing_monomial(self, monkeypatch):
-        word_stats = graph.word_stats
-
-        def corrupt(w, ham):
-            s = word_stats(w, ham)
-            if w.bits == (1, 1, 0, 0) and w.k == 3:
-                return dataclasses.replace(s, area=s.area + 1)
-            return s
-
-        monkeypatch.setattr(graph, "word_stats", corrupt)
+        corrupt_area_of_1100(monkeypatch)
         reports = cross_check("poly", 3, 4)
         assert [r.status for r in reports] == ["pass"] * 3 + ["fail"]
         assert all(r.actual == r.expected for r in reports[:3])
@@ -176,6 +182,36 @@ class TestTotalsAndPairs:
         assert len(reports) == 8 * 5
         assert all(r.status == "pass" for r in reports)
 
+    def test_a_failing_total_row_names_the_series_that_differ(self, monkeypatch):
+        passing = totals_check(3, 5)
+        area = brute_totals(4, 3)["area"]
+        corrupt_area_of_1100(monkeypatch)
+        reports = totals_check(3, 5)
+        failing = [r for r in reports if r.status == "fail"]
+        assert [(r.family, r.n) for r in failing] == [("total:area", 4)]
+        assert failing[0].expected == f"named={area + 1} weighted={area + 1}"
+        assert failing[0].actual == (f"named {area} differs from brute {area + 1}; "
+                                     f"weighted {area} differs from brute {area + 1}")
+        # passing rows keep their text
+        assert [(r.expected, r.actual) for r in reports if r.status == "pass"] == [
+            (r.expected, r.actual) for r in passing
+            if (r.family, r.n) != ("total:area", 4)]
+        assert passing[0].actual == passing[0].expected == "named=3 weighted=3"
+
+    def test_a_failing_total_row_names_only_the_series_that_differs(self, monkeypatch):
+        expand_ints = series.expand_ints
+        area_total = series.gf_named_total("area", 3)
+
+        def corrupt(gf, n_max):
+            out = expand_ints(gf, n_max)
+            return [c + (n == 4 and gf == area_total) for n, c in enumerate(out)]
+
+        monkeypatch.setattr(series, "expand_ints", corrupt)
+        area = brute_totals(4, 3)["area"]
+        failing = [r for r in totals_check(3, 5) if r.status == "fail"]
+        assert [(r.family, r.n, r.actual) for r in failing] == [
+            ("total:area", 4, f"named {area + 1} differs from brute {area}")]
+
     def test_ham_pairs(self):
         reports = ham_pair_check(7, 12)
         assert {r.k for r in reports} == {2, 4, 6}
@@ -269,23 +305,24 @@ class TestTiming:
 
 
 class _Counts:
-    """Counts `graph.word_stats` records, by (word, k, ham asked), and
-    Hamiltonicity searches."""
+    """Counts the records `graph.sweep_stats` yields, by (word, k, ham
+    asked), and Hamiltonicity searches."""
 
     def __init__(self, monkeypatch):
         self.records = collections.Counter()
         self.searches = 0
-        word_stats, search = graph.word_stats, graph.has_hamiltonian_cycle
+        sweep, search = graph.sweep_stats, graph.has_hamiltonian_cycle
 
-        def counted_word_stats(w, ham):
-            self.records[w.bits, w.k, ham] += 1
-            return word_stats(w, ham)
+        def counted_sweep(ws, ham):
+            for w, stats in sweep(ws, ham):
+                self.records[w.bits, w.k, ham] += 1
+                yield w, stats
 
         def counted_search(vertices, edges):
             self.searches += 1
             return search(vertices, edges)
 
-        monkeypatch.setattr(graph, "word_stats", counted_word_stats)
+        monkeypatch.setattr(graph, "sweep_stats", counted_sweep)
         monkeypatch.setattr(graph, "has_hamiltonian_cycle", counted_search)
 
     def snapshot(self):
@@ -442,15 +479,7 @@ class TestHamRule:
 
 class TestSharingWeakensNoCheck:
     def test_a_corrupt_record_fails_every_check_that_reads_it(self, monkeypatch):
-        word_stats = graph.word_stats
-
-        def corrupt(w, ham):
-            s = word_stats(w, ham)
-            if w.bits == (1, 1, 0, 0) and w.k == 3:
-                return dataclasses.replace(s, area=s.area + 1)
-            return s
-
-        monkeypatch.setattr(graph, "word_stats", corrupt)
+        corrupt_area_of_1100(monkeypatch)
         summary = run_all(5, 3, suites=("poly", "totals", "reversal"))
         assert {(r.family, r.k, r.n) for r in summary.failing} == {
             ("poly", 3, 4), ("total:area", 3, 4), ("reversal", 3, 4)}
