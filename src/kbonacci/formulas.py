@@ -7,8 +7,8 @@ Each k = 2 fact is held once: `RECURRENCES`, `CLOSED_FORMS` and
 over.  An identity's functions each return one evaluation, so a
 disagreement is a failing verify row, not an exception.
 
-Binomial convention: C(m, r) = 0 unless 0 <= r <= m, with one boundary
-extension on the Pascal diagonal: C(m, m) = 1 also for negative m.  The
+Binomial convention: C(m, r) = 0 unless 0 <= r <= m, with one extension
+on the Pascal diagonal: C(m, m) = 1 also for negative m.  The
 degree-count closed-form sums hit C(-1, -1) at n = 1 and the extension is
 what makes them agree with the recurrences there; no other operation is
 affected (their sums never touch the negative diagonal).
@@ -319,9 +319,6 @@ class QuadraticConstant:
         """Decimal rendering to `digits` significant digits (display only)."""
         lo, _ = self.enclosure(digits + 15)
         return format_fraction(lo, digits)
-
-    def __float__(self) -> float:
-        return (self.a + self.b * math.sqrt(5)) / self.c
 
 
 def format_fraction(f: Fraction, digits: int) -> str:

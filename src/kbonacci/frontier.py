@@ -65,7 +65,7 @@ def _successors(lines: dict, state: State, right: int) -> set[State]:
     left, labels = state
     if (left, right) not in lines:
         return set()
-    corners, sides, _ = lines[left, right]
+    corners, sides = lines[left, right]
     ends = {y: label for y, label in enumerate(labels) if label}
     if not ends.keys() <= set(corners):
         return set()

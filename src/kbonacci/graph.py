@@ -5,13 +5,14 @@ The degree profile, the Hamiltonicity search and the mirror x -> n - x
 have one implementation each, on integer vertex ids: `degree_counts`,
 `has_hamiltonian_cycle` and `mirrored`.  One private record builder feeds
 the first two a word's `polyomino` geometry and is the one source of
-every per-word statistic: `word_stats` builds one word's geometry, and
-`sweep_stats` takes a sequence of words on `polyomino.geometries`, which
-rebuilds only the lines past the letters a word shares with the previous
-one.  The `GridGraph` functions relabel their (x, y) vertices to their
-ranks first.  The search refutes a bipartite graph with sides of
-different sizes before it backtracks, which holds for every graph.
-Hamiltonicity also has one O(n) fast path,
+every per-word statistic, each read off the grid graph (area and
+semiperimeter by Euler's formula): `word_stats` builds one word's
+geometry, and `sweep_stats` takes a sequence of words on
+`polyomino.geometries`, which rebuilds only the lines past the letters a
+word shares with the previous one.  The `GridGraph` functions relabel
+their (x, y) vertices to their ranks first.  The search refutes a
+bipartite graph with sides of different sizes before it backtracks,
+which holds for every graph.  Hamiltonicity also has one O(n) fast path,
 `hamiltonian_by_odd_runs`, which `frontier.check_ham_rule` proves equal
 to the search on every word; the search stays as its independent oracle.
 """
@@ -93,8 +94,7 @@ def mirrored(geo: Geometry) -> Geometry:
     flip = [top - v + 2 * (v % 3) for v in range(top + 3)]
     return Geometry(tuple(sorted([flip[v] for v in geo.vertices])),
                     tuple(sorted([(flip[v], flip[u]) if v - u == 3 else (flip[u], flip[v])
-                                  for u, v in geo.edges])),
-                    geo.boundary)
+                                  for u, v in geo.edges])))
 
 
 def grid_hamiltonian_rule(m: int, n: int) -> bool:
@@ -304,20 +304,20 @@ class WordStats:
     ham: int | None
 
 
-def _record(w: Word, geo: Geometry, ham: bool) -> WordStats:
-    """The statistics of a nonempty word from the integer geometry of its
-    polyomino; the area sums the column heights b + 1 over its letters b.
-    Hamiltonicity is searched for only when `ham` is set."""
+def _record(geo: Geometry, ham: bool) -> WordStats:
+    """The statistics of a polyomino, all read off its grid graph (area
+    and semiperimeter by Euler's formula, `Geometry`); Hamiltonicity is
+    searched for only when `ham` is set."""
     vertices, edges = geo.vertices, geo.edges
-    return WordStats(len(w.bits) + sum(w.bits), geo.semiperimeter, len(vertices), len(edges),
+    return WordStats(geo.area, geo.semiperimeter, len(vertices), len(edges),
                      *degree_counts(vertices, edges),
                      int(has_hamiltonian_cycle(vertices, edges)) if ham else None)
 
 
 def word_stats(w: Word, ham: bool) -> WordStats:
-    """The statistics of a nonempty word, read off the integer geometry of
-    its polyomino; Hamiltonicity is searched for only when `ham` is set."""
-    return _record(w, geometry(from_word(w)), ham)
+    """The statistics of a nonempty word, read off the grid graph of its
+    polyomino; Hamiltonicity is searched for only when `ham` is set."""
+    return _record(geometry(from_word(w)), ham)
 
 
 def sweep_stats(words: Iterable[Word], ham: bool) -> Iterator[tuple[Word, WordStats]]:
@@ -325,7 +325,7 @@ def sweep_stats(words: Iterable[Word], ham: bool) -> Iterator[tuple[Word, WordSt
     `word_stats(w, ham)`, built on `polyomino.geometries`: a word rebuilds
     only the lines past the letters it shares with the previous word."""
     for w, geo in geometries(words):
-        yield w, _record(w, geo, ham)
+        yield w, _record(geo, ham)
 
 
 def to_dot(g: GridGraph, name: str = "G") -> str:

@@ -9,7 +9,8 @@ vertical line x = 0 to x = n, each line from the heights of the columns
 on either side of it (`_LINES`).  `geometries` does the same for a
 sequence of words and keeps the lines a word shares with the previous
 one: line x reads only letters x - 1 and x, so the words of one length in
-`iter_words` order rebuild about three lines each, not n + 1.
+`iter_words` order rebuild about three lines each, not n + 1.  Euler's
+formula gives a geometry's area and semiperimeter (`Geometry`).
 """
 
 from __future__ import annotations
@@ -48,38 +49,39 @@ class Geometry:
     so ids order as the (x, y) pairs do.
 
     `vertices` ascend; `edges` are the distinct cell sides as id pairs
-    (u, v) with u < v, in ascending order; `boundary` counts the sides
-    that belong to exactly one cell.
+    (u, v) with u < v, in ascending order.  A bargraph has no holes, so
+    its cells are the bounded faces of this connected plane graph: Euler
+    gives V - E + (area + 1) = 2, and as a side lies in two cells, or in
+    one on the perimeter P, 4 area = 2E - P and P / 2 = 2V - E - 2.
     """
 
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    boundary: int
+
+    @property
+    def area(self) -> int:
+        return len(self.edges) - len(self.vertices) + 1
 
     @property
     def semiperimeter(self) -> int:
-        assert self.boundary % 2 == 0
-        return self.boundary // 2
+        return 2 * len(self.vertices) - len(self.edges) - 2
 
 
-def _line(left: int, right: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], int]:
+def _line(left: int, right: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Corners and sides on the vertical line between a column of height
     `left` and one of height `right` (0: no column there), as offsets
     from the id 3x of the line's lowest corner.  A side belongs to the
     line of its lower endpoint: the vertical sides on the line and the
-    horizontal sides of the right column.  Also returns how many of
-    those sides belong to exactly one cell."""
+    horizontal sides of the right column."""
     top = max(left, right)
-    corners, sides, boundary = [], [], 0
+    corners, sides = [], []
     for y in range(top + 1):
         corners.append(y)
         if y < top:  # (x, y)-(x, y+1), a side of cells (x-1, y) and (x, y)
             sides.append((y, y + 1))
-            boundary += ((y < left) + (y < right)) == 1
         if right and y <= right:  # (x, y)-(x+1, y), of cells (x, y-1) and (x, y)
             sides.append((y, y + 3))
-            boundary += ((y > 0) + (y < right)) == 1
-    return tuple(corners), tuple(sides), boundary
+    return tuple(corners), tuple(sides)
 
 
 _LINES = {(left, right): _line(left, right)
@@ -87,26 +89,23 @@ _LINES = {(left, right): _line(left, right)
 
 
 def _add_lines(heights: tuple[int, ...], x: int, vertices: list[int],
-               edges: list[tuple[int, int]], marks: list[tuple[int, int, int]]) -> None:
+               edges: list[tuple[int, int]], marks: list[tuple[int, int]]) -> None:
     """Rebuild lines x, x + 1, ..., n of the columns `heights` (n of them):
     cut `vertices` and `edges` back to their lengths before line x, then
     append the corners and sides of each line.  `marks[i]` holds the two
-    lengths and the boundary count before line i, so `marks[:x + 1]` must
-    describe lines 0..x - 1; on return `marks[n + 1]` holds the totals.
-    Each line's ids exceed the previous line's, so both lists stay in
-    ascending order without a sort."""
-    nv, ne, boundary = marks[x]
+    lengths before line i (`marks[:x + 1]` must be set).  Each line's ids
+    exceed the previous line's, so both lists ascend without a sort."""
+    nv, ne = marks[x]
     del vertices[nv:], edges[ne:], marks[x + 1:]
     base = 3 * x
     left = heights[x - 1] if x else 0
     for right in heights[x:] + (0,):
-        corners, sides, b = _LINES[left, right]
+        corners, sides = _LINES[left, right]
         for y in corners:
             vertices.append(base + y)
         for u, v in sides:
             edges.append((base + u, base + v))
-        boundary += b
-        marks.append((len(vertices), len(edges), boundary))
+        marks.append((len(vertices), len(edges)))
         base += 3
         left = right
 
@@ -116,9 +115,8 @@ def geometry(p: Polyomino) -> Geometry:
     column heights."""
     vertices: list[int] = []
     edges: list[tuple[int, int]] = []
-    marks = [(0, 0, 0)]
-    _add_lines(p.heights, 0, vertices, edges, marks)
-    return Geometry(tuple(vertices), tuple(edges), marks[-1][2])
+    _add_lines(p.heights, 0, vertices, edges, [(0, 0)])
+    return Geometry(tuple(vertices), tuple(edges))
 
 
 def geometries(words: Iterable[Word]) -> Iterator[tuple[Word, Geometry]]:
@@ -133,7 +131,7 @@ def geometries(words: Iterable[Word]) -> Iterator[tuple[Word, Geometry]]:
     gets the right geometries."""
     vertices: list[int] = []
     edges: list[tuple[int, int]] = []
-    marks = [(0, 0, 0)]
+    marks = [(0, 0)]
     last: tuple[int, ...] = ()
     for w in words:
         bits = w.bits
@@ -144,7 +142,7 @@ def geometries(words: Iterable[Word]) -> Iterator[tuple[Word, Geometry]]:
             x = 0
         _add_lines(tuple([b + 1 for b in bits]), x, vertices, edges, marks)
         last = bits
-        yield w, Geometry(tuple(vertices), tuple(edges), marks[-1][2])
+        yield w, Geometry(tuple(vertices), tuple(edges))
 
 
 def area(p: Polyomino) -> int:
@@ -153,11 +151,8 @@ def area(p: Polyomino) -> int:
 
 
 def semiperimeter(p: Polyomino) -> int:
-    """Half the boundary length of the cell union, counted geometrically.
-
-    A unit edge is on the boundary iff it belongs to exactly one cell.
-    The perimeter is always even, so the halving is exact.
-    """
+    """Half the perimeter of the cell union, from the corner and side
+    counts of its geometry by Euler's formula (`Geometry`)."""
     return geometry(p).semiperimeter
 
 

@@ -84,8 +84,8 @@ class _Run:
     """One verification run: its Hamiltonicity cap (the longest word
     searched; 0: never), the `graph.WordStats` of every word its checks
     sweep, (n, k) -> {word bits: WordStats}, and its clock.  `run_all`
-    makes one run for all its suites; a check function called alone makes
-    its own, kept until it returns."""
+    makes one for all its suites; a check alone makes its own, kept until
+    it returns, capped at `DEFAULT_HAM_CAP` if it reads Hamiltonicity."""
 
     def __init__(self, ham_cap: int) -> None:
         self.ham_cap = ham_cap
@@ -100,6 +100,8 @@ class _Run:
         it; Hamiltonicity is searched for once per word, up to the cap."""
         table = self.tables.get((n, k))
         if table is None:
+            if n < 1:
+                raise ValueError(f"length must be >= 1, got {n}")
             ham = n <= self.ham_cap
             table = self.tables[n, k] = {
                 w.bits: stats for w, stats in graph.sweep_stats(words.iter_words(n, k), ham)}
@@ -118,16 +120,14 @@ class _Run:
         return CheckReport(family, k, n, status, expected, actual, elapsed)
 
 
-def brute_stats_poly(n: int, k: int, family: str, ham_cap: int = DEFAULT_HAM_CAP,
-                     *, run: _Run | None = None) -> MultiPoly | None:
+def brute_stats_poly(n: int, k: int, family: str, *,
+                     run: _Run | None = None) -> MultiPoly | None:
     """Exact monomial aggregation over all length-n words, or None when
     the family is ham and n exceeds the run's Hamiltonicity cap."""
-    if n < 1:
-        raise ValueError(f"length must be >= 1, got {n}")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
     fields = FAMILIES[family].fields
-    run = run or _Run(ham_cap if family == "ham" else 0)
+    run = run or _Run(DEFAULT_HAM_CAP if family == "ham" else 0)
     if family == "ham" and n > run.ham_cap:
         return None
     terms: dict[tuple[int, ...], int] = {}
@@ -147,12 +147,12 @@ def _first_difference(left: MultiPoly, right: MultiPoly,
             f"{names[1]} {right.terms.get(exps, 0)}")
 
 
-def cross_check(family: str, k: int, max_n: int, ham_cap: int = DEFAULT_HAM_CAP,
-                *, run: _Run | None = None) -> list[CheckReport]:
+def cross_check(family: str, k: int, max_n: int, *,
+                run: _Run | None = None) -> list[CheckReport]:
     """One report per n comparing brute force against the series
     coefficient; a failing report's `actual` starts with the first
     monomial where they differ."""
-    run = run or _Run(ham_cap if family == "ham" else 0)
+    run = run or _Run(DEFAULT_HAM_CAP if family == "ham" else 0)
     coeffs = series.expand(FAMILIES[family].gf(k), max_n)
     out = []
     for n in range(1, max_n + 1):
@@ -167,12 +167,11 @@ def cross_check(family: str, k: int, max_n: int, ham_cap: int = DEFAULT_HAM_CAP,
     return out
 
 
-def brute_totals(n: int, k: int, ham_cap: int = DEFAULT_HAM_CAP,
-                 *, run: _Run | None = None) -> dict[str, int | None]:
+def brute_totals(n: int, k: int, *, run: _Run | None = None) -> dict[str, int | None]:
     """All eight statistic totals over length-n words in one sweep: the
     sums of the `graph.WordStats` fields, with ham None when n exceeds
     the run's Hamiltonicity cap."""
-    run = run or _Run(ham_cap)
+    run = run or _Run(DEFAULT_HAM_CAP)
     ham = n <= run.ham_cap
     sums = {name: 0 for name in TOTALS if ham or name != "ham"}
     for stats in run.stats(n, k).values():
@@ -181,14 +180,13 @@ def brute_totals(n: int, k: int, ham_cap: int = DEFAULT_HAM_CAP,
     return {name: sums.get(name) for name in TOTALS}
 
 
-def totals_check(k: int, max_n: int, ham_cap: int = DEFAULT_HAM_CAP,
-                 *, run: _Run | None = None) -> list[CheckReport]:
+def totals_check(k: int, max_n: int, *, run: _Run | None = None) -> list[CheckReport]:
     """Named univariate totals vs the weighted multivariate series vs brute
     force, one report per (name, n).  A row expects both series to equal
     the brute-force total; a failing row names each side that differs,
     with both values: `named 41 differs from brute 40`, joined by `; `
     when both do."""
-    run = run or _Run(ham_cap)
+    run = run or _Run(DEFAULT_HAM_CAP)
     named = {name: series.expand_ints(series.gf_named_total(name, k), max_n)
              for name in TOTALS}
     weighted = {name: series.total_weight_series(FAMILIES[fam].gf(k), var, max_n)
@@ -351,10 +349,12 @@ def run_all(max_n: int, max_k: int, ham_cap: int = DEFAULT_HAM_CAP,
     in deterministic (suite, k, n) order.  The suites share one `_Run`:
     one sweep of each (n, k), kept for this call only, and one clock, so
     the reports' `elapsed_ms` add up to the call's time less under 1 ms."""
-    # only the ham and totals suites read Hamiltonicity
-    run = _Run(ham_cap if {"ham", "totals"} & set(suites) else 0)
+    if not SUITES.keys() >= set(suites):
+        raise ValueError(f"unknown suite in {suites}; expected one of {tuple(SUITES)}")
     if max_n < 1 or max_k < 2:
         raise ValueError("need max_n >= 1 and max_k >= 2")
+    # only the ham and totals suites read Hamiltonicity
+    run = _Run(ham_cap if {"ham", "totals"} & set(suites) else 0)
     return Summary([report for suite, checks in SUITES.items() if suite in suites
                     for report in checks(run, max_n, max_k)])
 

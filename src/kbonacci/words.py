@@ -34,6 +34,12 @@ def check_k(k: int) -> None:
         raise ValueError(f"avoidance parameter k must be an int >= 2, got {k!r}")
 
 
+def check_n(n: int) -> None:
+    """Reject a length or index n that is not an int (2.0, True, "3")."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
+
+
 def _avoids(bits: tuple[int, ...], k: int) -> bool:
     """True iff no run of 1's in the 0/1 tuple `bits` reaches length k."""
     run = 0
@@ -109,6 +115,7 @@ def generalized_fibonacci(n: int, k: int) -> int:
     big products, which loses to the ring at large k.  Up to index k + 1
     each value is the sum of all earlier ones, so F(n, k) = F(n, n - 1)
     for k >= n - 1, and the ring never holds more than n - 1 slots."""
+    check_n(n)
     check_k(k)
     if n <= 0:
         return 0
@@ -135,6 +142,7 @@ def generalized_fibonacci(n: int, k: int) -> int:
 
 def count_words(n: int, k: int) -> int:
     """Number of valid words of length n, i.e. F(n+2, k)."""
+    check_n(n)
     check_k(k)
     if n < 0:
         raise ValueError(f"word length must be >= 0, got {n}")
@@ -149,6 +157,7 @@ def iter_words(n: int, k: int) -> Iterator[Word]:
     does, and every letter after it becomes 0.  Invalid words are never
     materialized, and no recursion limits n.
     """
+    check_n(n)
     check_k(k)
     if n < 0:
         raise ValueError(f"word length must be >= 0, got {n}")

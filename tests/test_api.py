@@ -110,7 +110,8 @@ def test_each_statistic_belongs_to_one_family():
 
 def test_verify_threads_one_run_object():
     """The checks share state through one keyword-only `run` and nothing
-    else: no other knob, and no second state class."""
+    else: no other knob, no second state class, and no Hamiltonicity cap
+    but `run_all`'s, which sets the run's."""
     public = {name: obj for name, obj in vars(verify).items()
               if inspect.isfunction(obj) and obj.__module__ == verify.__name__
               and not name.startswith("_")}
@@ -121,6 +122,9 @@ def test_verify_threads_one_run_object():
         "brute_stats_poly", "brute_totals", "cross_check", "totals_check",
         "ham_pair_check", "reversal_check"}
     assert all(kw in ([], ["run"]) for kw in knobs.values()), knobs
+    capped = {name for name, f in public.items()
+              if "ham_cap" in inspect.signature(f).parameters}
+    assert capped == {"run_all"}
     assert not hasattr(verify, "_Sweeps")
     assert not hasattr(verify, "_Clock")
 

@@ -54,7 +54,8 @@ class TestGeometry:
         geo = geometry(Polyomino((1,), 2))
         assert geo.vertices == (0, 1, 3, 4)
         assert geo.edges == ((0, 1), (0, 3), (1, 4), (3, 4))
-        assert geo.boundary == 4
+        assert geo.area == 1
+        assert geo.semiperimeter == 2
 
     def test_l_tromino(self):
         # cells (0,0), (0,1), (1,0): 12 cell sides, two of them shared
@@ -62,7 +63,7 @@ class TestGeometry:
         assert geo.vertices == (0, 1, 2, 3, 4, 5, 6, 7)
         assert geo.edges == ((0, 1), (0, 3), (1, 2), (1, 4), (2, 5),
                              (3, 4), (3, 6), (4, 5), (4, 7), (6, 7))
-        assert geo.boundary == 8
+        assert geo.area == 3
         assert geo.semiperimeter == 4
 
     def test_ids_ascend(self):
@@ -146,6 +147,21 @@ class TestSemiperimeter:
             return
         w = Word(tuple(bits), k)
         assert semiperimeter(from_word(w)) == semiperimeter_closed(w)
+
+
+class TestEuler:
+    def test_area_and_semiperimeter_of_the_graph_are_the_fast_paths(self):
+        """The oracle reads area and semiperimeter off the grid graph by
+        Euler's formula; on every word with k = 2..7 and n <= 12 they
+        equal the fast paths, which count columns and runs of 1's."""
+        seen = 0
+        for k in range(2, 8):
+            for n in range(1, 13):
+                for w, geo in geometries(iter_words(n, k)):
+                    assert geo.area == area(from_word(w)), w.text
+                    assert geo.semiperimeter == semiperimeter_closed(w), w.text
+                    seen += 1
+        assert seen == 33596
 
 
 class TestInvariants:

@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -57,7 +58,7 @@ class TestBruteStats:
 
     def test_ham_guard(self):
         assert brute_stats_poly(15, 2, "ham") is None
-        assert brute_stats_poly(15, 2, "ham", ham_cap=15) is not None
+        assert brute_stats_poly(15, 2, "ham", run=verify._Run(15)) is not None
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -96,7 +97,7 @@ class TestCrossCheck:
             assert set(poly.terms) == {(1,)}
 
     def test_ham_skips_beyond_cap(self):
-        reports = cross_check("ham", 2, 6, ham_cap=4)
+        reports = cross_check("ham", 2, 6, run=verify._Run(4))
         assert [r.status for r in reports] == ["pass"] * 4 + ["skip"] * 2
 
     def test_degree_family_k5(self):
@@ -176,6 +177,15 @@ class TestTotalsAndPairs:
         assert tot["area"] == 3 + 4 + 4 + 4 + 5  # the five length-3 words
         assert tot["ham"] == 5
         assert tot["vertices"] == 50
+
+    def test_brute_totals_rejects_an_empty_length(self):
+        with pytest.raises(ValueError, match="length must be >= 1, got 0"):
+            brute_totals(0, 2)
+
+    def test_brute_totals_searches_up_to_the_default_cap(self):
+        assert verify.DEFAULT_HAM_CAP == 14
+        assert brute_totals(14, 2)["ham"] == words.count_words(14, 2)
+        assert brute_totals(15, 2)["ham"] is None
 
     def test_totals_check_passes(self):
         reports = totals_check(3, 5)
@@ -263,6 +273,12 @@ class TestRunAll:
             run_all(0, 3)
         with pytest.raises(ValueError):
             run_all(5, 1)
+
+    def test_unknown_suite_rejected(self):
+        known = re.escape(str(tuple(verify.SUITES)))
+        for suites in (("hams",), ("poly", "Totals")):
+            with pytest.raises(ValueError, match=f"expected one of {known}$"):
+                run_all(3, 3, suites=suites)
 
     def test_text_report_reproducible(self):
         a = to_text(run_all(3, 2, suites=("poly", "reversal")))
@@ -399,7 +415,10 @@ class TestOneRun:
     def test_the_cap_has_one_source(self):
         assert brute_totals(5, 3, run=verify._Run(0))["ham"] is None
         assert brute_stats_poly(5, 3, "ham", run=verify._Run(0)) is None
-        assert brute_totals(5, 3, 4, run=verify._Run(5))["ham"] == brute_totals(5, 3)["ham"]
+        assert brute_totals(5, 3, run=verify._Run(4))["ham"] is None
+        assert brute_totals(5, 3, run=verify._Run(5)) == brute_totals(5, 3)
+        with pytest.raises(TypeError):
+            brute_totals(5, 3, 4)
         reports = cross_check("ham", 2, 3, run=verify._Run(2))
         assert [r.status for r in reports] == ["pass", "pass", "skip"]
 
@@ -455,10 +474,10 @@ class TestHamRule:
 
     def test_a_dropped_side_fails_the_row(self, monkeypatch):
         # the bottom horizontal side of a height-1 column between two others
-        corners, sides, boundary = polyomino._LINES[1, 1]
+        corners, sides = polyomino._LINES[1, 1]
         dropped = tuple(side for side in sides if side != (0, 3))
         assert len(dropped) == len(sides) - 1
-        monkeypatch.setitem(polyomino._LINES, (1, 1), (corners, dropped, boundary))
+        monkeypatch.setitem(polyomino._LINES, (1, 1), (corners, dropped))
         row = self.rule_row()
         assert (row.status, row.actual) == ("fail", "differs at 00")
         # the row names a true disagreement of the mutated graph and the rule

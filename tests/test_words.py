@@ -257,3 +257,18 @@ class TestIntK:
         words = iter_words(3, 2.5)
         with pytest.raises(ValueError, match="must be an int >= 2"):
             next(words)
+
+
+class TestIntN:
+    """A word length or sequence index n is an int, as k is."""
+
+    @pytest.mark.parametrize("n", [2.0, 2.5, True, "3", None])
+    def test_non_int_n_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be an int, got"):
+            next(iter_words(n, 2))
+        with pytest.raises(ValueError, match="n must be an int, got"):
+            count_words(n, 2)
+        with pytest.raises(ValueError, match="n must be an int, got"):
+            generalized_fibonacci(n, 2)
+        with pytest.raises(ValueError, match="n must be an int, got"):
+            enumerate_words(n, 2)
