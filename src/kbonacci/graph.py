@@ -3,18 +3,24 @@ sides are edges.  All vertices have degree 2, 3 or 4.
 
 The degree profile, the Hamiltonicity search and the mirror x -> n - x
 have one implementation each, on integer vertex ids: `degree_counts`,
-`has_hamiltonian_cycle` and `mirrored`.  One private record builder feeds
-the first two a word's `polyomino` geometry and is the one source of
-every per-word statistic, each read off the grid graph (area and
-semiperimeter by Euler's formula): `word_stats` builds one word's
-geometry, and `sweep_stats` takes a sequence of words on
-`polyomino.geometries`, which rebuilds only the lines past the letters a
-word shares with the previous one.  The `GridGraph` functions relabel
-their (x, y) vertices to their ranks first.  The search refutes a
-bipartite graph with sides of different sizes before it backtracks,
-which holds for every graph.  Hamiltonicity also has one O(n) fast path,
-`hamiltonian_by_odd_runs`, which `frontier.check_ham_rule` proves equal
-to the search on every word; the search stays as its independent oracle.
+`has_hamiltonian_cycle` and `mirrored`.  The first two read a private
+`_Graph`, the vertex and edge lists of `polyomino._Lines` built line by
+line by `polyomino._add_lines`, which also keeps per line each vertex's
+incidence list and the counts of finished vertices by degree and, when
+a search will be asked for, the search's 2-colouring pass.  One private
+record builder reads a word's statistics off it, each from the grid
+graph (area and semiperimeter by Euler's formula): `sweep_stats` takes a
+sequence of words on one `_Graph`, which `polyomino._build_each` cuts
+back to the letters a word shares with the previous one and extends
+from there, so the degree counts, the incidence lists and the colouring
+are all reused for the kept lines; `word_stats` is the sweep of one
+word, and `degree_counts` and `has_hamiltonian_cycle` build a `_Graph`
+in one go.  The `GridGraph` functions relabel their (x, y) vertices to
+their ranks first.  The search refutes a bipartite graph with sides of
+different sizes before it backtracks, which holds for every graph.
+Hamiltonicity also has one O(n) fast path, `hamiltonian_by_odd_runs`,
+which `frontier.check_ham_rule` proves equal to the search on every
+word; the search stays as its independent oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .polyomino import Geometry, Polyomino, from_word, geometries, geometry
+from .polyomino import Geometry, Polyomino, _build_each, _Lines, by_euler, geometry
 from .words import Word
 
 Vertex = tuple[int, int]
@@ -66,17 +72,7 @@ def degree_counts(vertices: Sequence[int], edges: Sequence[tuple[int, int]],
     """Counts of vertices of degree 2, 3 and 4 of a graph on integer ids
     (ascending `vertices`); `corner` names a vertex in an error, by
     default as the (x, y) of id 3x + y."""
-    deg = [0] * (vertices[-1] + 1) if vertices else []
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    counts = [0] * 5
-    for v in vertices:
-        d = deg[v]
-        if d < 2 or d > 4:
-            raise ValueError(f"vertex {corner(v)} has degree {d}, outside {{2,3,4}}")
-        counts[d] += 1
-    return counts[2], counts[3], counts[4]
+    return _Graph.of(vertices, edges, False).degrees(corner)
 
 
 def degree_profile(g: GridGraph) -> tuple[int, int, int]:
@@ -102,6 +98,135 @@ def grid_hamiltonian_rule(m: int, n: int) -> bool:
     cycle: true iff m, n >= 2 and m*n is even (a 1 x n strip is a path),
     or, by convention, m = n = 1."""
     return m >= 2 and n >= 2 and m * n % 2 == 0 or m == n == 1
+
+
+class _Graph(_Lines):
+    """The vertex and edge lists of `polyomino._Lines`, built and cut back
+    the same way by `polyomino._add_lines`, with what the degree counts
+    and the search read kept as well, so that keeping them up costs a
+    word of a sweep only the lines it rebuilds.  `finish` takes in the
+    new lines' edges and finishes their vertices, whose degrees no later
+    line changes; `cut(x, size)` undoes what the dropped lines brought
+    and makes room for the ids below `size`.
+
+    Per id, `incident` lists the edges at it as (edge, other end) pairs
+    in edge order, so that a cut pops the tail entries of the edges it
+    drops; a vertex's degree is the length of its list.  `tally[d]`
+    counts the vertices of degree d < 5, with any degree above 4 counted
+    in `tally[0]`.  Per id, `side` is its colour in the 2-colouring pass
+    of `has_hamiltonian_cycle` (-1: none), and `ones` counts the ids of
+    colour 1.  The pass colours the first vertex 0 and runs on each edge
+    as it is added; `painted` lists the ids it colours, in order, and
+    `stop` is the edge it stopped at (None while it runs; -1 for a graph
+    made without `search`, which needs no colouring).  A vertex the pass
+    colours is coloured by its first edge: at an earlier edge it would
+    have been coloured or stopped the pass.  So a cut pops from `painted`
+    the ids whose first edge it drops, which it leaves with no edge, and
+    restarts the pass when it drops the edge it stopped at (the undo
+    trail of Knuth, TAOCP 7.2.2, Algorithm B).  `of` builds a graph of
+    any vertices and edges as one line; a sweep's graph equals the one
+    `of` builds from its lists."""
+
+    def __init__(self, search: bool) -> None:
+        super().__init__()
+        self.incident: list[list[tuple[int, int]]] = []
+        self.tally = [0] * 5
+        self.side: list[int] = []
+        self.painted: list[int] = []
+        self.ones = 0
+        self.stop: int | None = None if search else -1
+
+    @classmethod
+    def of(cls, vertices: Sequence[int], edges: Sequence[tuple[int, int]],
+           search: bool) -> _Graph:
+        """The graph of ascending `vertices` and `edges`, as one line."""
+        g = cls(search)
+        g.cut(0, vertices[-1] + 1 if vertices else 0)
+        g.add(0, vertices, edges)
+        g.finish(0, 0)
+        return g
+
+    def cut(self, x: int, size: int) -> None:
+        nv, ne = self.marks[x]
+        vertices, incident, side, painted, tally = (
+            self.vertices, self.incident, self.side, self.painted, self.tally)
+        for v in vertices[nv:]:
+            d = len(incident[v])
+            tally[d if d < 5 else 0] -= 1
+        for u, v in self.edges[ne:]:
+            incident[u].pop()
+            incident[v].pop()
+        # the ids left with no edge are the last ones coloured, but the
+        # first vertex, which stays coloured while it stays
+        keep = 1 if nv else 0
+        while len(painted) > keep and not incident[painted[-1]]:
+            v = painted.pop()
+            self.ones -= side[v]
+            side[v] = -1
+        if self.stop is not None and self.stop >= ne:
+            self.stop = None
+        super().cut(x, size)
+        if len(incident) < size:
+            more = size - len(incident)
+            incident += [[] for _ in range(more)]
+            side += [-1] * more
+
+    def finish(self, first: int, i: int) -> None:
+        vertices, edges, incident = self.vertices, self.edges, self.incident
+        side, painted, ones = self.side, self.painted, self.ones
+        running = self.stop is None
+        if running and vertices and not painted:
+            side[vertices[0]] = 0
+            painted.append(vertices[0])
+        for u, v in edges[i:]:
+            incident[u].append((i, v))
+            incident[v].append((i, u))
+            if running:
+                a = side[u]
+                b = side[v]
+                if a == b:  # two uncoloured ends, or an odd cycle
+                    running = False
+                    self.stop = i
+                elif b < 0:
+                    side[v] = 1 - a
+                    ones += 1 - a
+                    painted.append(v)
+                elif a < 0:
+                    side[u] = 1 - b
+                    ones += 1 - b
+                    painted.append(u)
+            i += 1
+        self.ones = ones
+        tally = self.tally
+        for v in vertices[first:]:
+            d = len(incident[v])
+            tally[d if d < 5 else 0] += 1
+
+    def degrees(self, corner: Callable[[int], Vertex] = lambda v: divmod(v, 3),
+                ) -> tuple[int, int, int]:
+        """Counts of the vertices of degree 2, 3 and 4; a vertex of any
+        other degree is a `ValueError` that names the first one by
+        `corner`."""
+        _, _, d2, d3, d4 = self.tally
+        if d2 + d3 + d4 < len(self.vertices):
+            v = next(v for v in self.vertices if not 2 <= len(self.incident[v]) <= 4)
+            raise ValueError(f"vertex {corner(v)} has degree {len(self.incident[v])}, "
+                             "outside {2,3,4}")
+        return d2, d3, d4
+
+    def refuted(self) -> bool:
+        """Whether the colouring refutes a Hamiltonian cycle: the pass got
+        through every edge and coloured every vertex, and not half of
+        them 1.  The graph must be made with `search` set."""
+        n = len(self.vertices)
+        return self.stop is None and len(self.painted) == n and 2 * self.ones != n
+
+    def hamiltonian(self) -> bool:
+        """`has_hamiltonian_cycle` of the graph as it stands, which must be
+        made with `search` set."""
+        if len(self.vertices) < 3:
+            raise ValueError("Hamiltonicity needs at least 3 vertices")
+        return not self.refuted() and _search(self.vertices, self.edges, self.incident)
 
 
 def has_hamiltonian_cycle(vertices: Sequence[int],
@@ -131,35 +256,25 @@ def has_hamiltonian_cycle(vertices: Sequence[int],
     latest pending branch, undoes the trail back to it and decides its
     edge out.  It is one loop, with no recursion limit, and copies nothing
     (Knuth, TAOCP 7.2.2, Algorithm B).
+
+    Both run on a `_Graph` of `vertices` and `edges` built in one go;
+    `sweep_stats` runs them on the `_Graph` it keeps per line, whose
+    incidence lists and colouring the search reads as they stand.
     """
+    return _Graph.of(vertices, edges, True).hamiltonian()
+
+
+def _search(vertices: Sequence[int], edges: Sequence[tuple[int, int]],
+            incident: Sequence[Sequence[tuple[int, int]]]) -> bool:
+    """The backtracking of `has_hamiltonian_cycle` on a graph of ascending
+    `vertices`: `incident[v]` lists v's edges as (edge, other end) pairs
+    in the order of `edges`.  Its arrays span the ids up to the last
+    vertex, made afresh on each call."""
     n = len(vertices)
-    if n < 3:
-        raise ValueError("Hamiltonicity needs at least 3 vertices")
     size = vertices[-1] + 1
-    side = [-1] * size
-    side[vertices[0]] = 0
-    for u, v in edges:
-        a, b = side[u], side[v]
-        if a == b:  # two uncoloured ends, or an odd cycle
-            break
-        if a < 0:
-            side[u] = 1 - b
-        elif b < 0:
-            side[v] = 1 - a
-    else:
-        ones = side.count(1)
-        if side.count(0) + ones == n and 2 * ones != n:
-            return False
-
-    # each vertex's edges as (edge, its other end) pairs
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-    for i, (u, v) in enumerate(edges):
-        incident[u].append((i, v))
-        incident[v].append((i, u))
-
     state = [_UNDECIDED] * (len(edges) + 1)  # and a sentinel after the last edge
     chosen_at = [0] * size                # chosen edges at each vertex
-    open_at = [len(f) for f in incident]  # undecided edges at each vertex
+    open_at = list(map(len, incident[:size]))  # undecided edges at each vertex
     end = list(range(size))  # at an end of a chosen path: its other end
     trail: list[int] = []    # decided edges, in order
     links: list[int] = []    # (vertex, its previous end) pairs, flattened
@@ -304,28 +419,31 @@ class WordStats:
     ham: int | None
 
 
-def _record(geo: Geometry, ham: bool) -> WordStats:
+def _record(g: _Graph, ham: bool) -> WordStats:
     """The statistics of a polyomino, all read off its grid graph (area
-    and semiperimeter by Euler's formula, `Geometry`); Hamiltonicity is
-    searched for only when `ham` is set."""
-    vertices, edges = geo.vertices, geo.edges
-    return WordStats(geo.area, geo.semiperimeter, len(vertices), len(edges),
-                     *degree_counts(vertices, edges),
-                     int(has_hamiltonian_cycle(vertices, edges)) if ham else None)
+    and semiperimeter by Euler's formula, `polyomino.Geometry`);
+    Hamiltonicity is searched for only when `ham` is set."""
+    nv, ne = len(g.vertices), len(g.edges)
+    return WordStats(*by_euler(nv, ne), nv, ne, *g.degrees(),
+                     int(g.hamiltonian()) if ham else None)
 
 
 def word_stats(w: Word, ham: bool) -> WordStats:
     """The statistics of a nonempty word, read off the grid graph of its
-    polyomino; Hamiltonicity is searched for only when `ham` is set."""
-    return _record(geometry(from_word(w)), ham)
+    polyomino: the sweep of `sweep_stats` on the one word."""
+    return next(sweep_stats((w,), ham))[1]
 
 
 def sweep_stats(words: Iterable[Word], ham: bool) -> Iterator[tuple[Word, WordStats]]:
     """Each nonempty word of `words` with its statistics, equal to
-    `word_stats(w, ham)`, built on `polyomino.geometries`: a word rebuilds
-    only the lines past the letters it shares with the previous word."""
-    for w, geo in geometries(words):
-        yield w, _record(geo, ham)
+    `word_stats(w, ham)`, from one `_Graph` that `polyomino._build_each`
+    keeps per prefix: a word rebuilds only the lines past the letters it
+    shares with the previous word, and its record reads the counts and
+    the search reads the incidence lists and colouring kept per line.
+    The search still makes its own arrays, over the word's ids, per call."""
+    g = _Graph(ham)
+    for w in _build_each(words, g):
+        yield w, _record(g, ham)
 
 
 def to_dot(g: GridGraph, name: str = "G") -> str:

@@ -4,18 +4,22 @@ Coordinates: column i (1-based) occupies x in [i-1, i]; a column of
 height h covers the unit cells with y in [0, h).  This fixes the vertex
 labels used by the graph module.
 
-`geometry` builds a polyomino's corners and sides line by line, from the
-vertical line x = 0 to x = n, each line from the heights of the columns
-on either side of it (`_LINES`).  `geometries` does the same for a
-sequence of words and keeps the lines a word shares with the previous
-one: line x reads only letters x - 1 and x, so the words of one length in
-`iter_words` order rebuild about three lines each, not n + 1.  Euler's
-formula gives a geometry's area and semiperimeter (`Geometry`).
+`_add_lines` builds a polyomino's corners and sides line by line, from
+the vertical line x = 0 to x = n, each line from the heights of the
+columns on either side of it (`_LINES`), into a structure that can be
+cut back to a line: `_Lines` holds just the vertex and edge lists, and
+its subclass `graph._Graph` keeps the grid graph's degree counts and
+search state as well.  `geometry` builds one polyomino.  `_build_each`
+keeps the lines a word shares with the previous one in a sequence of
+words: line x reads only letters x - 1 and x, so the words of one
+length in `iter_words` order rebuild about three lines each, not n + 1.
+`geometries` yields a sequence's geometries from it.  Euler's formula
+gives a geometry's area and semiperimeter (`Geometry`, `by_euler`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .words import Word
@@ -60,11 +64,17 @@ class Geometry:
 
     @property
     def area(self) -> int:
-        return len(self.edges) - len(self.vertices) + 1
+        return by_euler(len(self.vertices), len(self.edges))[0]
 
     @property
     def semiperimeter(self) -> int:
-        return 2 * len(self.vertices) - len(self.edges) - 2
+        return by_euler(len(self.vertices), len(self.edges))[1]
+
+
+def by_euler(vertices: int, edges: int) -> tuple[int, int]:
+    """Area and semiperimeter of a bargraph polyomino whose grid graph has
+    `vertices` corners and `edges` sides (`Geometry`)."""
+    return edges - vertices + 1, 2 * vertices - edges - 2
 
 
 def _line(left: int, right: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
@@ -88,50 +98,77 @@ _LINES = {(left, right): _line(left, right)
           for left in range(3) for right in range(3) if left or right}
 
 
-def _add_lines(heights: tuple[int, ...], x: int, vertices: list[int],
-               edges: list[tuple[int, int]], marks: list[tuple[int, int]]) -> None:
-    """Rebuild lines x, x + 1, ..., n of the columns `heights` (n of them):
-    cut `vertices` and `edges` back to their lengths before line x, then
-    append the corners and sides of each line.  `marks[i]` holds the two
-    lengths before line i (`marks[:x + 1]` must be set).  Each line's ids
-    exceed the previous line's, so both lists ascend without a sort."""
-    nv, ne = marks[x]
-    del vertices[nv:], edges[ne:], marks[x + 1:]
-    base = 3 * x
-    left = heights[x - 1] if x else 0
-    for right in heights[x:] + (0,):
-        corners, sides = _LINES[left, right]
+class _Lines:
+    """The vertex and edge lists of a graph on integer ids, built line by
+    line by `_add_lines`: `cut(x, size)` drops every line from line x on,
+    `add(base, corners, sides)` appends a line's corners and sides, as
+    offsets from the line's lowest id `base`, and `finish(first, i)`
+    closes a run of added lines, whose vertices start at index `first`
+    and edges at index `i`.  Each line's ids exceed the previous line's,
+    so both lists ascend without a sort; `marks[i]` holds their lengths
+    before line i.  `graph._Graph` extends `cut` and `finish` to keep
+    what the degree counts and the Hamiltonicity search read."""
+
+    def __init__(self) -> None:
+        self.vertices: list[int] = []
+        self.edges: list[tuple[int, int]] = []
+        self.marks = [(0, 0)]
+
+    def cut(self, x: int, size: int) -> None:
+        """Drop lines x, x + 1, ...; ids stay below `size` (a bound that
+        only structures indexed by id need)."""
+        nv, ne = self.marks[x]
+        del self.vertices[nv:], self.edges[ne:], self.marks[x + 1:]
+
+    def add(self, base: int, corners: Sequence[int],
+            sides: Sequence[tuple[int, int]]) -> None:
+        vertices, edges = self.vertices, self.edges
         for y in corners:
             vertices.append(base + y)
         for u, v in sides:
             edges.append((base + u, base + v))
-        marks.append((len(vertices), len(edges)))
+        self.marks.append((len(vertices), len(edges)))
+
+    def finish(self, first: int, i: int) -> None:
+        """Nothing more to keep for the lists alone."""
+
+
+def _add_lines(heights: tuple[int, ...], x: int, lines: _Lines) -> None:
+    """Rebuild lines x, x + 1, ..., n of the columns `heights` (n of them)
+    in `lines` (a `_Lines` or a `graph._Graph`): cut it back to its state
+    before line x, then add the corners and sides of each line at its ids
+    3x + y, and finish them.  This is the one reader of `_LINES` that
+    builds geometry."""
+    lines.cut(x, 3 * len(heights) + 3)
+    first, i = len(lines.vertices), len(lines.edges)
+    base = 3 * x
+    left = heights[x - 1] if x else 0
+    for right in heights[x:] + (0,):
+        corners, sides = _LINES[left, right]
+        lines.add(base, corners, sides)
         base += 3
         left = right
+    lines.finish(first, i)
 
 
 def geometry(p: Polyomino) -> Geometry:
     """Corners and sides of every cell, built line by line from the
     column heights."""
-    vertices: list[int] = []
-    edges: list[tuple[int, int]] = []
-    _add_lines(p.heights, 0, vertices, edges, [(0, 0)])
-    return Geometry(tuple(vertices), tuple(edges))
+    lines = _Lines()
+    _add_lines(p.heights, 0, lines)
+    return Geometry(tuple(lines.vertices), tuple(lines.edges))
 
 
-def geometries(words: Iterable[Word]) -> Iterator[tuple[Word, Geometry]]:
-    """Each nonempty word with the geometry of its polyomino, equal to
-    `geometry(from_word(w))`, built once per prefix: line x depends only
-    on letters x - 1 and x (counting from 0), so a word that shares its
-    first i letters with the previous one keeps the previous word's lines
+def _build_each(words: Iterable[Word], lines: _Lines) -> Iterator[Word]:
+    """Each nonempty word of `words`, once `lines` holds the lines of its
+    polyomino, built once per prefix: line x depends only on letters
+    x - 1 and x (counting from 0), so a word that shares its first i
+    letters with the previous one keeps the previous word's lines
     0..i - 1 and rebuilds the rest.  In `iter_words` order, i is the new
     word's last 1 (the letter the successor raised; every later letter is
     0), and comparing the first i letters confirms it.  When they differ,
     or the length changes, every line is rebuilt, so any order of words
-    gets the right geometries."""
-    vertices: list[int] = []
-    edges: list[tuple[int, int]] = []
-    marks = [(0, 0)]
+    gets the right lines."""
     last: tuple[int, ...] = ()
     for w in words:
         bits = w.bits
@@ -140,9 +177,17 @@ def geometries(words: Iterable[Word]) -> Iterator[tuple[Word, Geometry]]:
         x = len(bits) - 1 - bits[::-1].index(1) if 1 in bits else 0
         if len(bits) != len(last) or bits[:x] != last[:x]:
             x = 0
-        _add_lines(tuple([b + 1 for b in bits]), x, vertices, edges, marks)
+        _add_lines(tuple([b + 1 for b in bits]), x, lines)
         last = bits
-        yield w, Geometry(tuple(vertices), tuple(edges))
+        yield w
+
+
+def geometries(words: Iterable[Word]) -> Iterator[tuple[Word, Geometry]]:
+    """Each nonempty word with the geometry of its polyomino, equal to
+    `geometry(from_word(w))`, built once per prefix (`_build_each`)."""
+    lines = _Lines()
+    for w in _build_each(words, lines):
+        yield w, Geometry(tuple(lines.vertices), tuple(lines.edges))
 
 
 def area(p: Polyomino) -> int:

@@ -13,6 +13,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from . import formulas, graph, polyomino, series, words
 from .series import MultiPoly, RationalGF
@@ -172,11 +173,9 @@ def brute_totals(n: int, k: int, *, run: _Run | None = None) -> dict[str, int | 
     sums of the `graph.WordStats` fields, with ham None when n exceeds
     the run's Hamiltonicity cap."""
     run = run or _Run(DEFAULT_HAM_CAP)
-    ham = n <= run.ham_cap
-    sums = {name: 0 for name in TOTALS if ham or name != "ham"}
-    for stats in run.stats(n, k).values():
-        for name in sums:
-            sums[name] += getattr(stats, name)
+    names = [name for name in TOTALS if n <= run.ham_cap or name != "ham"]
+    columns = zip(*map(attrgetter(*names), run.stats(n, k).values()))
+    sums = dict(zip(names, map(sum, columns)))
     return {name: sums.get(name) for name in TOTALS}
 
 

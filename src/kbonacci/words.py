@@ -76,7 +76,7 @@ class Word:
 
     @property
     def text(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return "".join(map(str, self.bits))
 
     def __len__(self) -> int:
         return len(self.bits)

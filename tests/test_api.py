@@ -211,20 +211,79 @@ def test_no_function_calls_itself():
     assert found == []
 
 
-def test_the_search_reads_only_the_graph():
-    """`has_hamiltonian_cycle` stays an oracle independent of the odd-run
-    rule: the only names it reads from outside its body are the edge
-    states and builtins, never a word, the rule's tables or the
-    frontier automaton."""
-    tree = ast.parse((SRC / "graph.py").read_text())
-    search = next(node for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "has_hamiltonian_cycle")
-    annotations = {id(name) for node in ast.walk(search) if isinstance(node, ast.AnnAssign)
+def _free_names(func: ast.FunctionDef) -> set[str]:
+    """The names that the body of `func` reads and does not bind: its
+    globals and builtins (annotations left out)."""
+    annotations = {id(name) for node in ast.walk(func) if isinstance(node, ast.AnnAssign)
                    for name in ast.walk(node.annotation)}
-    names = [node for stmt in search.body for node in ast.walk(stmt)
+    names = [node for stmt in func.body for node in ast.walk(stmt)
              if isinstance(node, ast.Name) and id(node) not in annotations]
-    bound = {a.arg for a in search.args.args}
+    bound = {a.arg for a in func.args.args}
     bound |= {node.id for node in names if isinstance(node.ctx, ast.Store)}
-    free = {node.id for node in names if isinstance(node.ctx, ast.Load)} - bound
-    assert free == {"_UNDECIDED", "_IN", "_OUT", "ValueError", "enumerate", "len",
-                    "list", "range"}
+    return {node.id for node in names if isinstance(node.ctx, ast.Load)} - bound
+
+
+def _graph_oracle() -> dict[str, ast.FunctionDef]:
+    """The search core and the prefix structure: `has_hamiltonian_cycle`,
+    `degree_counts`, every method of `graph._Graph` and of its base
+    `polyomino._Lines`, and every function or class of graph.py that any
+    of them reads, by qualified name."""
+    defs = {node.name: node for path in ("graph.py", "polyomino.py")
+            for node in ast.parse((SRC / path).read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    todo = ["has_hamiltonian_cycle", "degree_counts", "_Graph"]
+    found: dict[str, ast.FunctionDef] = {}
+    while todo:
+        node = defs[todo.pop()]
+        if isinstance(node, ast.ClassDef):
+            funcs = [(f"{node.name}.{f.name}", f) for f in node.body
+                     if isinstance(f, ast.FunctionDef)]
+            todo += [base.id for base in node.bases]
+        else:
+            funcs = [(node.name, node)]
+        for name, func in funcs:
+            if name not in found:
+                found[name] = func
+                todo += sorted(_free_names(func) & defs.keys())
+    return found
+
+
+def test_the_search_reads_only_the_graph():
+    """The Hamiltonicity search and the degree counts stay an oracle
+    independent of the odd-run rule and of the line table: the search
+    core, the per-prefix `_Graph`, the `_Lines` it extends and every
+    function they call read only the edge states, each other and
+    builtins, never a word's letters, the rule's tables, the line table
+    or the frontier automaton."""
+    found = _graph_oracle()
+    assert set(found) == {
+        "has_hamiltonian_cycle", "degree_counts", "_search", "_Graph.__init__",
+        "_Graph.of", "_Graph.cut", "_Graph.finish", "_Graph.degrees", "_Graph.refuted",
+        "_Graph.hamiltonian", "_Lines.__init__", "_Lines.cut", "_Lines.add",
+        "_Lines.finish"}
+    free = set().union(*map(_free_names, found.values()))
+    assert free == {"_UNDECIDED", "_IN", "_OUT", "_Graph", "_search", "ValueError",
+                    "len", "list", "map", "next", "range", "super"}
+    attributes = {node.attr for func in found.values() for node in ast.walk(func)
+                  if isinstance(node, ast.Attribute)}
+    forbidden = {"bits", "text", "_LINES", "ODD_RUN_STEP", "ODD_RUN_ACCEPT",
+                 "hamiltonian_by_odd_runs", "frontier", "polyomino", "words"}
+    assert not (free | attributes) & forbidden
+
+
+def test_only_the_line_builder_and_the_automaton_read_the_line_table():
+    """`polyomino._LINES` has one reader that builds geometry,
+    `polyomino._add_lines`, and one other, the frontier automaton, so a
+    second line builder cannot appear without this test failing."""
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == "_LINES"
+                        and isinstance(node.ctx, ast.Load)
+                        or isinstance(node, ast.Attribute) and node.attr == "_LINES"
+                        or isinstance(node, ast.alias) and node.name == "_LINES"):
+                    readers.add((path.stem, getattr(top, "name", None)))
+    assert {(module, name) for module, name in readers if module != "frontier"} == {
+        ("polyomino", "_add_lines")}
+    assert {module for module, _ in readers} == {"polyomino", "frontier"}

@@ -1,5 +1,6 @@
 import pytest
 
+from kbonacci import graph, polyomino
 from kbonacci.graph import (
     GridGraph,
     build_graph,
@@ -330,6 +331,120 @@ def tuple_mirror(g: GridGraph) -> GridGraph:
 def as_grid_graph(geo) -> GridGraph:
     return GridGraph(frozenset(divmod(v, 3) for v in geo.vertices),
                      frozenset((divmod(u, 3), divmod(v, 3)) for u, v in geo.edges))
+
+
+def scratch_build(vertices, edges):
+    """The incidence lists and 2-colouring of a graph on integer ids,
+    built from scratch the plain way, with the colouring's verdict, the
+    number of vertices of colour 1 and the degree counts."""
+    size = vertices[-1] + 1
+    incident = [[] for _ in range(size)]
+    degree = [0] * size
+    for i, (u, v) in enumerate(edges):
+        incident[u].append((i, v))
+        incident[v].append((i, u))
+        degree[u] += 1
+        degree[v] += 1
+    side = [-1] * size
+    side[vertices[0]] = 0
+    for u, v in edges:
+        a, b = side[u], side[v]
+        if a == b:
+            refuted = False
+            break
+        if a < 0:
+            side[u] = 1 - b
+        elif b < 0:
+            side[v] = 1 - a
+    else:
+        ones = side.count(1)
+        refuted = side.count(0) + ones == len(vertices) and 2 * ones != len(vertices)
+    counts = tuple(sum(degree[v] == d for v in vertices) for d in (2, 3, 4))
+    return incident, side, refuted, side.count(1), counts
+
+
+class TestSweepGraph:
+    """The per-prefix `graph._Graph` of a sweep against a graph built from
+    scratch from the same vertex and edge lists."""
+
+    @staticmethod
+    def assert_like_a_scratch_build(g, search, w):
+        incident, side, refuted, ones, counts = scratch_build(g.vertices, g.edges)
+        size = len(incident)
+        assert (g.incident[:size], g.degrees()) == (incident, counts), w.text
+        assert not any(g.incident[size:]), w.text
+        if search:
+            assert (g.side[:size], g.refuted(), g.ones) == (side, refuted, ones), w.text
+            assert set(g.side[size:]) <= {-1}, w.text
+
+    def test_every_word_in_every_order_equals_a_scratch_build(self):
+        """In `iter_words` order, reversed, shuffled and with lengths mixed
+        (`sweep_orders`), the sweep's incidence lists and degree counts,
+        colouring, count of colour 1 and refutation equal a build from
+        scratch of the same edges, and the ids past the word's are left
+        clean."""
+        orders = sweep_orders()
+        # a graph for the degrees alone skips only the colouring, so the
+        # shuffled and mixed orders suffice for it
+        for ws, search in [(ws, True) for ws in orders] + [(ws, False) for ws in orders[-10:]]:
+            g = graph._Graph(search)
+            swept = []
+            for w in polyomino._build_each(ws, g):
+                self.assert_like_a_scratch_build(g, search, w)
+                swept.append(w)
+            assert swept == ws
+
+    def test_a_cut_restarts_a_stopped_colouring(self):
+        """No grid graph stops the pass, so a graph whose second line
+        closes a triangle does: a cut back to that line, or to line 0,
+        restarts the pass, which then runs as in a fresh build of the
+        square that is left.  As in a grid graph, no line adds an edge at
+        the vertices of an earlier line."""
+        line0 = ((0, 1), ((0, 1), (0, 2), (1, 3)))
+        square = ((0, 1), (0, 2), (1, 3), (2, 3))
+        for x in (1, 0):
+            g = graph._Graph(True)
+            g.cut(0, 5)
+            g.add(0, *line0)
+            g.add(0, (2, 3), ((2, 3), (2, 4), (3, 4)))
+            g.add(0, (4,), ())
+            g.finish(0, 0)
+            assert (g.stop, g.painted, g.refuted()) == (5, [0, 1, 2, 3, 4], False)
+            g.cut(x, 5)
+            first, i = len(g.vertices), len(g.edges)
+            if not x:
+                g.add(0, *line0)
+            g.add(0, (2, 3), ((2, 3),))
+            g.finish(first, i)
+            assert (g.stop, g.painted, g.incident[4], g.side[4]) == (None, [0, 1, 2, 3], [], -1)
+            assert (g.incident[:4], g.side[:4], g.refuted(), g.ones, g.degrees()) == (
+                scratch_build((0, 1, 2, 3), square))
+
+    def test_an_edge_may_colour_its_first_end(self):
+        """No grid graph's ascending edges colour a first end, so a 4-cycle
+        given as 0-3, 1-0, 1-2, 2-3 does (1 from 0): its colour-1 count is
+        2, and the balanced cycle is not refuted."""
+        square = ((0, 3), (1, 0), (1, 2), (2, 3))
+        g = graph._Graph.of((0, 1, 2, 3), square, True)
+        assert (g.incident, g.side, g.refuted(), g.ones, g.degrees()) == scratch_build(
+            (0, 1, 2, 3), square)
+        assert g.ones == 2 and g.hamiltonian() is True
+
+    def test_the_refutation_never_refutes_a_hamiltonian_word(self):
+        """The sweep's colouring refutes 2,388 of the 2,842 non-Hamiltonian
+        words among the 5,046 of lengths 1 to 10 at k = 2, 3, 4 and 6, and
+        no Hamiltonian one (by the proved odd-run rule)."""
+        refuted = non_hamiltonian = words = 0
+        for k in (2, 3, 4, 6):
+            for n in range(1, 11):
+                g = graph._Graph(True)
+                for w in polyomino._build_each(iter_words(n, k), g):
+                    ham = hamiltonian_by_odd_runs(w)
+                    assert not (ham and g.refuted()), w.text
+                    refuted += g.refuted()
+                    non_hamiltonian += not ham
+                    words += 1
+        assert (refuted, non_hamiltonian, words) == (2388, 2842, 5046)
 
 
 class TestReversalSymmetry:

@@ -322,24 +322,25 @@ class TestTiming:
 
 class _Counts:
     """Counts the records `graph.sweep_stats` yields, by (word, k, ham
-    asked), and Hamiltonicity searches."""
+    asked), and Hamiltonicity searches: the calls of the sweep graph's
+    `hamiltonian`."""
 
     def __init__(self, monkeypatch):
         self.records = collections.Counter()
         self.searches = 0
-        sweep, search = graph.sweep_stats, graph.has_hamiltonian_cycle
+        sweep, search = graph.sweep_stats, graph._Graph.hamiltonian
 
         def counted_sweep(ws, ham):
             for w, stats in sweep(ws, ham):
                 self.records[w.bits, w.k, ham] += 1
                 yield w, stats
 
-        def counted_search(vertices, edges):
+        def counted_search(g):
             self.searches += 1
-            return search(vertices, edges)
+            return search(g)
 
         monkeypatch.setattr(graph, "sweep_stats", counted_sweep)
-        monkeypatch.setattr(graph, "has_hamiltonian_cycle", counted_search)
+        monkeypatch.setattr(graph._Graph, "hamiltonian", counted_search)
 
     def snapshot(self):
         return sum(self.records.values()), self.searches
