@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .series import (MultiPoly, expand, expand_ints, gf_degree, gf_graph, gf_named_total,
                      gf_polyomino)
-from .words import enumerate_words, generalized_fibonacci
+from .words import check_n, enumerate_words, generalized_fibonacci
 
 PQ = ("p", "q")
 Q = ("q",)
@@ -45,6 +45,9 @@ def fibonacci(n: int) -> int:
 
 
 def _check_n(n: int, low: int = 1) -> None:
+    """Reject an index n that is not an int (`words.check_n`) or is
+    below `low`."""
+    check_n(n)
     if n < low:
         raise ValueError(f"index must be >= {low}, got {n}")
 
@@ -200,6 +203,7 @@ def series_sides(n_max: int) -> dict[str, list[MultiPoly]]:
     as `RECURRENCES`: t from gf_polyomino(2), v from gf_graph(2), and d_j
     from gf_degree(2) with the two other degree markers set to 1 before it
     expands, so that expansion runs in (x, q_j) alone, and q_j renamed q."""
+    check_n(n_max)
     degree = gf_degree(2)
     sides = {"t": expand(gf_polyomino(2), n_max), "v": expand(gf_graph(2), n_max)}
     for j in DEGREES:
@@ -257,6 +261,7 @@ def degree_partition_break(n_max: int) -> int | None:
     """The first n <= n_max at which the totals of degree-2, 3 and 4
     vertices over length-n words with k = 2 do not sum to the vertex
     total, by their named generating functions, or None."""
+    check_n(n_max)
     vertices = expand_ints(gf_named_total("vertices", 2), n_max)
     counts = [expand_ints(gf_named_total(f"deg{j}", 2), n_max) for j in DEGREES]
     return next((n for n in range(1, n_max + 1)
@@ -268,6 +273,7 @@ def polyomino_counts_by_area(max_area: int) -> list[int]:
     exactly a cells, for a = 0..max_area, counted by one sweep of the
     words.  Each column holds at least one cell, so only word lengths up
     to max_area can contribute."""
+    check_n(max_area)
     if max_area < 1:
         raise ValueError(f"area must be >= 1, got {max_area}")
     counts = [0] * (max_area + 1)
@@ -434,6 +440,8 @@ def verify_certificate(which: str, n: int, i: int) -> bool | None:
     certificate denominator vanishes or, for rel2, when (n, i) lies
     outside the factorial-form support (i >= 1 and n >= 2i + 1).
     """
+    check_n(n)
+    check_n(i)
     if which == "rel1":
         gs = [_rel1_G(n, i), _rel1_G(n, i + 1)]
         if any(g is None for g in gs):

@@ -6,18 +6,19 @@ have one implementation each, on integer vertex ids: `degree_counts`,
 `has_hamiltonian_cycle` and `mirrored`.  The first two read a private
 `_Graph`, the vertex and edge lists of `polyomino._Lines` built line by
 line by `polyomino._add_lines`, which also keeps per line each vertex's
-incidence list and the counts of finished vertices by degree and, when
-a search will be asked for, the search's 2-colouring pass.  One private
-record builder reads a word's statistics off it, each from the grid
-graph (area and semiperimeter by Euler's formula): `sweep_stats` takes a
-sequence of words on one `_Graph`, which `polyomino._build_each` cuts
-back to the letters a word shares with the previous one and extends
-from there, so the degree counts, the incidence lists and the colouring
-are all reused for the kept lines; `word_stats` is the sweep of one
-word, and `degree_counts` and `has_hamiltonian_cycle` build a `_Graph`
-in one go.  The `GridGraph` functions relabel their (x, y) vertices to
-their ranks first.  The search refutes a bipartite graph with sides of
-different sizes before it backtracks, which holds for every graph.
+incidence list, the counts of finished vertices by degree, and two
+parity counts: the odd ids, and the edges from an odd id to an even
+one.  One private record builder reads a word's statistics off
+it, each from the grid graph (area and semiperimeter by Euler's
+formula): `sweep_stats` takes a sequence of words on one `_Graph`, which
+`polyomino._build_each` cuts back to the letters a word shares with the
+previous one and extends from there, so all of these are reused for the
+kept lines; `word_stats` is the sweep of one word, and `degree_counts`
+and `has_hamiltonian_cycle` build a `_Graph` in one go.  The `GridGraph`
+functions relabel their (x, y) vertices to ids with the parity of x + y
+first.  The search refutes a graph whose ids of one parity are joined
+only to ids of the other, in sets of different sizes, before it
+backtracks, which holds for every graph.
 Hamiltonicity also has one O(n) fast path, `hamiltonian_by_odd_runs`,
 which `frontier.check_ham_rule` proves equal to the search on every
 word; the search stays as its independent oracle.
@@ -55,24 +56,30 @@ def build_graph(p: Polyomino) -> GridGraph:
                      frozenset((divmod(u, 3), divmod(v, 3)) for u, v in geo.edges))
 
 
-def _relabel(g: GridGraph) -> tuple[range, list[tuple[int, int]],
+def _relabel(g: GridGraph) -> tuple[list[int], list[tuple[int, int]],
                                     Callable[[int], Vertex]]:
-    """`g` on the ids 0, 1, ..., each vertex's rank in sorted (x, y)
-    order, so that ids order as the (x, y) pairs do.  Returns the ids,
-    the edges as id pairs in ascending (that is, sorted `g.edges`) order,
-    and the map back."""
-    order = sorted(g.vertices)
-    rank = {v: i for i, v in enumerate(order)}
-    return range(len(order)), sorted((rank[u], rank[v]) for u, v in g.edges), order.__getitem__
+    """`g` on the integer ids h (x - x0) + (y - y0), where (x0, y0) is the
+    least x and least y and h the least odd number above every y - y0:
+    ids order as the (x, y) pairs do, and two ids have the same parity
+    iff their vertices' x + y do, so every side of the grid joins an odd
+    id to an even one.  Returns the ids, ascending, the edges as id pairs
+    in ascending (that is, sorted `g.edges`) order, and the map back."""
+    x0 = min((x for x, _ in g.vertices), default=0)
+    y0 = min((y for _, y in g.vertices), default=0)
+    h = max((y - y0 for _, y in g.vertices), default=0) + 1 | 1
+    label = {(x, y): h * (x - x0) + y - y0 for x, y in g.vertices}
+    return (sorted(label.values()), sorted((label[u], label[v]) for u, v in g.edges),
+            lambda i: (i // h + x0, i % h + y0))
 
 
 def degree_counts(vertices: Sequence[int], edges: Sequence[tuple[int, int]],
                   corner: Callable[[int], Vertex] = lambda v: divmod(v, 3),
                   ) -> tuple[int, int, int]:
     """Counts of vertices of degree 2, 3 and 4 of a graph on integer ids
-    (ascending `vertices`); `corner` names a vertex in an error, by
-    default as the (x, y) of id 3x + y."""
-    return _Graph.of(vertices, edges, False).degrees(corner)
+    (distinct, non-negative and ascending `vertices`, as
+    `has_hamiltonian_cycle` takes them); `corner` names a vertex in an
+    error, by default as the (x, y) of id 3x + y."""
+    return _Graph.of(vertices, edges).degrees(corner)
 
 
 def degree_profile(g: GridGraph) -> tuple[int, int, int]:
@@ -113,94 +120,69 @@ class _Graph(_Lines):
     in edge order, so that a cut pops the tail entries of the edges it
     drops; a vertex's degree is the length of its list.  `tally[d]`
     counts the vertices of degree d < 5, with any degree above 4 counted
-    in `tally[0]`.  Per id, `side` is its colour in the 2-colouring pass
-    of `has_hamiltonian_cycle` (-1: none), and `ones` counts the ids of
-    colour 1.  The pass colours the first vertex 0 and runs on each edge
-    as it is added; `painted` lists the ids it colours, in order, and
-    `stop` is the edge it stopped at (None while it runs; -1 for a graph
-    made without `search`, which needs no colouring).  A vertex the pass
-    colours is coloured by its first edge: at an earlier edge it would
-    have been coloured or stopped the pass.  So a cut pops from `painted`
-    the ids whose first edge it drops, which it leaves with no edge, and
-    restarts the pass when it drops the edge it stopped at (the undo
-    trail of Knuth, TAOCP 7.2.2, Algorithm B).  `of` builds a graph of
-    any vertices and edges as one line; a sweep's graph equals the one
+    in `tally[0]`.  `odd` counts the odd ids and `cross` the edges from
+    an odd id to an even one, which `refuted` reads.  `of` builds a graph
+    of any vertices and edges as one line; a sweep's graph equals the one
     `of` builds from its lists."""
 
-    def __init__(self, search: bool) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self.incident: list[list[tuple[int, int]]] = []
         self.tally = [0] * 5
-        self.side: list[int] = []
-        self.painted: list[int] = []
-        self.ones = 0
-        self.stop: int | None = None if search else -1
+        self.odd = 0
+        self.cross = 0
 
     @classmethod
-    def of(cls, vertices: Sequence[int], edges: Sequence[tuple[int, int]],
-           search: bool) -> _Graph:
-        """The graph of ascending `vertices` and `edges`, as one line."""
-        g = cls(search)
-        g.cut(0, vertices[-1] + 1 if vertices else 0)
-        g.add(0, vertices, edges)
+    def of(cls, vertices: Sequence[int], edges: Sequence[tuple[int, int]]) -> _Graph:
+        """The graph of `vertices`, distinct non-negative int ids in
+        ascending order, and `edges`, pairs of them, as one line; any
+        other input is a `ValueError`."""
+        ids = list(vertices)
+        if (any(type(v) is not int for v in ids) or ids != sorted(set(ids))
+                or ids and ids[0] < 0):
+            raise ValueError("vertex ids must be distinct non-negative ints in ascending order")
+        listed = set(ids)
+        if not all(type(u) is type(v) is int and u in listed and v in listed
+                   for u, v in edges):
+            raise ValueError("every edge end must be a listed vertex id")
+        g = cls()
+        g.cut(0, ids[-1] + 1 if ids else 0)
+        g.add(0, ids, edges)
         g.finish(0, 0)
         return g
 
     def cut(self, x: int, size: int) -> None:
         nv, ne = self.marks[x]
-        vertices, incident, side, painted, tally = (
-            self.vertices, self.incident, self.side, self.painted, self.tally)
-        for v in vertices[nv:]:
+        incident, tally = self.incident, self.tally
+        odd = self.odd
+        for v in self.vertices[nv:]:
             d = len(incident[v])
             tally[d if d < 5 else 0] -= 1
+            odd -= v & 1
+        cross = self.cross
         for u, v in self.edges[ne:]:
             incident[u].pop()
             incident[v].pop()
-        # the ids left with no edge are the last ones coloured, but the
-        # first vertex, which stays coloured while it stays
-        keep = 1 if nv else 0
-        while len(painted) > keep and not incident[painted[-1]]:
-            v = painted.pop()
-            self.ones -= side[v]
-            side[v] = -1
-        if self.stop is not None and self.stop >= ne:
-            self.stop = None
+            cross -= (u ^ v) & 1
+        self.odd, self.cross = odd, cross
         super().cut(x, size)
         if len(incident) < size:
-            more = size - len(incident)
-            incident += [[] for _ in range(more)]
-            side += [-1] * more
+            incident += [[] for _ in range(size - len(incident))]
 
     def finish(self, first: int, i: int) -> None:
-        vertices, edges, incident = self.vertices, self.edges, self.incident
-        side, painted, ones = self.side, self.painted, self.ones
-        running = self.stop is None
-        if running and vertices and not painted:
-            side[vertices[0]] = 0
-            painted.append(vertices[0])
-        for u, v in edges[i:]:
+        incident, cross = self.incident, self.cross
+        for u, v in self.edges[i:]:
             incident[u].append((i, v))
             incident[v].append((i, u))
-            if running:
-                a = side[u]
-                b = side[v]
-                if a == b:  # two uncoloured ends, or an odd cycle
-                    running = False
-                    self.stop = i
-                elif b < 0:
-                    side[v] = 1 - a
-                    ones += 1 - a
-                    painted.append(v)
-                elif a < 0:
-                    side[u] = 1 - b
-                    ones += 1 - b
-                    painted.append(u)
+            cross += (u ^ v) & 1
             i += 1
-        self.ones = ones
-        tally = self.tally
-        for v in vertices[first:]:
+        self.cross = cross
+        tally, odd = self.tally, self.odd
+        for v in self.vertices[first:]:
             d = len(incident[v])
             tally[d if d < 5 else 0] += 1
+            odd += v & 1
+        self.odd = odd
 
     def degrees(self, corner: Callable[[int], Vertex] = lambda v: divmod(v, 3),
                 ) -> tuple[int, int, int]:
@@ -215,15 +197,13 @@ class _Graph(_Lines):
         return d2, d3, d4
 
     def refuted(self) -> bool:
-        """Whether the colouring refutes a Hamiltonian cycle: the pass got
-        through every edge and coloured every vertex, and not half of
-        them 1.  The graph must be made with `search` set."""
-        n = len(self.vertices)
-        return self.stop is None and len(self.painted) == n and 2 * self.ones != n
+        """Whether the id parity refutes a Hamiltonian cycle: every edge
+        joins an odd id to an even one, and the odd ids are not half the
+        vertices (`has_hamiltonian_cycle`)."""
+        return self.cross == len(self.edges) and 2 * self.odd != len(self.vertices)
 
     def hamiltonian(self) -> bool:
-        """`has_hamiltonian_cycle` of the graph as it stands, which must be
-        made with `search` set."""
+        """`has_hamiltonian_cycle` of the graph as it stands."""
         if len(self.vertices) < 3:
             raise ValueError("Hamiltonicity needs at least 3 vertices")
         return not self.refuted() and _search(self.vertices, self.edges, self.incident)
@@ -231,21 +211,22 @@ class _Graph(_Lines):
 
 def has_hamiltonian_cycle(vertices: Sequence[int],
                           edges: Sequence[tuple[int, int]]) -> bool:
-    """Decide Hamiltonicity of a graph on integer ids (ascending
-    `vertices`): refute it at once when it is bipartite with sides of
-    different sizes, and else backtrack with forced-edge propagation.
+    """Decide Hamiltonicity of a graph on integer ids (distinct,
+    non-negative and ascending `vertices`; every edge end one of them,
+    else a `ValueError`): refute it at once by the parity of its ids, and
+    else backtrack with forced-edge propagation.
 
-    The refutation holds for every graph: a Hamiltonian cycle alternates
-    between the two sides of a bipartite graph, so they have the same
-    size.  One pass along `edges` 2-colours the graph from its first
-    vertex, each edge giving its uncoloured end the colour its other end
-    lacks.  It stops at an edge with two uncoloured ends, or with two
-    ends of one colour (an odd cycle); only a pass that gets through
-    every edge and colours every vertex, which is then a proper
-    2-colouring of a connected graph, refutes anything.  In this
-    package's ascending edge order every corner of a polyomino but the
-    first meets a side from a smaller corner, so the pass colours the
-    grid graph of every word.
+    The refutation holds for every graph.  When every edge joins an odd
+    id to an even one, the odd and the even ids are the two sides of a
+    bipartite graph, and a Hamiltonian cycle alternates between them, so
+    the odd ids are then half the vertices or there is no cycle.  Where
+    an edge joins two ids of one parity, nothing is refuted and the
+    search decides.  Every grid graph here meets the rule: a side joins
+    (x, y) to (x + 1, y) or (x, y + 1), so its ends' x + y differ by 1,
+    and the ids 3x + y of `polyomino` and those of `_relabel` both have
+    the parity of x + y (3 and h are odd).  A word's grid graph is
+    connected, so its parity classes are its only two sides, and no
+    other 2-colouring refutes more.
 
     The search: a vertex with two chosen edges excludes its remaining
     ones; a vertex with exactly two edges not excluded forces both in (at
@@ -259,9 +240,9 @@ def has_hamiltonian_cycle(vertices: Sequence[int],
 
     Both run on a `_Graph` of `vertices` and `edges` built in one go;
     `sweep_stats` runs them on the `_Graph` it keeps per line, whose
-    incidence lists and colouring the search reads as they stand.
+    parity counts and incidence lists they read as they stand.
     """
-    return _Graph.of(vertices, edges, True).hamiltonian()
+    return _Graph.of(vertices, edges).hamiltonian()
 
 
 def _search(vertices: Sequence[int], edges: Sequence[tuple[int, int]],
@@ -438,10 +419,11 @@ def sweep_stats(words: Iterable[Word], ham: bool) -> Iterator[tuple[Word, WordSt
     """Each nonempty word of `words` with its statistics, equal to
     `word_stats(w, ham)`, from one `_Graph` that `polyomino._build_each`
     keeps per prefix: a word rebuilds only the lines past the letters it
-    shares with the previous word, and its record reads the counts and
-    the search reads the incidence lists and colouring kept per line.
-    The search still makes its own arrays, over the word's ids, per call."""
-    g = _Graph(ham)
+    shares with the previous word, and its record reads the degree
+    counts, the refutation the parity counts and the search the incidence
+    lists, all kept per line.  The search still makes its own arrays,
+    over the word's ids, per call."""
+    g = _Graph()
     for w in _build_each(words, g):
         yield w, _record(g, ham)
 

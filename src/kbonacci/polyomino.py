@@ -8,11 +8,12 @@ labels used by the graph module.
 the vertical line x = 0 to x = n, each line from the heights of the
 columns on either side of it (`_LINES`), into a structure that can be
 cut back to a line: `_Lines` holds just the vertex and edge lists, and
-its subclass `graph._Graph` keeps the grid graph's degree counts and
-search state as well.  `geometry` builds one polyomino.  `_build_each`
-keeps the lines a word shares with the previous one in a sequence of
-words: line x reads only letters x - 1 and x, so the words of one
-length in `iter_words` order rebuild about three lines each, not n + 1.
+its subclass `graph._Graph` keeps the grid graph's incidence lists,
+degree counts and the id-parity counts of its Hamiltonicity refutation
+as well.  `geometry` builds one polyomino.  `_build_each` keeps the
+lines a word shares with the previous one in a sequence of words: line
+x reads only letters x - 1 and x, so the words of one length in
+`iter_words` order rebuild about three lines each, not n + 1.
 `geometries` yields a sequence's geometries from it.  Euler's formula
 gives a geometry's area and semiperimeter (`Geometry`, `by_euler`).
 """
@@ -50,7 +51,7 @@ def from_word(w: Word) -> Polyomino:
 class Geometry:
     """Cell corners and cell sides of a bargraph polyomino on integer
     vertex ids: the corner (x, y) has id 3x + y (heights are at most 2),
-    so ids order as the (x, y) pairs do.
+    so ids order as the (x, y) pairs do and have the parity of x + y.
 
     `vertices` ascend; `edges` are the distinct cell sides as id pairs
     (u, v) with u < v, in ascending order.  A bargraph has no holes, so

@@ -254,7 +254,8 @@ def test_the_search_reads_only_the_graph():
     core, the per-prefix `_Graph`, the `_Lines` it extends and every
     function they call read only the edge states, each other and
     builtins, never a word's letters, the rule's tables, the line table
-    or the frontier automaton."""
+    or the frontier automaton.  `_Graph` takes no constructor argument,
+    so a sweep keeps one kind of graph."""
     found = _graph_oracle()
     assert set(found) == {
         "has_hamiltonian_cycle", "degree_counts", "_search", "_Graph.__init__",
@@ -263,7 +264,11 @@ def test_the_search_reads_only_the_graph():
         "_Lines.finish"}
     free = set().union(*map(_free_names, found.values()))
     assert free == {"_UNDECIDED", "_IN", "_OUT", "_Graph", "_search", "ValueError",
-                    "len", "list", "map", "next", "range", "super"}
+                    "all", "any", "int", "len", "list", "map", "next", "range", "set",
+                    "sorted", "super", "type"}
+    init = found["_Graph.__init__"].args
+    assert [a.arg for a in init.args] == ["self"]
+    assert not (init.vararg or init.kwonlyargs or init.kwarg)
     attributes = {node.attr for func in found.values() for node in ast.walk(func)
                   if isinstance(node, ast.Attribute)}
     forbidden = {"bits", "text", "_LINES", "ODD_RUN_STEP", "ODD_RUN_ACCEPT",

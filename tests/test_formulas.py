@@ -290,6 +290,26 @@ class TestIntegerSequences:
             count_polyominoes_by_area(0)
 
 
+class TestIntIndex:
+    """Every index of a formula is an int, checked before any work, as a
+    word length is (`words.check_n`): 2.0 and True are not 2 and 1."""
+
+    INDEXED = [*formulas.RECURRENCES.values(), *formulas.CLOSED_FORMS.values(),
+               lambda n: degree_poly(3, n), total_area_closed, fib_convolution,
+               fib_convolution_closed, narayana, narayana_binomial, fibonacci,
+               lambda n: empirical_degree_ratio(2, n), formulas.series_sides,
+               formulas.degree_partition_break, polyomino_counts_by_area,
+               count_polyominoes_by_area, lambda n: verify_certificate("rel1", n, 1),
+               lambda n: verify_certificate("rel2", n, 1),
+               lambda i: verify_certificate("rel1", 5, i)]
+
+    @pytest.mark.parametrize("n", [2.0, 2.5, True, "3", None])
+    def test_non_int_index_rejected(self, n):
+        for f in self.INDEXED:
+            with pytest.raises(ValueError, match="n must be an int, got"):
+                f(n)
+
+
 class TestAsymptotics:
     def test_limit_constants(self):
         assert degree_proportion_limit(2) == QuadraticConstant(7, -1, 22)

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from kbonacci import graph, polyomino
@@ -38,6 +41,16 @@ def rectangle_grid(m: int, n: int) -> GridGraph:
         if (x, y + 1) in verts:
             edges.add(((x, y), (x, y + 1)))
     return GridGraph(frozenset(verts), frozenset(edges))
+
+
+def brute_force_hamiltonian(vertices, edges) -> bool:
+    """Whether some order of the vertices, from the first, closes a cycle
+    along `edges`."""
+    adjacent = {frozenset(e) for e in edges}
+    first, *rest = vertices
+    return any(all(frozenset(pair) in adjacent
+                   for pair in zip((first, *order), (*order, first)))
+               for order in itertools.permutations(rest))
 
 
 def cell_union_graph(p: Polyomino) -> GridGraph:
@@ -188,15 +201,67 @@ class TestIsHamiltonian:
         assert has_hamiltonian_cycle(range(8), square + [(u + 4, v + 4) for u, v in square]) is False
         assert has_hamiltonian_cycle(range(5), square) is False  # vertex 4 has no edge
 
-    def test_an_edge_order_the_colouring_cannot_follow_leaves_the_search(self):
-        # the 3 x 3 grid's edges from the last: the first has two uncoloured
-        # ends, so nothing is refuted and the search decides
+    def test_a_reversed_edge_order_is_refuted_as_well(self):
+        # the 3 x 3 grid's edges from the last: the parity counts do not
+        # read the order, so the graph is refuted either way
         g = rectangle_grid(3, 3)
-        order = sorted(g.vertices)
-        rank = {v: i for i, v in enumerate(order)}
-        edges = sorted(((rank[u], rank[v]) for u, v in g.edges), reverse=True)
-        assert has_hamiltonian_cycle(range(9), edges) is False
-        assert has_hamiltonian_cycle(range(9), sorted(edges)) is False
+        vertices, edges, _ = graph._relabel(g)
+        edges.reverse()
+        assert graph._Graph.of(vertices, edges).refuted() is True
+        assert has_hamiltonian_cycle(vertices, edges) is False
+        assert has_hamiltonian_cycle(vertices, sorted(edges)) is False
+
+    def test_the_parity_refutation_agrees_with_brute_force_on_small_graphs(self):
+        """Every simple graph on 3, 4 or 5 vertices, on contiguous ids, on
+        ids with gaps (0, 3, 4, 7, 8) and on ids whose parities run
+        otherwise (1, 2, 4, 6, 9), so that the parity is a 2-colouring of
+        some graphs and not of others: the search, with the refutation,
+        agrees with a check of every vertex order; the refutation never
+        fires on a Hamiltonian graph, and fires on some graph of each id
+        set whose odd ids are not half of them."""
+        for m in (3, 4, 5):
+            pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+            for ids in (tuple(range(m)), (0, 3, 4, 7, 8)[:m], (1, 2, 4, 6, 9)[:m]):
+                fired = 0
+                for mask in range(1 << len(pairs)):
+                    chosen = [(ids[a], ids[b]) for i, (a, b) in enumerate(pairs)
+                              if mask >> i & 1]
+                    expected = brute_force_hamiltonian(ids, chosen)
+                    assert has_hamiltonian_cycle(ids, chosen) is expected, (ids, chosen)
+                    refuted = graph._Graph.of(ids, chosen).refuted()
+                    assert not (refuted and expected), (ids, chosen)
+                    fired += refuted
+                assert bool(fired) is (2 * sum(v % 2 for v in ids) != m), ids
+
+    def test_relabelled_ids_have_the_parity_of_x_plus_y(self):
+        """`_relabel` numbers a grid graph's vertices in (x, y) order, keeps
+        its edges, and gives every vertex an id of the parity of x + y,
+        less that of the move for a graph moved off the origin."""
+        grids = [rectangle_grid(m, n) for m in range(1, 6) for n in range(1, 6)]
+        words = [graph_of(w.text, 4) for n in range(1, 7) for w in iter_words(n, 4)]
+        for g in grids + words:
+            for dx, dy in ((0, 0), (-7, -4), (2, 6)):
+                moved = GridGraph(frozenset((x + dx, y + dy) for x, y in g.vertices),
+                                  frozenset(((ux + dx, uy + dy), (vx + dx, vy + dy))
+                                            for (ux, uy), (vx, vy) in g.edges))
+                vertices, edges, back = graph._relabel(moved)
+                assert [back(v) for v in vertices] == sorted(moved.vertices)
+                assert {(back(u), back(v)) for u, v in edges} == moved.edges
+                assert {(v - sum(back(v))) % 2 for v in vertices} == {(dx + dy) % 2}
+
+    def test_a_relabelled_mixed_height_word_is_refuted_without_a_search(self, monkeypatch):
+        """0 1^60 0 has 93 corners of even x + y and 94 of odd, so the
+        parity refutes its graph on `_relabel`'s ids as on the package's
+        own, and the search, which would backtrack for long, is not run."""
+        g = graph_of("0" + "1" * 60 + "0", 61)
+        vertices, edges, _ = graph._relabel(g)
+        assert graph._Graph.of(vertices, edges).refuted() is True
+
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(graph, "_search", no_search)
+        assert is_hamiltonian(g) is False
 
     def test_balanced_graphs_without_a_cycle_are_still_searched(self):
         # 1^(2a) 0 1^(2b): the two sides of the grid graph, by the parity of
@@ -334,110 +399,107 @@ def as_grid_graph(geo) -> GridGraph:
 
 
 def scratch_build(vertices, edges):
-    """The incidence lists and 2-colouring of a graph on integer ids,
-    built from scratch the plain way, with the colouring's verdict, the
-    number of vertices of colour 1 and the degree counts."""
+    """The incidence lists, degree counts and parity counts of a graph on
+    integer ids, built from scratch the plain way: the number of odd ids
+    and of edges from an odd id to an even one."""
     size = vertices[-1] + 1
     incident = [[] for _ in range(size)]
-    degree = [0] * size
     for i, (u, v) in enumerate(edges):
         incident[u].append((i, v))
         incident[v].append((i, u))
-        degree[u] += 1
-        degree[v] += 1
-    side = [-1] * size
-    side[vertices[0]] = 0
-    for u, v in edges:
-        a, b = side[u], side[v]
-        if a == b:
-            refuted = False
-            break
-        if a < 0:
-            side[u] = 1 - b
-        elif b < 0:
-            side[v] = 1 - a
-    else:
-        ones = side.count(1)
-        refuted = side.count(0) + ones == len(vertices) and 2 * ones != len(vertices)
-    counts = tuple(sum(degree[v] == d for v in vertices) for d in (2, 3, 4))
-    return incident, side, refuted, side.count(1), counts
+    counts = tuple(sum(len(incident[v]) == d for v in vertices) for d in (2, 3, 4))
+    odd = sum(v % 2 for v in vertices)
+    cross = sum((u - v) % 2 == 1 for u, v in edges)
+    return incident, counts, odd, cross
+
+
+class TestGraphInput:
+    """`has_hamiltonian_cycle` and `degree_counts` take distinct,
+    non-negative int ids in ascending order and edges between them; any
+    other graph is a `ValueError`, checked before any work."""
+
+    square = [(0, 1), (1, 2), (2, 3), (0, 3)]
+
+    @pytest.mark.parametrize("vertices, edges", [
+        ([-1, 0, 1, 2], [(-1, 0), (0, 1), (1, 2), (-1, 2)]),
+        ([0, 2, 1, 3], square),
+        ([0, 1, 1, 2, 3], square),
+        ([0, 1.0, 2, 3], square),
+        ([True, 2, 3, 4], [(True, 2), (2, 3), (3, 4), (True, 4)]),
+        (["0", "1", "2", "3"], square),
+    ])
+    def test_bad_vertex_ids_rejected(self, vertices, edges):
+        for f in (has_hamiltonian_cycle, degree_counts):
+            with pytest.raises(ValueError, match="distinct non-negative ints in ascending"):
+                f(vertices, edges)
+
+    @pytest.mark.parametrize("edges", [
+        square + [(0, 4)],
+        square + [(-1, 0)],
+        [(0, 1), (1, 2), (2, 3), (0, 3.0)],
+        [(0, True), (1, 2), (2, 3), (0, 3)],
+    ])
+    def test_edge_ends_outside_the_vertices_rejected(self, edges):
+        for f in (has_hamiltonian_cycle, degree_counts):
+            with pytest.raises(ValueError, match="every edge end must be a listed vertex id"):
+                f([0, 1, 2, 3], edges)
+
+    def test_valid_graphs_pass(self):
+        assert has_hamiltonian_cycle([0, 1, 2, 3], self.square) is True
+        assert has_hamiltonian_cycle((3, 4, 7, 10), [(3, 4), (4, 7), (7, 10), (3, 10)]) is True
+        assert degree_counts(range(4), self.square) == (4, 0, 0)
+        assert degree_counts((), ()) == (0, 0, 0)
 
 
 class TestSweepGraph:
     """The per-prefix `graph._Graph` of a sweep against a graph built from
     scratch from the same vertex and edge lists."""
 
-    @staticmethod
-    def assert_like_a_scratch_build(g, search, w):
-        incident, side, refuted, ones, counts = scratch_build(g.vertices, g.edges)
-        size = len(incident)
-        assert (g.incident[:size], g.degrees()) == (incident, counts), w.text
-        assert not any(g.incident[size:]), w.text
-        if search:
-            assert (g.side[:size], g.refuted(), g.ones) == (side, refuted, ones), w.text
-            assert set(g.side[size:]) <= {-1}, w.text
-
     def test_every_word_in_every_order_equals_a_scratch_build(self):
         """In `iter_words` order, reversed, shuffled and with lengths mixed
-        (`sweep_orders`), the sweep's incidence lists and degree counts,
-        colouring, count of colour 1 and refutation equal a build from
-        scratch of the same edges, and the ids past the word's are left
-        clean."""
-        orders = sweep_orders()
-        # a graph for the degrees alone skips only the colouring, so the
-        # shuffled and mixed orders suffice for it
-        for ws, search in [(ws, True) for ws in orders] + [(ws, False) for ws in orders[-10:]]:
-            g = graph._Graph(search)
+        (`sweep_orders`), the sweep's incidence lists, degree counts and
+        parity counts equal a build from scratch of the same edges, and
+        the ids past the word's are left clean."""
+        for ws in sweep_orders():
+            g = graph._Graph()
             swept = []
             for w in polyomino._build_each(ws, g):
-                self.assert_like_a_scratch_build(g, search, w)
+                incident, counts, odd, cross = scratch_build(g.vertices, g.edges)
+                size = len(incident)
+                assert (g.incident[:size], g.degrees(), g.odd, g.cross) == (
+                    incident, counts, odd, cross), w.text
+                assert not any(g.incident[size:]), w.text
                 swept.append(w)
             assert swept == ws
 
-    def test_a_cut_restarts_a_stopped_colouring(self):
-        """No grid graph stops the pass, so a graph whose second line
-        closes a triangle does: a cut back to that line, or to line 0,
-        restarts the pass, which then runs as in a fresh build of the
-        square that is left.  As in a grid graph, no line adds an edge at
-        the vertices of an earlier line."""
-        line0 = ((0, 1), ((0, 1), (0, 2), (1, 3)))
-        square = ((0, 1), (0, 2), (1, 3), (2, 3))
-        for x in (1, 0):
-            g = graph._Graph(True)
-            g.cut(0, 5)
-            g.add(0, *line0)
-            g.add(0, (2, 3), ((2, 3), (2, 4), (3, 4)))
-            g.add(0, (4,), ())
-            g.finish(0, 0)
-            assert (g.stop, g.painted, g.refuted()) == (5, [0, 1, 2, 3, 4], False)
-            g.cut(x, 5)
-            first, i = len(g.vertices), len(g.edges)
-            if not x:
-                g.add(0, *line0)
-            g.add(0, (2, 3), ((2, 3),))
-            g.finish(first, i)
-            assert (g.stop, g.painted, g.incident[4], g.side[4]) == (None, [0, 1, 2, 3], [], -1)
-            assert (g.incident[:4], g.side[:4], g.refuted(), g.ones, g.degrees()) == (
-                scratch_build((0, 1, 2, 3), square))
-
-    def test_an_edge_may_colour_its_first_end(self):
-        """No grid graph's ascending edges colour a first end, so a 4-cycle
-        given as 0-3, 1-0, 1-2, 2-3 does (1 from 0): its colour-1 count is
-        2, and the balanced cycle is not refuted."""
-        square = ((0, 3), (1, 0), (1, 2), (2, 3))
-        g = graph._Graph.of((0, 1, 2, 3), square, True)
-        assert (g.incident, g.side, g.refuted(), g.ones, g.degrees()) == scratch_build(
-            (0, 1, 2, 3), square)
-        assert g.ones == 2 and g.hamiltonian() is True
+    def test_the_refutation_is_free_of_the_edge_order(self):
+        """Shuffled edges give the graph of every word up to length 6 at
+        k = 4, of the rectangles and of graphs with an edge between ids of
+        one parity the same parity counts and verdicts as sorted ones."""
+        rng = random.Random(17)
+        graphs = [graph._relabel(g)[:2] for g in
+                  [graph_of(w.text, 4) for n in range(1, 7) for w in iter_words(n, 4)]
+                  + [rectangle_grid(m, n) for m in range(1, 5) for n in range(2, 5)
+                     if m * n > 2]]
+        graphs += [((0, 1, 2, 3, 5), [(0, 1), (1, 2), (2, 3), (0, 3), (3, 5), (1, 5)]),
+                   ((0, 2, 4, 6), [(0, 2), (2, 4), (4, 6), (0, 6)])]
+        for vertices, edges in graphs:
+            g = graph._Graph.of(vertices, edges)
+            for _ in range(3):
+                shuffled = rng.sample(edges, len(edges))
+                h = graph._Graph.of(vertices, shuffled)
+                assert (h.odd, h.cross, h.refuted()) == (g.odd, g.cross, g.refuted())
+                assert h.hamiltonian() is g.hamiltonian()
 
     def test_the_refutation_never_refutes_a_hamiltonian_word(self):
-        """The sweep's colouring refutes 2,388 of the 2,842 non-Hamiltonian
-        words among the 5,046 of lengths 1 to 10 at k = 2, 3, 4 and 6, and
-        no Hamiltonian one (by the proved odd-run rule)."""
+        """The sweep's parity counts refute 2,388 of the 2,842
+        non-Hamiltonian words among the 5,046 of lengths 1 to 10 at
+        k = 2, 3, 4 and 6, and no Hamiltonian one (by the proved odd-run
+        rule)."""
         refuted = non_hamiltonian = words = 0
         for k in (2, 3, 4, 6):
             for n in range(1, 11):
-                g = graph._Graph(True)
+                g = graph._Graph()
                 for w in polyomino._build_each(iter_words(n, k), g):
                     ham = hamiltonian_by_odd_runs(w)
                     assert not (ham and g.refuted()), w.text
