@@ -71,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=_at_least(2), default=5)
     p.add_argument("--ham-cap", type=_at_least(1), default=verify.DEFAULT_HAM_CAP,
                    metavar="N",
-                   help="max word length for Hamiltonicity backtracking "
-                        f"(default {verify.DEFAULT_HAM_CAP})")
+                   help="max word length for the Hamiltonicity oracle, the "
+                        f"frontier DP on each grid graph (default {verify.DEFAULT_HAM_CAP})")
 
     p = sub.add_parser("asymptotics", parents=[common],
                        help="empirical degree proportion vs its exact limit")
@@ -122,7 +122,7 @@ def cmd_enumerate(args) -> int:
             for w in word_iter:
                 print(w.text or "ε")
         return 0
-    # Hamiltonicity by the proved odd-run rule, at every n; the backtracker
+    # Hamiltonicity by the proved odd-run rule, at every n; the frontier DP
     # is left to `verify` as its oracle
     rows = ((w, s, graph.hamiltonian_by_odd_runs(w))
             for w, s in graph.sweep_stats(word_iter, False))

@@ -1,27 +1,25 @@
 """Grid graphs of bargraph polyominoes: cell corners are vertices, cell
 sides are edges.  All vertices have degree 2, 3 or 4.
 
-The degree profile, the Hamiltonicity search and the mirror x -> n - x
-have one implementation each, on integer vertex ids: `degree_counts`,
+The degree profile, Hamiltonicity and the mirror x -> n - x have one
+implementation each, on integer vertex ids: `degree_counts`,
 `has_hamiltonian_cycle` and `mirrored`.  The first two read a private
 `_Graph`, the vertex and edge lists of `polyomino._Lines` built line by
-line by `polyomino._add_lines`, which also keeps per line each vertex's
-incidence list, the counts of finished vertices by degree, and two
-parity counts: the odd ids, and the edges from an odd id to an even
-one.  One private record builder reads a word's statistics off
-it, each from the grid graph (area and semiperimeter by Euler's
-formula): `sweep_stats` takes a sequence of words on one `_Graph`, which
-`polyomino._build_each` cuts back to the letters a word shares with the
-previous one and extends from there, so all of these are reused for the
-kept lines; `word_stats` is the sweep of one word, and `degree_counts`
-and `has_hamiltonian_cycle` build a `_Graph` in one go.  The `GridGraph`
-functions relabel their (x, y) vertices to ids with the parity of x + y
-first.  The search refutes a graph whose ids of one parity are joined
-only to ids of the other, in sets of different sizes, before it
-backtracks, which holds for every graph.
+line by `polyomino._add_lines`, which also keeps each id's degree, the
+counts of finished vertices by degree, and per line the frontier states
+of a Hamiltonian-cycle DP (`_step`).  One private record builder reads a
+word's statistics off it, each from the grid graph (area and
+semiperimeter by Euler's formula): `sweep_stats` takes a sequence of
+words on one `_Graph`, which `polyomino._build_each` cuts back to the
+letters a word shares with the previous one and extends from there, so
+all of these are reused for the kept lines and the DP runs only over
+the rebuilt ones; `word_stats` is the sweep of one word, and
+`degree_counts` and `has_hamiltonian_cycle` build a `_Graph` of any
+graph as one line.  The `GridGraph` functions relabel their (x, y)
+vertices to ids first.
 Hamiltonicity also has one O(n) fast path, `hamiltonian_by_odd_runs`,
-which `frontier.check_ham_rule` proves equal to the search on every
-word; the search stays as its independent oracle.
+which `frontier.check_ham_rule` proves equal to the DP on every word;
+the DP stays as its independent oracle.
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ from .words import Word
 
 Vertex = tuple[int, int]
 Edge = tuple[Vertex, Vertex]
-
-_UNDECIDED, _IN, _OUT = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -110,35 +106,41 @@ def grid_hamiltonian_rule(m: int, n: int) -> bool:
 class _Graph(_Lines):
     """The vertex and edge lists of `polyomino._Lines`, built and cut back
     the same way by `polyomino._add_lines`, with what the degree counts
-    and the search read kept as well, so that keeping them up costs a
-    word of a sweep only the lines it rebuilds.  `finish` takes in the
-    new lines' edges and finishes their vertices, whose degrees no later
-    line changes; `cut(x, size)` undoes what the dropped lines brought
-    and makes room for the ids below `size`.
+    and the Hamiltonicity DP read kept as well, so that keeping them up
+    costs a word of a sweep only the lines it rebuilds.  `finish` takes in
+    the new lines' edges and finishes their vertices, whose degrees no
+    later line changes; `cut(x, size)` undoes what the dropped lines
+    brought and makes room for the ids below `size`.
 
-    Per id, `incident` lists the edges at it as (edge, other end) pairs
-    in edge order, so that a cut pops the tail entries of the edges it
-    drops; a vertex's degree is the length of its list.  `tally[d]`
-    counts the vertices of degree d < 5, with any degree above 4 counted
-    in `tally[0]`.  `odd` counts the odd ids and `cross` the edges from
-    an odd id to an even one, which `refuted` reads.  `of` builds a graph
-    of any vertices and edges as one line; a sweep's graph equals the one
-    `of` builds from its lists."""
+    `degree[v]` is the number of edges at id v, and `tally[d]` counts the
+    vertices of degree d < 5, with any degree above 4 counted in
+    `tally[0]`.  `lines` holds each line's base id, corners and sides as
+    `add` took them, and `frontiers[x]` the base of line x - 1 and the
+    DP's frontier (`_step`) before line x, which `hamiltonian` extends up
+    to the last line and a cut truncates as it truncates `marks`.  `memo`
+    maps a (frontier, base shift, corners, sides) step to the frontier
+    after it; a sweep's lines come from one small table, so it stays
+    small (20 steps for every word with k = 2..5 and n <= 10).  `of`
+    builds a graph of any vertices and edges as one line; a sweep's graph
+    has the vertex and edge lists, degrees and verdict of the one `of`
+    builds from its lists."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.incident: list[list[tuple[int, int]]] = []
+        self.degree: list[int] = []
         self.tally = [0] * 5
-        self.odd = 0
-        self.cross = 0
+        self.lines: list[tuple[int, Sequence[int], Sequence[tuple[int, int]]]] = []
+        self.frontiers = [(0, ((), frozenset([()])))]
+        self.memo: dict[tuple, tuple[tuple[int, ...], frozenset]] = {}
 
     @classmethod
     def of(cls, vertices: Sequence[int], edges: Sequence[tuple[int, int]]) -> _Graph:
         """The graph of `vertices`, distinct non-negative int ids in
-        ascending order, and `edges`, pairs of them, as one line; any
-        other input is a `ValueError`."""
-        ids = list(vertices)
-        if (any(type(v) is not int for v in ids) or ids != sorted(set(ids))
+        ascending order, and `edges`, pairs of them, as one line with its
+        edges as (lower, upper) pairs in ascending order; any other input
+        is a `ValueError`."""
+        ids = tuple(vertices)
+        if (any(type(v) is not int for v in ids) or list(ids) != sorted(set(ids))
                 or ids and ids[0] < 0):
             raise ValueError("vertex ids must be distinct non-negative ints in ascending order")
         listed = set(ids)
@@ -147,42 +149,38 @@ class _Graph(_Lines):
             raise ValueError("every edge end must be a listed vertex id")
         g = cls()
         g.cut(0, ids[-1] + 1 if ids else 0)
-        g.add(0, ids, edges)
+        g.add(0, ids, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges)))
         g.finish(0, 0)
         return g
 
     def cut(self, x: int, size: int) -> None:
         nv, ne = self.marks[x]
-        incident, tally = self.incident, self.tally
-        odd = self.odd
+        degree, tally = self.degree, self.tally
         for v in self.vertices[nv:]:
-            d = len(incident[v])
+            d = degree[v]
             tally[d if d < 5 else 0] -= 1
-            odd -= v & 1
-        cross = self.cross
         for u, v in self.edges[ne:]:
-            incident[u].pop()
-            incident[v].pop()
-            cross -= (u ^ v) & 1
-        self.odd, self.cross = odd, cross
+            degree[u] -= 1
+            degree[v] -= 1
+        del self.lines[x:], self.frontiers[x + 1:]
         super().cut(x, size)
-        if len(incident) < size:
-            incident += [[] for _ in range(size - len(incident))]
+        if len(degree) < size:
+            degree += [0] * (size - len(degree))
+
+    def add(self, base: int, corners: Sequence[int],
+            sides: Sequence[tuple[int, int]]) -> None:
+        super().add(base, corners, sides)
+        self.lines.append((base, corners, sides))
 
     def finish(self, first: int, i: int) -> None:
-        incident, cross = self.incident, self.cross
+        degree = self.degree
         for u, v in self.edges[i:]:
-            incident[u].append((i, v))
-            incident[v].append((i, u))
-            cross += (u ^ v) & 1
-            i += 1
-        self.cross = cross
-        tally, odd = self.tally, self.odd
+            degree[u] += 1
+            degree[v] += 1
+        tally = self.tally
         for v in self.vertices[first:]:
-            d = len(incident[v])
+            d = degree[v]
             tally[d if d < 5 else 0] += 1
-            odd += v & 1
-        self.odd = odd
 
     def degrees(self, corner: Callable[[int], Vertex] = lambda v: divmod(v, 3),
                 ) -> tuple[int, int, int]:
@@ -191,161 +189,122 @@ class _Graph(_Lines):
         `corner`."""
         _, _, d2, d3, d4 = self.tally
         if d2 + d3 + d4 < len(self.vertices):
-            v = next(v for v in self.vertices if not 2 <= len(self.incident[v]) <= 4)
-            raise ValueError(f"vertex {corner(v)} has degree {len(self.incident[v])}, "
+            v = next(v for v in self.vertices if not 2 <= self.degree[v] <= 4)
+            raise ValueError(f"vertex {corner(v)} has degree {self.degree[v]}, "
                              "outside {2,3,4}")
         return d2, d3, d4
 
-    def refuted(self) -> bool:
-        """Whether the id parity refutes a Hamiltonian cycle: every edge
-        joins an odd id to an even one, and the odd ids are not half the
-        vertices (`has_hamiltonian_cycle`)."""
-        return self.cross == len(self.edges) and 2 * self.odd != len(self.vertices)
-
     def hamiltonian(self) -> bool:
-        """`has_hamiltonian_cycle` of the graph as it stands."""
+        """`has_hamiltonian_cycle` of the graph as it stands: the DP runs
+        over the lines past the last checkpoint, one `_step` per line."""
         if len(self.vertices) < 3:
             raise ValueError("Hamiltonicity needs at least 3 vertices")
-        return not self.refuted() and _search(self.vertices, self.edges, self.incident)
+        frontiers, memo = self.frontiers, self.memo
+        for base, corners, sides in self.lines[len(frontiers) - 1:]:
+            at, frontier = frontiers[-1]
+            key = (frontier, base - at, corners, sides)
+            after = memo.get(key)
+            if after is None:
+                after = memo[key] = _step(*key)
+            frontiers.append((base, after))
+        _, (_, states) = frontiers[-1]
+        return _CLOSED in states
 
 
 def has_hamiltonian_cycle(vertices: Sequence[int],
                           edges: Sequence[tuple[int, int]]) -> bool:
     """Decide Hamiltonicity of a graph on integer ids (distinct,
     non-negative and ascending `vertices`; every edge end one of them,
-    else a `ValueError`): refute it at once by the parity of its ids, and
-    else backtrack with forced-edge propagation.
+    else a `ValueError`) by a frontier DP over its edges in ascending
+    order of their ends (Knuth's SIMPATH, TAOCP 7.1.4; the
+    transfer-matrix method), whatever the order of `edges`.
 
-    The refutation holds for every graph.  When every edge joins an odd
-    id to an even one, the odd and the even ids are the two sides of a
-    bipartite graph, and a Hamiltonian cycle alternates between them, so
-    the odd ids are then half the vertices or there is no cycle.  Where
-    an edge joins two ids of one parity, nothing is refuted and the
-    search decides.  Every grid graph here meets the rule: a side joins
-    (x, y) to (x + 1, y) or (x, y + 1), so its ends' x + y differ by 1,
-    and the ids 3x + y of `polyomino` and those of `_relabel` both have
-    the parity of x + y (3 and h are odd).  A word's grid graph is
-    connected, so its parity classes are its only two sides, and no
-    other 2-colouring refutes more.
-
-    The search: a vertex with two chosen edges excludes its remaining
-    ones; a vertex with exactly two edges not excluded forces both in (at
-    the start: both edges at every degree-2 vertex); closing a cycle
-    before all vertices are covered is a dead end.  Branching takes the
-    first undecided edge in the order of `edges`, chosen first, so the
-    search is deterministic.  Decisions go on a trail; a dead end pops the
-    latest pending branch, undoes the trail back to it and decides its
-    edge out.  It is one loop, with no recursion limit, and copies nothing
-    (Knuth, TAOCP 7.2.2, Algorithm B).
-
-    Both run on a `_Graph` of `vertices` and `edges` built in one go;
-    `sweep_stats` runs them on the `_Graph` it keeps per line, whose
-    parity counts and incidence lists they read as they stand.
+    Each edge is left out or put in a set of chosen edges; a state says,
+    for each vertex of the frontier, how many chosen edges it has and
+    which vertex ends its chosen path.  `_step` reads one line of a
+    `_Graph`; here the graph is one line, built in one go, and
+    `sweep_stats` runs it per line of the `_Graph` it keeps, from the
+    states kept for the lines a word shares with the previous one.  Time
+    is linear in the edges while the frontier stays bounded: the vertices
+    met by an edge so far and by an edge still to come, at most about one
+    column of a grid graph on ids in (x, y) order.  Read in a shuffled
+    order, a grid's edges would let the frontier grow to most of its
+    vertices, and the states with it, hence the sort.
     """
     return _Graph.of(vertices, edges).hamiltonian()
 
 
-def _search(vertices: Sequence[int], edges: Sequence[tuple[int, int]],
-            incident: Sequence[Sequence[tuple[int, int]]]) -> bool:
-    """The backtracking of `has_hamiltonian_cycle` on a graph of ascending
-    `vertices`: `incident[v]` lists v's edges as (edge, other end) pairs
-    in the order of `edges`.  Its arrays span the ids up to the last
-    vertex, made afresh on each call."""
-    n = len(vertices)
-    size = vertices[-1] + 1
-    state = [_UNDECIDED] * (len(edges) + 1)  # and a sentinel after the last edge
-    chosen_at = [0] * size                # chosen edges at each vertex
-    open_at = list(map(len, incident[:size]))  # undecided edges at each vertex
-    end = list(range(size))  # at an end of a chosen path: its other end
-    trail: list[int] = []    # decided edges, in order
-    links: list[int] = []    # (vertex, its previous end) pairs, flattened
-    chosen = 0
-    # pending branches: the edge tried _IN, and len(trail), len(links), chosen before
-    stack: list[tuple[int, int, int, int]] = []
-    branch = 0
-    # The loop decides `val` on each undecided (edge, far end) pair of
-    # `todo`, edges at vertex w, queueing each far end; then it pops the
-    # next vertex w of `queue` at which a forcing rule applies, and so
-    # on.  A branch is the one pair of its edge, from its first end, with
-    # that end queued first, so both ends get settled.  At the start a
-    # rule applies only at vertices of degree 2 or less; any other vertex
-    # is queued again once an edge at it is decided.
-    queue = [v for v in vertices if open_at[v] <= 2]
-    todo: Sequence[tuple[int, int]] = ()
-    w = val = 0
-    while True:
-        consistent = True
-        while True:
-            for e, x in todo:
-                if state[e]:  # decided already: _UNDECIDED is 0
+_CLOSED = "closed"
+
+
+def _step(frontier: tuple[tuple[int, ...], frozenset], shift: int, corners: Sequence[int],
+          sides: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], frozenset]:
+    """The frontier after a line with the id offsets `corners` and
+    `sides`, from `frontier` after the line before, whose base id was
+    `shift` below this one's.  A frontier is its vertices, on ids
+    relative to its line's base, and a set of states, each a tuple that
+    holds per frontier vertex the other end of its chosen path: itself
+    while it has no chosen edge, and None once it has two.  `_CLOSED` is
+    the one state after a Hamiltonian cycle has closed.
+
+    A vertex enters the frontier at its first side and leaves after its
+    last side in its own line, where it must have two chosen edges: no
+    side of a later line reaches a corner of this one, as the ids of
+    `polyomino._Lines` ascend line by line and each side's lower end lies
+    in the line that adds it.  A corner that no side of its line meets
+    leaves at the start.  So the frontier's vertices depend only on the
+    position, not the state.  A chosen side that joins the two ends of
+    one path closes the cycle, which it may do only when every other
+    frontier vertex has two chosen edges and every corner of the line has
+    entered; `_CLOSED` dies at any later line with corners (each corner
+    of a grid line has a side in its own line, so none of them is on the
+    cycle)."""
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for i, side in enumerate(sides):
+        for v in side:
+            first.setdefault(v, i)
+            last[v] = i
+    # leaving[i]: the corners whose last side is side i, and leaving[-1]
+    # those that no side meets, which leave first (i = -1)
+    leaving: list[list[int]] = [[] for _ in range(len(sides) + 1)]
+    for c in corners:
+        leaving[last.get(c, -1)].append(c)
+    entered = max((first[c] for c in corners if c in first), default=0)
+    order, states = frontier
+    order = [v - shift for v in order]
+    closed = _CLOSED in states and not corners
+    now = {tuple([m if m is None else m - shift for m in s]) for s in states if s != _CLOSED}
+    for i in range(-1, len(sides)):
+        if i >= 0:
+            a, b = sides[i]
+            for v in (a, b):
+                if v not in order:
+                    order.append(v)
+                    now = {s + (v,) for s in now}
+            ia, ib = order.index(a), order.index(b)
+            after = set(now)  # each state with the side left out
+            for s in now if a != b else ():
+                ea, eb = s[ia], s[ib]
+                if ea is None or eb is None:
                     continue
-                state[e] = val
-                trail.append(e)
-                open_at[w] -= 1
-                open_at[x] -= 1
-                if val == _IN:
-                    chosen += 1
-                    chosen_at[w] += 1
-                    chosen_at[x] += 1
-                    if chosen_at[w] > 2 or chosen_at[x] > 2:
-                        consistent = False
-                        break
-                    a, b = end[w], end[x]
-                    if a == x:  # w, x are the two ends of one chosen path
-                        if chosen == n:  # the cycle it closes covers every vertex
-                            return True
-                        consistent = False
-                        break
-                    links += (a, end[a], b, end[b])
-                    end[a] = b
-                    end[b] = a
-                queue.append(x)
-            if not consistent or not queue:
-                break
-            w = queue.pop()
-            have, free = chosen_at[w], open_at[w]
-            todo = ()
-            if have + free < 2:
-                consistent = False
-                break
-            if not free:
+                if ea == b:  # a and b end one path: the side closes it
+                    closed |= i >= entered and sum(m is not None for m in s) == 2
+                    continue
+                t = list(s)
+                t[ia] = t[ib] = None
+                t[order.index(ea)] = eb
+                t[order.index(eb)] = ea
+                after.add(tuple(t))
+            now = after
+        for v in leaving[i]:
+            if v not in order:  # a corner with no edge at all
+                now = set()
                 continue
-            if have == 2:
-                val = _OUT
-            elif have + free == 2:
-                val = _IN
-            else:
-                continue
-            todo = incident[w]
-        if consistent:
-            # edges before the last branch edge are all decided
-            branch = state.index(_UNDECIDED, branch)
-            if branch < len(edges):
-                stack.append((branch, len(trail), len(links), chosen))
-                w, x = edges[branch]
-                queue, todo, val = [w], ((branch, x),), _IN
-                continue
-            # every vertex has at most two chosen edges, so n of them
-            # means exactly two at each: one cycle through all vertices
-            if chosen == n:
-                return True
-        if not stack:
-            return False
-        branch, to_trail, to_links, chosen = stack.pop()
-        for e in trail[to_trail:]:
-            u, v = edges[e]
-            open_at[u] += 1
-            open_at[v] += 1
-            if state[e] == _IN:
-                chosen_at[u] -= 1
-                chosen_at[v] -= 1
-            state[e] = _UNDECIDED
-        del trail[to_trail:]
-        for i in range(len(links) - 2, to_links - 1, -2):
-            end[links[i]] = links[i + 1]
-        del links[to_links:]
-        w, x = edges[branch]
-        queue, todo, val = [w], ((branch, x),), _OUT
+            j = order.index(v)
+            del order[j]
+            now = {s[:j] + s[j + 1:] for s in now if s[j] is None}
+    return tuple(order), frozenset(now | {_CLOSED} if closed else now)
 
 
 # The odd-run rule as a DFA on the letters 0 and 1: state 0 is outside a
@@ -374,9 +333,9 @@ def hamiltonian_by_odd_runs(w: Word) -> bool:
 def is_hamiltonian(g: GridGraph) -> bool:
     """Whether `g` has a Hamiltonian cycle, decided by `has_hamiltonian_cycle`.
 
-    The vertices are relabelled to their ranks in sorted (x, y) order, so
-    the search branches on edges in sorted (x, y) endpoint order, chosen
-    first.
+    The vertices are relabelled to ids in sorted (x, y) order, so the DP
+    reads the edges in sorted (x, y) endpoint order, which keeps its
+    frontier to about one column of the grid.
     """
     vertices, edges, _ = _relabel(g)
     return has_hamiltonian_cycle(vertices, edges)
@@ -403,7 +362,7 @@ class WordStats:
 def _record(g: _Graph, ham: bool) -> WordStats:
     """The statistics of a polyomino, all read off its grid graph (area
     and semiperimeter by Euler's formula, `polyomino.Geometry`);
-    Hamiltonicity is searched for only when `ham` is set."""
+    Hamiltonicity is decided only when `ham` is set."""
     nv, ne = len(g.vertices), len(g.edges)
     return WordStats(*by_euler(nv, ne), nv, ne, *g.degrees(),
                      int(g.hamiltonian()) if ham else None)
@@ -419,10 +378,9 @@ def sweep_stats(words: Iterable[Word], ham: bool) -> Iterator[tuple[Word, WordSt
     """Each nonempty word of `words` with its statistics, equal to
     `word_stats(w, ham)`, from one `_Graph` that `polyomino._build_each`
     keeps per prefix: a word rebuilds only the lines past the letters it
-    shares with the previous word, and its record reads the degree
-    counts, the refutation the parity counts and the search the incidence
-    lists, all kept per line.  The search still makes its own arrays,
-    over the word's ids, per call."""
+    shares with the previous word, and its record reads the degree counts
+    and the DP's frontier states, both kept per line, so the DP runs only
+    over the rebuilt lines (and those looked up in the `_Graph`'s memo)."""
     g = _Graph()
     for w in _build_each(words, g):
         yield w, _record(g, ham)

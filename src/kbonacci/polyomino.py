@@ -8,9 +8,9 @@ labels used by the graph module.
 the vertical line x = 0 to x = n, each line from the heights of the
 columns on either side of it (`_LINES`), into a structure that can be
 cut back to a line: `_Lines` holds just the vertex and edge lists, and
-its subclass `graph._Graph` keeps the grid graph's incidence lists,
-degree counts and the id-parity counts of its Hamiltonicity refutation
-as well.  `geometry` builds one polyomino.  `_build_each` keeps the
+its subclass `graph._Graph` keeps the grid graph's degrees, degree
+counts and the per-line frontier states of its Hamiltonicity DP as
+well.  `geometry` builds one polyomino.  `_build_each` keeps the
 lines a word shares with the previous one in a sequence of words: line
 x reads only letters x - 1 and x, so the words of one length in
 `iter_words` order rebuild about three lines each, not n + 1.
@@ -107,8 +107,8 @@ class _Lines:
     closes a run of added lines, whose vertices start at index `first`
     and edges at index `i`.  Each line's ids exceed the previous line's,
     so both lists ascend without a sort; `marks[i]` holds their lengths
-    before line i.  `graph._Graph` extends `cut` and `finish` to keep
-    what the degree counts and the Hamiltonicity search read."""
+    before line i.  `graph._Graph` extends `cut`, `add` and `finish` to
+    keep what the degree counts and the Hamiltonicity DP read."""
 
     def __init__(self) -> None:
         self.vertices: list[int] = []
@@ -134,17 +134,18 @@ class _Lines:
         """Nothing more to keep for the lists alone."""
 
 
-def _add_lines(heights: tuple[int, ...], x: int, lines: _Lines) -> None:
-    """Rebuild lines x, x + 1, ..., n of the columns `heights` (n of them)
-    in `lines` (a `_Lines` or a `graph._Graph`): cut it back to its state
-    before line x, then add the corners and sides of each line at its ids
-    3x + y, and finish them.  This is the one reader of `_LINES` that
-    builds geometry."""
-    lines.cut(x, 3 * len(heights) + 3)
+def _add_lines(bits: Sequence[int], x: int, lines: _Lines) -> None:
+    """Rebuild lines x, x + 1, ..., n of the polyomino of the letters
+    `bits` (n of them; column i has height bits[i] + 1) in `lines` (a
+    `_Lines` or a `graph._Graph`): cut it back to its state before line
+    x, then add the corners and sides of each line at its ids 3x + y, and
+    finish them.  Only the letters from x - 1 on are read.  This is the
+    one reader of `_LINES` that builds geometry."""
+    lines.cut(x, 3 * len(bits) + 3)
     first, i = len(lines.vertices), len(lines.edges)
     base = 3 * x
-    left = heights[x - 1] if x else 0
-    for right in heights[x:] + (0,):
+    left = bits[x - 1] + 1 if x else 0
+    for right in [b + 1 for b in bits[x:]] + [0]:
         corners, sides = _LINES[left, right]
         lines.add(base, corners, sides)
         base += 3
@@ -156,7 +157,7 @@ def geometry(p: Polyomino) -> Geometry:
     """Corners and sides of every cell, built line by line from the
     column heights."""
     lines = _Lines()
-    _add_lines(p.heights, 0, lines)
+    _add_lines([h - 1 for h in p.heights], 0, lines)
     return Geometry(tuple(lines.vertices), tuple(lines.edges))
 
 
@@ -178,7 +179,7 @@ def _build_each(words: Iterable[Word], lines: _Lines) -> Iterator[Word]:
         x = len(bits) - 1 - bits[::-1].index(1) if 1 in bits else 0
         if len(bits) != len(last) or bits[:x] != last[:x]:
             x = 0
-        _add_lines(tuple([b + 1 for b in bits]), x, lines)
+        _add_lines(bits, x, lines)
         last = bits
         yield w
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .words import check_k
+from .words import check_k, check_n
 
 
 @lru_cache(maxsize=4096)
@@ -307,6 +307,7 @@ def expand(gf: RationalGF, n_max: int) -> list[MultiPoly]:
     x-degree; its terms are unpacked from valid ones with the zeros
     dropped, so it is built by `MultiPoly._trusted` with no checks.
     """
+    check_n(n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     aux = gf.aux_variables
@@ -367,6 +368,7 @@ def expand_ints(gf: RationalGF, n_max: int) -> list[int]:
     D_0 = 1 guaranteed by `RationalGF`."""
     if gf.aux_variables:
         raise ValueError("expand_ints requires a gf in x alone")
+    check_n(n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     coeffs = [0] * (n_max + 1)

@@ -83,10 +83,11 @@ class Summary:
 
 class _Run:
     """One verification run: its Hamiltonicity cap (the longest word
-    searched; 0: never), the `graph.WordStats` of every word its checks
-    sweep, (n, k) -> {word bits: WordStats}, and its clock.  `run_all`
-    makes one for all its suites; a check alone makes its own, kept until
-    it returns, capped at `DEFAULT_HAM_CAP` if it reads Hamiltonicity."""
+    whose grid graph the DP decides; 0: none), the `graph.WordStats` of
+    every word its checks sweep, (n, k) -> {word bits: WordStats}, and
+    its clock.  `run_all` makes one for all its suites; a check alone
+    makes its own, kept until it returns, capped at `DEFAULT_HAM_CAP` if
+    it reads Hamiltonicity."""
 
     def __init__(self, ham_cap: int) -> None:
         self.ham_cap = ham_cap
@@ -98,7 +99,7 @@ class _Run:
         """Every length-n word's statistics, from one `graph.sweep_stats`
         over the words in `iter_words` order.  The first check that needs
         a length fills its table, so that check's report is charged for
-        it; Hamiltonicity is searched for once per word, up to the cap."""
+        it; Hamiltonicity is decided once per word, up to the cap."""
         table = self.tables.get((n, k))
         if table is None:
             if n < 1:

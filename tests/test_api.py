@@ -145,7 +145,7 @@ def _called_names(node: ast.AST) -> list[tuple[str, ast.Call]]:
 
 def test_hamiltonicity_has_one_fast_path_and_one_oracle():
     """The CLI reads Hamiltonicity only from the odd-run rule, and
-    verify's sweep only from the backtracker."""
+    verify's sweep only from the frontier DP."""
     calls = _called_names(ast.parse((SRC / "cli.py").read_text()))
     names = {name for name, _ in calls}
     assert "hamiltonian_by_odd_runs" in names
@@ -249,23 +249,23 @@ def _graph_oracle() -> dict[str, ast.FunctionDef]:
 
 
 def test_the_search_reads_only_the_graph():
-    """The Hamiltonicity search and the degree counts stay an oracle
-    independent of the odd-run rule and of the line table: the search
-    core, the per-prefix `_Graph`, the `_Lines` it extends and every
-    function they call read only the edge states, each other and
-    builtins, never a word's letters, the rule's tables, the line table
-    or the frontier automaton.  `_Graph` takes no constructor argument,
-    so a sweep keeps one kind of graph."""
+    """The Hamiltonicity DP and the degree counts stay an oracle
+    independent of the odd-run rule and of the line table: the DP's step,
+    the per-prefix `_Graph`, the `_Lines` it extends and every function
+    they call read only ids, edges, each other and builtins, never a
+    word's letters, the rule's tables, the line table or the frontier
+    automaton.  `_Graph` takes no constructor argument, so a sweep keeps
+    one kind of graph."""
     found = _graph_oracle()
     assert set(found) == {
-        "has_hamiltonian_cycle", "degree_counts", "_search", "_Graph.__init__",
-        "_Graph.of", "_Graph.cut", "_Graph.finish", "_Graph.degrees", "_Graph.refuted",
+        "has_hamiltonian_cycle", "degree_counts", "_step", "_Graph.__init__",
+        "_Graph.of", "_Graph.cut", "_Graph.add", "_Graph.finish", "_Graph.degrees",
         "_Graph.hamiltonian", "_Lines.__init__", "_Lines.cut", "_Lines.add",
         "_Lines.finish"}
     free = set().union(*map(_free_names, found.values()))
-    assert free == {"_UNDECIDED", "_IN", "_OUT", "_Graph", "_search", "ValueError",
-                    "all", "any", "int", "len", "list", "map", "next", "range", "set",
-                    "sorted", "super", "type"}
+    assert free == {"_CLOSED", "_Graph", "_step", "ValueError", "all", "any", "enumerate",
+                    "frozenset", "int", "len", "list", "max", "next", "range", "set",
+                    "sorted", "sum", "super", "tuple", "type"}
     init = found["_Graph.__init__"].args
     assert [a.arg for a in init.args] == ["self"]
     assert not (init.vararg or init.kwonlyargs or init.kwarg)
@@ -274,6 +274,24 @@ def test_the_search_reads_only_the_graph():
     forbidden = {"bits", "text", "_LINES", "ODD_RUN_STEP", "ODD_RUN_ACCEPT",
                  "hamiltonian_by_odd_runs", "frontier", "polyomino", "words"}
     assert not (free | attributes) & forbidden
+
+
+def test_graph_keeps_no_module_level_container():
+    """The DP's memo lives on each `_Graph`, so it is dropped with its
+    sweep: graph.py binds no dict, list or set at module level, by
+    assignment or as a cache decorator, and `_CLOSED` is immutable."""
+    tree = ast.parse((SRC / "graph.py").read_text())
+    bound = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             if isinstance(target, ast.Name)}
+    assert "_CLOSED" in bound
+    assert not [name for name in bound
+                if isinstance(getattr(graph, name), (dict, list, set, bytearray))]
+    assert not [name for name, value in vars(graph).items()
+                if not name.startswith("__") and isinstance(value, (dict, list, set))]
+    decorators = {ast.unparse(d) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) for d in node.decorator_list}
+    assert decorators <= {"classmethod", "dataclass(frozen=True)"}
 
 
 def test_only_the_line_builder_and_the_automaton_read_the_line_table():

@@ -1,5 +1,5 @@
 """The frontier automaton of `kbonacci.frontier`: it is built from the line
-table, accepts exactly the words whose grid graph the backtracker finds
+table, accepts exactly the words whose grid graph the frontier DP finds
 Hamiltonian, and proves the odd-run rule of `graph.hamiltonian_by_odd_runs`."""
 
 from kbonacci import frontier, graph, polyomino
@@ -28,7 +28,7 @@ def accepted(max_n: int) -> dict[tuple[int, ...], bool]:
 
 
 def searched(bits: tuple[int, ...]) -> bool:
-    """The backtracker on the geometry built from the current line table."""
+    """The Hamiltonicity DP on the geometry built from the current line table."""
     geo = polyomino.geometry(polyomino.Polyomino(tuple(b + 1 for b in bits), 2))
     return graph.has_hamiltonian_cycle(geo.vertices, geo.edges)
 

@@ -5,7 +5,7 @@
   on poly and graph.  Taken from the plain MultiPoly recurrence.
 - golden/enumerate_sha256.json: `enumerate --with-stats` at k = 2..5 and
   n = 1..6 in text, json and csv, plus `--n 16 --k 3` in csv, past the
-  length that `verify --ham-cap` lets the backtracker search: its ham
+  length that `verify --ham-cap` lets the Hamiltonicity DP decide: its ham
   column comes from the odd-run rule, as at every n.
 - golden/verify_sha256.json: `verify --suite S --max-n 6 --max-k 4
   --format text` for every suite, `all` included.

@@ -180,7 +180,8 @@ class TestIsHamiltonian:
 
     def test_unbalanced_bipartite_graphs_are_refuted_at_once(self):
         # a 3 x 61 grid: 92 vertices on one side, 91 on the other, which
-        # the backtracker alone takes exponential time to refute
+        # a backtracking search takes exponential time to refute and the
+        # DP, with a frontier of one column, refutes in linear time
         assert word_stats(Word("1" * 60, 61), True).ham == 0
         assert is_hamiltonian(rectangle_grid(3, 3)) is False
 
@@ -202,36 +203,33 @@ class TestIsHamiltonian:
         assert has_hamiltonian_cycle(range(5), square) is False  # vertex 4 has no edge
 
     def test_a_reversed_edge_order_is_refuted_as_well(self):
-        # the 3 x 3 grid's edges from the last: the parity counts do not
-        # read the order, so the graph is refuted either way
+        # the 3 x 3 grid's edges from the last, and with their ends
+        # swapped: the verdict is the same either way
         g = rectangle_grid(3, 3)
         vertices, edges, _ = graph._relabel(g)
         edges.reverse()
-        assert graph._Graph.of(vertices, edges).refuted() is True
         assert has_hamiltonian_cycle(vertices, edges) is False
+        assert has_hamiltonian_cycle(vertices, [(v, u) for u, v in edges]) is False
         assert has_hamiltonian_cycle(vertices, sorted(edges)) is False
 
-    def test_the_parity_refutation_agrees_with_brute_force_on_small_graphs(self):
-        """Every simple graph on 3, 4 or 5 vertices, on contiguous ids, on
-        ids with gaps (0, 3, 4, 7, 8) and on ids whose parities run
-        otherwise (1, 2, 4, 6, 9), so that the parity is a 2-colouring of
-        some graphs and not of others: the search, with the refutation,
-        agrees with a check of every vertex order; the refutation never
-        fires on a Hamiltonian graph, and fires on some graph of each id
-        set whose odd ids are not half of them."""
+    def test_the_dp_agrees_with_brute_force_on_small_graphs(self):
+        """Every simple graph on 3, 4 or 5 vertices (1,096 of them) on each
+        of three id sets: contiguous ids, on ids with gaps (0, 3, 4, 7, 8) and on ids whose
+        parities run otherwise (1, 2, 4, 6, 9): the DP agrees with a check
+        of every vertex order, with the edges in sorted order, reversed,
+        and with each edge's ends swapped."""
+        graphs = 0
         for m in (3, 4, 5):
             pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
             for ids in (tuple(range(m)), (0, 3, 4, 7, 8)[:m], (1, 2, 4, 6, 9)[:m]):
-                fired = 0
                 for mask in range(1 << len(pairs)):
                     chosen = [(ids[a], ids[b]) for i, (a, b) in enumerate(pairs)
                               if mask >> i & 1]
                     expected = brute_force_hamiltonian(ids, chosen)
-                    assert has_hamiltonian_cycle(ids, chosen) is expected, (ids, chosen)
-                    refuted = graph._Graph.of(ids, chosen).refuted()
-                    assert not (refuted and expected), (ids, chosen)
-                    fired += refuted
-                assert bool(fired) is (2 * sum(v % 2 for v in ids) != m), ids
+                    for edges in (chosen, chosen[::-1], [(v, u) for u, v in chosen]):
+                        assert has_hamiltonian_cycle(ids, edges) is expected, (ids, edges)
+                    graphs += 1
+        assert graphs == 3 * 1096
 
     def test_relabelled_ids_have_the_parity_of_x_plus_y(self):
         """`_relabel` numbers a grid graph's vertices in (x, y) order, keeps
@@ -249,29 +247,29 @@ class TestIsHamiltonian:
                 assert {(back(u), back(v)) for u, v in edges} == moved.edges
                 assert {(v - sum(back(v))) % 2 for v in vertices} == {(dx + dy) % 2}
 
-    def test_a_relabelled_mixed_height_word_is_refuted_without_a_search(self, monkeypatch):
-        """0 1^60 0 has 93 corners of even x + y and 94 of odd, so the
-        parity refutes its graph on `_relabel`'s ids as on the package's
-        own, and the search, which would backtrack for long, is not run."""
-        g = graph_of("0" + "1" * 60 + "0", 61)
-        vertices, edges, _ = graph._relabel(g)
-        assert graph._Graph.of(vertices, edges).refuted() is True
-
-        def no_search(*args):
-            raise AssertionError("searched")
-
-        monkeypatch.setattr(graph, "_search", no_search)
-        assert is_hamiltonian(g) is False
-
     def test_balanced_graphs_without_a_cycle_are_still_searched(self):
         # 1^(2a) 0 1^(2b): the two sides of the grid graph, by the parity of
-        # x + y, have the same size, so only the search refutes them
+        # x + y, have the same size, so no count of sides refutes them
         for a, b in ((1, 1), (1, 2), (2, 3)):
             w = Word("1" * (2 * a) + "0" + "1" * (2 * b), 7)
             geo = geometry(from_word(w))
             ones = sum(sum(divmod(v, 3)) % 2 for v in geo.vertices)
             assert 2 * ones == len(geo.vertices), w.text
             assert has_hamiltonian_cycle(geo.vertices, geo.edges) is False, w.text
+
+    @pytest.mark.parametrize("a", [14, 250])
+    def test_long_balanced_words_are_decided_in_linear_time(self, a):
+        """1^(2a) 0 1^(2a) has balanced sides and no cycle; a backtracking
+        search took 237 ms on it at a = 14, doubling every 4 letters.  The
+        sweep's DP and the DP on the relabelled `GridGraph`, whose
+        frontier is one column wide, both agree with the odd-run rule, as
+        does the word with its 0 moved one letter right (all runs odd)."""
+        for text in ("1" * (2 * a) + "0" + "1" * (2 * a),
+                     "1" * (2 * a + 1) + "0" + "1" * (2 * a - 1)):
+            w = Word(text, 2 * a + 2)
+            assert hamiltonian_by_odd_runs(w) is (text[2 * a] == "1")
+            assert word_stats(w, True).ham == hamiltonian_by_odd_runs(w)
+            assert is_hamiltonian(build_graph(from_word(w))) is hamiltonian_by_odd_runs(w)
 
     def test_the_search_agrees_with_the_odd_run_rule_up_to_n_12(self):
         """All 33,596 words with k = 2..7 and n <= 12.  `frontier.check_ham_rule`
@@ -399,18 +397,14 @@ def as_grid_graph(geo) -> GridGraph:
 
 
 def scratch_build(vertices, edges):
-    """The incidence lists, degree counts and parity counts of a graph on
-    integer ids, built from scratch the plain way: the number of odd ids
-    and of edges from an odd id to an even one."""
-    size = vertices[-1] + 1
-    incident = [[] for _ in range(size)]
-    for i, (u, v) in enumerate(edges):
-        incident[u].append((i, v))
-        incident[v].append((i, u))
-    counts = tuple(sum(len(incident[v]) == d for v in vertices) for d in (2, 3, 4))
-    odd = sum(v % 2 for v in vertices)
-    cross = sum((u - v) % 2 == 1 for u, v in edges)
-    return incident, counts, odd, cross
+    """The degree of each id and the counts of vertices of degree 2, 3 and
+    4 of a graph on integer ids, built from scratch the plain way."""
+    degree = [0] * (vertices[-1] + 1)
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    counts = tuple(sum(degree[v] == d for v in vertices) for d in (2, 3, 4))
+    return degree, counts
 
 
 class TestGraphInput:
@@ -457,56 +451,91 @@ class TestSweepGraph:
 
     def test_every_word_in_every_order_equals_a_scratch_build(self):
         """In `iter_words` order, reversed, shuffled and with lengths mixed
-        (`sweep_orders`), the sweep's incidence lists, degree counts and
-        parity counts equal a build from scratch of the same edges, and
-        the ids past the word's are left clean."""
+        (`sweep_orders`), the sweep's degrees and degree counts equal a
+        build from scratch of the same edges, the ids past the word's are
+        left clean, and the DP's verdict from the kept frontier states
+        equals `has_hamiltonian_cycle` of the one-line build of the same
+        lists (one DP per distinct edge list)."""
+        verdicts = {}
         for ws in sweep_orders():
             g = graph._Graph()
             swept = []
             for w in polyomino._build_each(ws, g):
-                incident, counts, odd, cross = scratch_build(g.vertices, g.edges)
-                size = len(incident)
-                assert (g.incident[:size], g.degrees(), g.odd, g.cross) == (
-                    incident, counts, odd, cross), w.text
-                assert not any(g.incident[size:]), w.text
+                degree, counts = scratch_build(g.vertices, g.edges)
+                size = len(degree)
+                assert (g.degree[:size], g.degrees()) == (degree, counts), w.text
+                assert not any(g.degree[size:]), w.text
+                edges = tuple(g.edges)
+                if edges not in verdicts:
+                    verdicts[edges] = has_hamiltonian_cycle(g.vertices, edges)
+                assert g.hamiltonian() is verdicts[edges], w.text
                 swept.append(w)
             assert swept == ws
+        assert len(verdicts) == sum(count_words(n, 6) for n in range(1, 11))
 
-    def test_the_refutation_is_free_of_the_edge_order(self):
+    def test_the_verdict_is_free_of_the_edge_order(self):
         """Shuffled edges give the graph of every word up to length 6 at
-        k = 4, of the rectangles and of graphs with an edge between ids of
-        one parity the same parity counts and verdicts as sorted ones."""
+        k = 4, the rectangles and two small graphs the same verdict as
+        sorted ones.  The DP reads them in ascending order, which keeps
+        its frontier to a column: in the order given, the shuffled edges
+        of the 3 x 12 grid below ran out of 2 GB of memory."""
         rng = random.Random(17)
         graphs = [graph._relabel(g)[:2] for g in
                   [graph_of(w.text, 4) for n in range(1, 7) for w in iter_words(n, 4)]
                   + [rectangle_grid(m, n) for m in range(1, 5) for n in range(2, 5)
-                     if m * n > 2]]
+                     if m * n > 2] + [rectangle_grid(12, 3)]]
         graphs += [((0, 1, 2, 3, 5), [(0, 1), (1, 2), (2, 3), (0, 3), (3, 5), (1, 5)]),
                    ((0, 2, 4, 6), [(0, 2), (2, 4), (4, 6), (0, 6)])]
         for vertices, edges in graphs:
-            g = graph._Graph.of(vertices, edges)
+            expected = has_hamiltonian_cycle(vertices, edges)
             for _ in range(3):
                 shuffled = rng.sample(edges, len(edges))
-                h = graph._Graph.of(vertices, shuffled)
-                assert (h.odd, h.cross, h.refuted()) == (g.odd, g.cross, g.refuted())
-                assert h.hamiltonian() is g.hamiltonian()
+                assert has_hamiltonian_cycle(vertices, shuffled) is expected, shuffled
 
-    def test_the_refutation_never_refutes_a_hamiltonian_word(self):
-        """The sweep's parity counts refute 2,388 of the 2,842
-        non-Hamiltonian words among the 5,046 of lengths 1 to 10 at
-        k = 2, 3, 4 and 6, and no Hamiltonian one (by the proved odd-run
-        rule)."""
-        refuted = non_hamiltonian = words = 0
+    def test_the_sweep_verdict_is_the_odd_run_rule(self):
+        """The sweep's DP finds 2,842 non-Hamiltonian words among the 5,046
+        of lengths 1 to 10 at k = 2, 3, 4 and 6, each the proved odd-run
+        rule's verdict."""
+        non_hamiltonian = words = 0
         for k in (2, 3, 4, 6):
             for n in range(1, 11):
                 g = graph._Graph()
                 for w in polyomino._build_each(iter_words(n, k), g):
                     ham = hamiltonian_by_odd_runs(w)
-                    assert not (ham and g.refuted()), w.text
-                    refuted += g.refuted()
+                    assert g.hamiltonian() is ham, w.text
                     non_hamiltonian += not ham
                     words += 1
-        assert (refuted, non_hamiltonian, words) == (2388, 2842, 5046)
+        assert (non_hamiltonian, words) == (2842, 5046)
+
+    def test_the_dp_runs_only_over_the_rebuilt_lines(self):
+        """A word of the sweep looks up one step per line it rebuilds, as
+        the frontier states of the lines it keeps are kept, and the memo
+        of steps stays small: the 4,934 words with k = 2..5 and n <= 10
+        need 20 distinct steps between 9 distinct frontiers (the start
+        and three dead ones, with no state left, among them)."""
+
+        class Counted(dict):
+            gets = 0
+
+            def get(self, key):
+                Counted.gets += 1
+                return super().get(key)
+
+        g = graph._Graph()
+        g.memo = Counted()
+        ws = list(iter_words(10, 5))
+        built = [11] + [11 - max(i for i, b in enumerate(w.bits) if b) for w in ws[1:]]
+        for w in polyomino._build_each(ws, g):
+            g.hamiltonian()
+            assert len(g.frontiers) == len(g.lines) + 1 == len(w) + 2
+        assert Counted.gets == sum(built) < 3.1 * len(ws)
+        g = graph._Graph()
+        words = [w for k in range(2, 6) for n in range(1, 11) for w in iter_words(n, k)]
+        assert len(words) == 4934
+        for w in polyomino._build_each(words, g):
+            g.hamiltonian()
+        assert len(g.memo) == 20
+        assert len(set(g.memo.values()) | {f for f, *_ in g.memo}) == 9
 
 
 class TestReversalSymmetry:

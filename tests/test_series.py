@@ -337,6 +337,15 @@ class TestExpand:
         with pytest.raises(ValueError, match="n_max must be >= 0"):
             expand_ints(gf_named_total("area", 2), -1)
 
+    @pytest.mark.parametrize("n_max", [2.0, 2.5, True, "3", None])
+    def test_non_int_n_max_rejected(self, n_max):
+        # each is a one-line ValueError: 2.0 once raised an AttributeError
+        # in `expand` and a TypeError in `expand_ints`, and True ran as 1
+        for gf, f in ((gf_polyomino(2), expand), (gf_named_total("vertices", 2), expand),
+                      (gf_named_total("vertices", 2), expand_ints)):
+            with pytest.raises(ValueError, match="n must be an int, got"):
+                f(gf, n_max)
+
     def test_expand_ints_equals_expand(self):
         # `expand` runs `expand_ints` for a gf in x alone, so both are
         # compared with the independent reference instead
