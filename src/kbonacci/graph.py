@@ -4,16 +4,16 @@ sides are edges.  All vertices have degree 2, 3 or 4.
 The degree profile, Hamiltonicity and the mirror x -> n - x have one
 implementation each, on integer vertex ids: `degree_counts`,
 `has_hamiltonian_cycle` and `mirrored`.  The first two read a private
-`_Graph`, the vertex and edge lists of `polyomino._Lines` built line by
-line by `polyomino._add_lines`, which also keeps each id's degree, the
-counts of finished vertices by degree, and per line the frontier states
-of a Hamiltonian-cycle DP (`_step`).  One private record builder reads a
-word's statistics off it, each from the grid graph (area and
-semiperimeter by Euler's formula): `sweep_stats` takes a sequence of
+`_Graph`, built line by line by `polyomino._add_lines`, which keeps per
+line the running counts of vertices, edges and vertices by degree
+(read off the line and the one before it, `_corner_degrees`) and the
+frontier states of a Hamiltonian-cycle DP (`_step`).  One private record
+builder reads a word's statistics off it, each from the grid graph (area
+and semiperimeter by Euler's formula): `sweep_stats` takes a sequence of
 words on one `_Graph`, which `polyomino._build_each` cuts back to the
 letters a word shares with the previous one and extends from there, so
-all of these are reused for the kept lines and the DP runs only over
-the rebuilt ones; `word_stats` is the sweep of one word, and
+the counts and frontiers of the kept lines are reused and the DP runs
+only over the rebuilt ones; `word_stats` is the sweep of one word, and
 `degree_counts` and `has_hamiltonian_cycle` build a `_Graph` of any
 graph as one line.  The `GridGraph` functions relabel their (x, y)
 vertices to ids first.
@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .polyomino import Geometry, Polyomino, _build_each, _Lines, by_euler, geometry
+from .polyomino import Geometry, Polyomino, _build_each, by_euler, geometry
 from .words import Word
 
 Vertex = tuple[int, int]
@@ -55,14 +55,13 @@ def build_graph(p: Polyomino) -> GridGraph:
 def _relabel(g: GridGraph) -> tuple[list[int], list[tuple[int, int]],
                                     Callable[[int], Vertex]]:
     """`g` on the integer ids h (x - x0) + (y - y0), where (x0, y0) is the
-    least x and least y and h the least odd number above every y - y0:
-    ids order as the (x, y) pairs do, and two ids have the same parity
-    iff their vertices' x + y do, so every side of the grid joins an odd
-    id to an even one.  Returns the ids, ascending, the edges as id pairs
-    in ascending (that is, sorted `g.edges`) order, and the map back."""
+    least x and least y and h is one above the greatest y - y0, so ids
+    order as the (x, y) pairs do.  Returns the ids, ascending, the edges
+    as id pairs in ascending (that is, sorted `g.edges`) order, and the
+    map back."""
     x0 = min((x for x, _ in g.vertices), default=0)
     y0 = min((y for _, y in g.vertices), default=0)
-    h = max((y - y0 for _, y in g.vertices), default=0) + 1 | 1
+    h = max((y - y0 for _, y in g.vertices), default=0) + 1
     label = {(x, y): h * (x - x0) + y - y0 for x, y in g.vertices}
     return (sorted(label.values()), sorted((label[u], label[v]) for u, v in g.edges),
             lambda i: (i // h + x0, i % h + y0))
@@ -103,33 +102,30 @@ def grid_hamiltonian_rule(m: int, n: int) -> bool:
     return m >= 2 and n >= 2 and m * n % 2 == 0 or m == n == 1
 
 
-class _Graph(_Lines):
-    """The vertex and edge lists of `polyomino._Lines`, built and cut back
-    the same way by `polyomino._add_lines`, with what the degree counts
-    and the Hamiltonicity DP read kept as well, so that keeping them up
-    costs a word of a sweep only the lines it rebuilds.  `finish` takes in
-    the new lines' edges and finishes their vertices, whose degrees no
-    later line changes; `cut(x, size)` undoes what the dropped lines
-    brought and makes room for the ids below `size`.
-
-    `degree[v]` is the number of edges at id v, and `tally[d]` counts the
-    vertices of degree d < 5, with any degree above 4 counted in
-    `tally[0]`.  `lines` holds each line's base id, corners and sides as
-    `add` took them, and `frontiers[x]` the base of line x - 1 and the
-    DP's frontier (`_step`) before line x, which `hamiltonian` extends up
-    to the last line and a cut truncates as it truncates `marks`.  `memo`
-    maps a (frontier, base shift, corners, sides) step to the frontier
-    after it; a sweep's lines come from one small table, so it stays
-    small (20 steps for every word with k = 2..5 and n <= 10).  `of`
-    builds a graph of any vertices and edges as one line; a sweep's graph
-    has the vertex and edge lists, degrees and verdict of the one `of`
-    builds from its lists."""
+class _Graph:
+    """A grid graph built and cut back line by line by
+    `polyomino._add_lines`, as `polyomino._Lines` is, that keeps per
+    line only what the record and the Hamiltonicity DP read, so a word
+    of a sweep costs only the lines it rebuilds.  `lines[x + 1]` holds
+    line x's base id, corners and sides as `add` took them (`lines[0]`
+    is an empty line before line 0), and `totals[x + 1]` the vertices,
+    edges and vertices of degree 2, 3 and 4 of lines 0..x.  A line's
+    corners are final once it is in (`_corner_degrees`), so `add` adds
+    to the totals the counts of the line in the context of the line
+    before it, which `increments` maps to them: a sweep's lines come
+    from one small table, so it stays small (11 contexts for every word
+    with k = 2..5 and n <= 10).  `frontiers[x + 1]` holds line x's base
+    and the DP's frontier (`_step`) after it, which `hamiltonian`
+    extends up to the last line; `memo` maps a (frontier, base shift,
+    corners, sides) step to the frontier after it (20 steps for the same
+    words).  `cut(x)` truncates the three lists.  `of` builds a graph of
+    any vertices and edges as one line; a sweep's graph has the counts
+    and verdict of the one `of` builds from its vertex and edge lists."""
 
     def __init__(self) -> None:
-        super().__init__()
-        self.degree: list[int] = []
-        self.tally = [0] * 5
-        self.lines: list[tuple[int, Sequence[int], Sequence[tuple[int, int]]]] = []
+        self.lines: list[tuple[int, Sequence[int], Sequence[tuple[int, int]]]] = [(0, (), ())]
+        self.totals = [(0, 0, 0, 0, 0)]
+        self.increments: dict[tuple, tuple[int, ...]] = {}
         self.frontiers = [(0, ((), frozenset([()])))]
         self.memo: dict[tuple, tuple[tuple[int, ...], frozenset]] = {}
 
@@ -148,59 +144,47 @@ class _Graph(_Lines):
                    for u, v in edges):
             raise ValueError("every edge end must be a listed vertex id")
         g = cls()
-        g.cut(0, ids[-1] + 1 if ids else 0)
         g.add(0, ids, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges)))
-        g.finish(0, 0)
         return g
 
-    def cut(self, x: int, size: int) -> None:
-        nv, ne = self.marks[x]
-        degree, tally = self.degree, self.tally
-        for v in self.vertices[nv:]:
-            d = degree[v]
-            tally[d if d < 5 else 0] -= 1
-        for u, v in self.edges[ne:]:
-            degree[u] -= 1
-            degree[v] -= 1
-        del self.lines[x:], self.frontiers[x + 1:]
-        super().cut(x, size)
-        if len(degree) < size:
-            degree += [0] * (size - len(degree))
+    def cut(self, x: int) -> None:
+        del self.lines[x + 1:], self.totals[x + 1:], self.frontiers[x + 1:]
 
     def add(self, base: int, corners: Sequence[int],
             sides: Sequence[tuple[int, int]]) -> None:
-        super().add(base, corners, sides)
+        at, _, before = self.lines[-1]
+        key = (base - at, before, corners, sides)
+        counts = self.increments.get(key)
+        if counts is None:
+            degrees = list(_corner_degrees(*key).values())
+            counts = self.increments[key] = (len(corners), len(sides), degrees.count(2),
+                                             degrees.count(3), degrees.count(4))
+        nv, ne, d2, d3, d4 = self.totals[-1]
+        av, ae, a2, a3, a4 = counts
+        self.totals.append((nv + av, ne + ae, d2 + a2, d3 + a3, d4 + a4))
         self.lines.append((base, corners, sides))
-
-    def finish(self, first: int, i: int) -> None:
-        degree = self.degree
-        for u, v in self.edges[i:]:
-            degree[u] += 1
-            degree[v] += 1
-        tally = self.tally
-        for v in self.vertices[first:]:
-            d = degree[v]
-            tally[d if d < 5 else 0] += 1
 
     def degrees(self, corner: Callable[[int], Vertex] = lambda v: divmod(v, 3),
                 ) -> tuple[int, int, int]:
         """Counts of the vertices of degree 2, 3 and 4; a vertex of any
         other degree is a `ValueError` that names the first one by
         `corner`."""
-        _, _, d2, d3, d4 = self.tally
-        if d2 + d3 + d4 < len(self.vertices):
-            v = next(v for v in self.vertices if not 2 <= self.degree[v] <= 4)
-            raise ValueError(f"vertex {corner(v)} has degree {self.degree[v]}, "
-                             "outside {2,3,4}")
+        nv, _, d2, d3, d4 = self.totals[-1]
+        if d2 + d3 + d4 < nv:
+            for (at, _, before), (base, corners, sides) in zip(self.lines, self.lines[1:]):
+                for c, d in _corner_degrees(base - at, before, corners, sides).items():
+                    if not 2 <= d <= 4:
+                        raise ValueError(f"vertex {corner(base + c)} has degree {d}, "
+                                         "outside {2,3,4}")
         return d2, d3, d4
 
     def hamiltonian(self) -> bool:
         """`has_hamiltonian_cycle` of the graph as it stands: the DP runs
         over the lines past the last checkpoint, one `_step` per line."""
-        if len(self.vertices) < 3:
+        if self.totals[-1][0] < 3:
             raise ValueError("Hamiltonicity needs at least 3 vertices")
         frontiers, memo = self.frontiers, self.memo
-        for base, corners, sides in self.lines[len(frontiers) - 1:]:
+        for base, corners, sides in self.lines[len(frontiers):]:
             at, frontier = frontiers[-1]
             key = (frontier, base - at, corners, sides)
             after = memo.get(key)
@@ -209,6 +193,22 @@ class _Graph(_Lines):
             frontiers.append((base, after))
         _, (_, states) = frontiers[-1]
         return _CLOSED in states
+
+
+def _corner_degrees(shift: int, before: Sequence[tuple[int, int]], corners: Sequence[int],
+                    sides: Sequence[tuple[int, int]]) -> dict[int, int]:
+    """The degree of each of a line's `corners`, in their order, from its
+    `sides` and the sides `before` of the line before it, whose base id
+    was `shift` below this one's (all as offsets from their line's base).
+    No other side meets them: each side's lower end lies in the line
+    that adds it and its upper end in that line or the next."""
+    ends = [end - shift for side in before for end in side]
+    ends += [end for side in sides for end in side]
+    degree = dict.fromkeys(corners, 0)
+    for end in ends:
+        if end in degree:
+            degree[end] += 1
+    return degree
 
 
 def has_hamiltonian_cycle(vertices: Sequence[int],
@@ -363,7 +363,7 @@ def _record(g: _Graph, ham: bool) -> WordStats:
     """The statistics of a polyomino, all read off its grid graph (area
     and semiperimeter by Euler's formula, `polyomino.Geometry`);
     Hamiltonicity is decided only when `ham` is set."""
-    nv, ne = len(g.vertices), len(g.edges)
+    nv, ne = g.totals[-1][:2]
     return WordStats(*by_euler(nv, ne), nv, ne, *g.degrees(),
                      int(g.hamiltonian()) if ham else None)
 
@@ -378,9 +378,10 @@ def sweep_stats(words: Iterable[Word], ham: bool) -> Iterator[tuple[Word, WordSt
     """Each nonempty word of `words` with its statistics, equal to
     `word_stats(w, ham)`, from one `_Graph` that `polyomino._build_each`
     keeps per prefix: a word rebuilds only the lines past the letters it
-    shares with the previous word, and its record reads the degree counts
-    and the DP's frontier states, both kept per line, so the DP runs only
-    over the rebuilt lines (and those looked up in the `_Graph`'s memo)."""
+    shares with the previous word, and its record reads the running
+    counts and the DP's frontier states, both kept per line, so the DP
+    runs only over the rebuilt lines (and those looked up in the
+    `_Graph`'s memo)."""
     g = _Graph()
     for w in _build_each(words, g):
         yield w, _record(g, ham)

@@ -7,13 +7,13 @@ labels used by the graph module.
 `_add_lines` builds a polyomino's corners and sides line by line, from
 the vertical line x = 0 to x = n, each line from the heights of the
 columns on either side of it (`_LINES`), into a structure that can be
-cut back to a line: `_Lines` holds just the vertex and edge lists, and
-its subclass `graph._Graph` keeps the grid graph's degrees, degree
-counts and the per-line frontier states of its Hamiltonicity DP as
-well.  `geometry` builds one polyomino.  `_build_each` keeps the
-lines a word shares with the previous one in a sequence of words: line
-x reads only letters x - 1 and x, so the words of one length in
-`iter_words` order rebuild about three lines each, not n + 1.
+cut back to a line: `_Lines` holds the vertex and edge lists, and
+`graph._Graph`, with the same `cut` and `add`, keeps per line just the
+grid graph's running counts and the frontier states of its
+Hamiltonicity DP.  `geometry` builds one polyomino.  `_build_each`
+keeps the lines a word shares with the previous one in a sequence of
+words: line x reads only letters x - 1 and x, so the words of one
+length in `iter_words` order rebuild about three lines each, not n + 1.
 `geometries` yields a sequence's geometries from it.  Euler's formula
 gives a geometry's area and semiperimeter (`Geometry`, `by_euler`).
 """
@@ -22,8 +22,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .words import Word
+
+if TYPE_CHECKING:
+    from .graph import _Graph
 
 
 @dataclass(frozen=True)
@@ -101,23 +105,19 @@ _LINES = {(left, right): _line(left, right)
 
 class _Lines:
     """The vertex and edge lists of a graph on integer ids, built line by
-    line by `_add_lines`: `cut(x, size)` drops every line from line x on,
+    line by `_add_lines`: `cut(x)` drops every line from line x on, and
     `add(base, corners, sides)` appends a line's corners and sides, as
-    offsets from the line's lowest id `base`, and `finish(first, i)`
-    closes a run of added lines, whose vertices start at index `first`
-    and edges at index `i`.  Each line's ids exceed the previous line's,
-    so both lists ascend without a sort; `marks[i]` holds their lengths
-    before line i.  `graph._Graph` extends `cut`, `add` and `finish` to
-    keep what the degree counts and the Hamiltonicity DP read."""
+    offsets from the line's lowest id `base`.  Each line's ids exceed the
+    previous line's, so both lists ascend without a sort; `marks[i]`
+    holds their lengths before line i.  `graph._Graph` takes the same
+    `cut` and `add` and keeps per-line counts in place of the lists."""
 
     def __init__(self) -> None:
         self.vertices: list[int] = []
         self.edges: list[tuple[int, int]] = []
         self.marks = [(0, 0)]
 
-    def cut(self, x: int, size: int) -> None:
-        """Drop lines x, x + 1, ...; ids stay below `size` (a bound that
-        only structures indexed by id need)."""
+    def cut(self, x: int) -> None:
         nv, ne = self.marks[x]
         del self.vertices[nv:], self.edges[ne:], self.marks[x + 1:]
 
@@ -130,19 +130,15 @@ class _Lines:
             edges.append((base + u, base + v))
         self.marks.append((len(vertices), len(edges)))
 
-    def finish(self, first: int, i: int) -> None:
-        """Nothing more to keep for the lists alone."""
 
-
-def _add_lines(bits: Sequence[int], x: int, lines: _Lines) -> None:
+def _add_lines(bits: Sequence[int], x: int, lines: _Lines | _Graph) -> None:
     """Rebuild lines x, x + 1, ..., n of the polyomino of the letters
     `bits` (n of them; column i has height bits[i] + 1) in `lines` (a
     `_Lines` or a `graph._Graph`): cut it back to its state before line
-    x, then add the corners and sides of each line at its ids 3x + y, and
-    finish them.  Only the letters from x - 1 on are read.  This is the
-    one reader of `_LINES` that builds geometry."""
-    lines.cut(x, 3 * len(bits) + 3)
-    first, i = len(lines.vertices), len(lines.edges)
+    x, then add the corners and sides of each line at its ids 3x + y.
+    Only the letters from x - 1 on are read.  This is the one reader of
+    `_LINES` that builds geometry."""
+    lines.cut(x)
     base = 3 * x
     left = bits[x - 1] + 1 if x else 0
     for right in [b + 1 for b in bits[x:]] + [0]:
@@ -150,7 +146,6 @@ def _add_lines(bits: Sequence[int], x: int, lines: _Lines) -> None:
         lines.add(base, corners, sides)
         base += 3
         left = right
-    lines.finish(first, i)
 
 
 def geometry(p: Polyomino) -> Geometry:
@@ -161,7 +156,7 @@ def geometry(p: Polyomino) -> Geometry:
     return Geometry(tuple(lines.vertices), tuple(lines.edges))
 
 
-def _build_each(words: Iterable[Word], lines: _Lines) -> Iterator[Word]:
+def _build_each(words: Iterable[Word], lines: _Lines | _Graph) -> Iterator[Word]:
     """Each nonempty word of `words`, once `lines` holds the lines of its
     polyomino, built once per prefix: line x depends only on letters
     x - 1 and x (counting from 0), so a word that shares its first i

@@ -225,9 +225,9 @@ def _free_names(func: ast.FunctionDef) -> set[str]:
 
 def _graph_oracle() -> dict[str, ast.FunctionDef]:
     """The search core and the prefix structure: `has_hamiltonian_cycle`,
-    `degree_counts`, every method of `graph._Graph` and of its base
-    `polyomino._Lines`, and every function or class of graph.py that any
-    of them reads, by qualified name."""
+    `degree_counts`, every method of `graph._Graph` and of its bases, and
+    every function or class of graph.py that any of them reads, by
+    qualified name."""
     defs = {node.name: node for path in ("graph.py", "polyomino.py")
             for node in ast.parse((SRC / path).read_text()).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -251,21 +251,20 @@ def _graph_oracle() -> dict[str, ast.FunctionDef]:
 def test_the_search_reads_only_the_graph():
     """The Hamiltonicity DP and the degree counts stay an oracle
     independent of the odd-run rule and of the line table: the DP's step,
-    the per-prefix `_Graph`, the `_Lines` it extends and every function
+    the per-prefix `_Graph`, its per-line degree count and every function
     they call read only ids, edges, each other and builtins, never a
     word's letters, the rule's tables, the line table or the frontier
     automaton.  `_Graph` takes no constructor argument, so a sweep keeps
     one kind of graph."""
     found = _graph_oracle()
     assert set(found) == {
-        "has_hamiltonian_cycle", "degree_counts", "_step", "_Graph.__init__",
-        "_Graph.of", "_Graph.cut", "_Graph.add", "_Graph.finish", "_Graph.degrees",
-        "_Graph.hamiltonian", "_Lines.__init__", "_Lines.cut", "_Lines.add",
-        "_Lines.finish"}
+        "has_hamiltonian_cycle", "degree_counts", "_step", "_corner_degrees",
+        "_Graph.__init__", "_Graph.of", "_Graph.cut", "_Graph.add", "_Graph.degrees",
+        "_Graph.hamiltonian"}
     free = set().union(*map(_free_names, found.values()))
-    assert free == {"_CLOSED", "_Graph", "_step", "ValueError", "all", "any", "enumerate",
-                    "frozenset", "int", "len", "list", "max", "next", "range", "set",
-                    "sorted", "sum", "super", "tuple", "type"}
+    assert free == {"_CLOSED", "_Graph", "_corner_degrees", "_step", "ValueError", "all",
+                    "any", "dict", "enumerate", "frozenset", "int", "len", "list", "max",
+                    "range", "set", "sorted", "sum", "tuple", "type", "zip"}
     init = found["_Graph.__init__"].args
     assert [a.arg for a in init.args] == ["self"]
     assert not (init.vararg or init.kwonlyargs or init.kwarg)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -231,10 +232,11 @@ class TestIsHamiltonian:
                     graphs += 1
         assert graphs == 3 * 1096
 
-    def test_relabelled_ids_have_the_parity_of_x_plus_y(self):
-        """`_relabel` numbers a grid graph's vertices in (x, y) order, keeps
-        its edges, and gives every vertex an id of the parity of x + y,
-        less that of the move for a graph moved off the origin."""
+    def test_relabelled_ids_ascend_in_x_y_order_and_map_back(self):
+        """`_relabel` numbers a grid graph's vertices in (x, y) order and
+        keeps its edges, wherever the graph lies: the ids ascend with their
+        vertices, `back` inverts them, and the id pairs are the edges in
+        sorted order."""
         grids = [rectangle_grid(m, n) for m in range(1, 6) for n in range(1, 6)]
         words = [graph_of(w.text, 4) for n in range(1, 7) for w in iter_words(n, 4)]
         for g in grids + words:
@@ -243,9 +245,9 @@ class TestIsHamiltonian:
                                   frozenset(((ux + dx, uy + dy), (vx + dx, vy + dy))
                                             for (ux, uy), (vx, vy) in g.edges))
                 vertices, edges, back = graph._relabel(moved)
+                assert vertices == sorted(set(vertices))
                 assert [back(v) for v in vertices] == sorted(moved.vertices)
-                assert {(back(u), back(v)) for u, v in edges} == moved.edges
-                assert {(v - sum(back(v))) % 2 for v in vertices} == {(dx + dy) % 2}
+                assert [(back(u), back(v)) for u, v in edges] == sorted(moved.edges)
 
     def test_balanced_graphs_without_a_cycle_are_still_searched(self):
         # 1^(2a) 0 1^(2b): the two sides of the grid graph, by the parity of
@@ -397,14 +399,24 @@ def as_grid_graph(geo) -> GridGraph:
 
 
 def scratch_build(vertices, edges):
-    """The degree of each id and the counts of vertices of degree 2, 3 and
-    4 of a graph on integer ids, built from scratch the plain way."""
-    degree = [0] * (vertices[-1] + 1)
+    """The counts of a graph on integer ids, built from scratch the plain
+    way: vertices, edges, and vertices of degree 2, 3 and 4."""
+    degree = dict.fromkeys(vertices, 0)
     for u, v in edges:
         degree[u] += 1
         degree[v] += 1
-    counts = tuple(sum(degree[v] == d for v in vertices) for d in (2, 3, 4))
-    return degree, counts
+    counts = [sum(d == k for d in degree.values()) for k in (2, 3, 4)]
+    return (len(vertices), len(edges), *counts)
+
+
+class Counted(dict):
+    """A memo that counts its lookups."""
+
+    gets = 0
+
+    def get(self, key):
+        self.gets += 1
+        return super().get(key)
 
 
 class TestGraphInput:
@@ -444,6 +456,20 @@ class TestGraphInput:
         assert degree_counts(range(4), self.square) == (4, 0, 0)
         assert degree_counts((), ()) == (0, 0, 0)
 
+    def test_memory_follows_the_graph_not_its_largest_id(self):
+        """A 4-cycle whose largest id is 10**6 takes under 1 MB at peak:
+        nothing is sized by the largest id."""
+        top = 10 ** 6
+        ids, edges = (0, 1, 2, top), [(0, 1), (1, top), (2, top), (0, 2)]
+        tracemalloc.start()
+        try:
+            assert degree_counts(ids, edges) == (4, 0, 0)
+            assert has_hamiltonian_cycle(ids, edges) is True
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestSweepGraph:
     """The per-prefix `graph._Graph` of a sweep against a graph built from
@@ -451,27 +477,26 @@ class TestSweepGraph:
 
     def test_every_word_in_every_order_equals_a_scratch_build(self):
         """In `iter_words` order, reversed, shuffled and with lengths mixed
-        (`sweep_orders`), the sweep's degrees and degree counts equal a
-        build from scratch of the same edges, the ids past the word's are
-        left clean, and the DP's verdict from the kept frontier states
-        equals `has_hamiltonian_cycle` of the one-line build of the same
-        lists (one DP per distinct edge list)."""
-        verdicts = {}
+        (`sweep_orders`), the sweep's running counts equal a build from
+        scratch of the word's geometry, `geometry(from_word(w))`, and the
+        DP's verdict from the kept frontier states equals
+        `has_hamiltonian_cycle` of that geometry (built and decided once
+        per distinct word graph)."""
+        built = {}
         for ws in sweep_orders():
             g = graph._Graph()
             swept = []
             for w in polyomino._build_each(ws, g):
-                degree, counts = scratch_build(g.vertices, g.edges)
-                size = len(degree)
-                assert (g.degree[:size], g.degrees()) == (degree, counts), w.text
-                assert not any(g.degree[size:]), w.text
-                edges = tuple(g.edges)
-                if edges not in verdicts:
-                    verdicts[edges] = has_hamiltonian_cycle(g.vertices, edges)
-                assert g.hamiltonian() is verdicts[edges], w.text
+                if w.bits not in built:
+                    geo = geometry(from_word(w))
+                    built[w.bits] = (scratch_build(geo.vertices, geo.edges),
+                                     has_hamiltonian_cycle(geo.vertices, geo.edges))
+                totals, verdict = built[w.bits]
+                assert (g.totals[-1], g.degrees()) == (totals, totals[2:]), w.text
+                assert g.hamiltonian() is verdict, w.text
                 swept.append(w)
             assert swept == ws
-        assert len(verdicts) == sum(count_words(n, 6) for n in range(1, 11))
+        assert len(built) == sum(count_words(n, 6) for n in range(1, 11))
 
     def test_the_verdict_is_free_of_the_edge_order(self):
         """Shuffled edges give the graph of every word up to length 6 at
@@ -513,22 +538,14 @@ class TestSweepGraph:
         of steps stays small: the 4,934 words with k = 2..5 and n <= 10
         need 20 distinct steps between 9 distinct frontiers (the start
         and three dead ones, with no state left, among them)."""
-
-        class Counted(dict):
-            gets = 0
-
-            def get(self, key):
-                Counted.gets += 1
-                return super().get(key)
-
         g = graph._Graph()
         g.memo = Counted()
         ws = list(iter_words(10, 5))
         built = [11] + [11 - max(i for i, b in enumerate(w.bits) if b) for w in ws[1:]]
         for w in polyomino._build_each(ws, g):
             g.hamiltonian()
-            assert len(g.frontiers) == len(g.lines) + 1 == len(w) + 2
-        assert Counted.gets == sum(built) < 3.1 * len(ws)
+            assert len(g.frontiers) == len(g.lines) == len(w) + 2
+        assert g.memo.gets == sum(built) < 3.1 * len(ws)
         g = graph._Graph()
         words = [w for k in range(2, 6) for n in range(1, 11) for w in iter_words(n, k)]
         assert len(words) == 4934
@@ -536,6 +553,28 @@ class TestSweepGraph:
             g.hamiltonian()
         assert len(g.memo) == 20
         assert len(set(g.memo.values()) | {f for f, *_ in g.memo}) == 9
+
+    def test_a_rebuilt_line_costs_one_count_lookup(self):
+        """A word of the sweep looks up the counts of each line it rebuilds
+        once and keeps the running counts of the lines before it, and the
+        memo of line contexts stays small: the 4,934 words with k = 2..5
+        and n <= 10 have 11, a first line beside a column of height 1 or
+        2, and the three lines that can follow a line of each of three
+        kinds (vertical sides of height 1 and a right column of height 1;
+        of height 2 and 1; of height 2 and 2)."""
+        g = graph._Graph()
+        g.increments = Counted()
+        ws = list(iter_words(10, 5))
+        built = [11] + [11 - max(i for i, b in enumerate(w.bits) if b) for w in ws[1:]]
+        gets = 0
+        for w, lines in zip(polyomino._build_each(ws, g), built):
+            assert g.increments.gets - gets == lines, w.text
+            assert len(g.totals) == len(g.lines) == len(w) + 2
+            gets = g.increments.gets
+        g = graph._Graph()
+        words = [w for k in range(2, 6) for n in range(1, 11) for w in iter_words(n, k)]
+        assert len(list(polyomino._build_each(words, g))) == 4934
+        assert len(g.increments) == 11
 
 
 class TestReversalSymmetry:
