@@ -101,9 +101,8 @@ def cmd_enumerate(args) -> int:
         raise ValueError(f"--render prints blocks only; it takes no --format {args.format}")
     word_iter = words.iter_words(args.n, args.k)
     if args.dot:
-        for w in word_iter:
-            g = graph.build_graph(polyomino.from_word(w))
-            print(graph.to_dot(g, name=f"w{w.text}"))
+        for w, geo in polyomino.geometries(word_iter):
+            print(graph.to_dot(geo, name=f"w{w.text}"))
         return 0
     if args.render:
         for w in word_iter:

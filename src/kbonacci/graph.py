@@ -18,15 +18,19 @@ only over the rebuilt ones; `word_stats` is the sweep of one word, and
 graph as one line.  The `GridGraph` functions relabel their (x, y)
 vertices to ids first.
 Hamiltonicity also has one O(n) fast path, `hamiltonian_by_odd_runs`,
-which `frontier.check_ham_rule` proves equal to the DP on every word;
-the DP stays as its independent oracle.
+which `check_ham_rule` proves equal to the DP on every word by running
+`_step` itself over `polyomino._LINES` as a finite automaton; the DP
+stays as the rule's independent oracle, and `_step` is the only step of
+a Hamiltonicity DP.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
+from . import polyomino
 from .polyomino import Geometry, Polyomino, _build_each, by_euler, geometry
 from .words import Word
 
@@ -311,8 +315,8 @@ def _step(frontier: tuple[tuple[int, ...], frozenset], shift: int, corners: Sequ
 # run of 1's, 1 and 2 are inside a run of odd and of even length, and 3
 # follows an even run (dead).  ODD_RUN_STEP[s][b] is the state after
 # reading b in state s; ODD_RUN_ACCEPT[s] says whether a word that ends
-# in state s has every run of 1's odd.  `frontier.check_ham_rule` reads
-# these same tables, so its proof covers `hamiltonian_by_odd_runs`.
+# in state s has every run of 1's odd.  `check_ham_rule` reads these
+# same tables, so its proof covers `hamiltonian_by_odd_runs`.
 ODD_RUN_STEP = ((0, 1), (0, 2), (3, 1), (3, 3))
 ODD_RUN_ACCEPT = (True, True, False, False)
 
@@ -320,14 +324,68 @@ ODD_RUN_ACCEPT = (True, True, False, False)
 def hamiltonian_by_odd_runs(w: Word) -> bool:
     """Whether the grid graph of a nonempty word has a Hamiltonian cycle,
     by the rule "every maximal run of 1's has odd length", in O(n).  The
-    rule holds for every binary word (`frontier.check_ham_rule`), so for
-    every k; `has_hamiltonian_cycle` is its independent oracle."""
+    rule holds for every binary word (`check_ham_rule`), so for every k;
+    the DP is its independent oracle."""
     if not w.bits:
         raise ValueError("the empty word has no polyomino")
     state = 0
     for b in w.bits:
         state = ODD_RUN_STEP[state][b]
     return ODD_RUN_ACCEPT[state]
+
+
+@dataclass(frozen=True)
+class RuleCheck:
+    """The outcome of `check_ham_rule`: the frontiers reached, the number
+    of (left height, frontier, DFA state) nodes reached, and the shortest
+    word on which the DP and the odd-run DFA disagree (None: they agree
+    on every nonempty word, which proves the rule)."""
+
+    frontiers: frozenset[tuple[tuple[int, ...], frozenset]]
+    pairs: int
+    counterexample: str | None
+
+
+def check_ham_rule() -> RuleCheck:
+    """Prove that the DP's verdict on every word's grid graph is the
+    odd-run rule of `ODD_RUN_STEP` and `ODD_RUN_ACCEPT`, or find the
+    shortest word on which they differ.
+
+    A word's graph is built from `polyomino._LINES` one line at a time
+    (`polyomino._add_lines`), each line 3 ids above the one before, and
+    the sweep's `_Graph` runs `_step` once per line with that shift.  A
+    frontier holds ids relative to its line's base, so the frontier
+    after a line depends only on the frontier before it and the heights
+    (left, right) either side of the line: run over the table, `_step` is
+    a deterministic automaton.  The letter b reads the line whose right
+    column has height b + 1, and a word is Hamiltonian iff `_CLOSED` is
+    in the frontier after its closing line (right height 0).  A breadth
+    first search, letter 0 before 1, over the reachable (left height,
+    frontier, DFA state) nodes compares that with the DFA at each node.
+    The nodes are finitely many, so if every reached node agrees, the two
+    agree on every word of every length, and so for every k; the first
+    node that does not is reached by a shortest word, the least of those
+    in lexicographic order.  The start node, the empty word, is excepted:
+    it has no polyomino and no closing line.  The table is read when
+    this is called, not at import."""
+    lines = polyomino._LINES
+    start = (0, _Graph().frontiers[0][1], 0)
+    words = {start: ""}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        left, frontier, s = node
+        word = words[node]
+        shift = 3 if left else 0
+        if word and (_CLOSED in _step(frontier, shift, *lines[left, 0])[1]) != ODD_RUN_ACCEPT[s]:
+            return RuleCheck(frozenset(f for _, f, _ in words), len(words), word)
+        for b in (0, 1):
+            after = (b + 1, _step(frontier, shift, *lines[left, b + 1]),
+                     ODD_RUN_STEP[s][b])
+            if after not in words:
+                words[after] = word + str(b)
+                queue.append(after)
+    return RuleCheck(frozenset(f for _, f, _ in words), len(words), None)
 
 
 def is_hamiltonian(g: GridGraph) -> bool:
@@ -387,12 +445,13 @@ def sweep_stats(words: Iterable[Word], ham: bool) -> Iterator[tuple[Word, WordSt
         yield w, _record(g, ham)
 
 
-def to_dot(g: GridGraph, name: str = "G") -> str:
-    """DOT rendering for external graph viewers."""
+def to_dot(geo: Geometry, name: str = "G") -> str:
+    """DOT rendering for external graph viewers: each vertex named and
+    placed at the x,y of its id 3x + y, in ascending id order, then each
+    edge in the geometry's ascending order."""
+    at = {v: "%d,%d" % divmod(v, 3) for v in geo.vertices}
     lines = [f"graph {name} {{"]
-    for x, y in sorted(g.vertices):
-        lines.append(f'  "{x},{y}" [pos="{x},{y}!"];')
-    for (ux, uy), (vx, vy) in sorted(g.edges):
-        lines.append(f'  "{ux},{uy}" -- "{vx},{vy}";')
+    lines += [f'  "{at[v]}" [pos="{at[v]}!"];' for v in geo.vertices]
+    lines += [f'  "{at[u]}" -- "{at[v]}";' for u, v in geo.edges]
     lines.append("}")
     return "\n".join(lines)

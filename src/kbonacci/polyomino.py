@@ -137,7 +137,8 @@ def _add_lines(bits: Sequence[int], x: int, lines: _Lines | _Graph) -> None:
     `_Lines` or a `graph._Graph`): cut it back to its state before line
     x, then add the corners and sides of each line at its ids 3x + y.
     Only the letters from x - 1 on are read.  This is the one reader of
-    `_LINES` that builds geometry."""
+    `_LINES` that builds geometry; the other, `graph.check_ham_rule`,
+    runs the Hamiltonicity DP's step over it in the same order."""
     lines.cut(x)
     base = 3 * x
     left = bits[x - 1] + 1 if x else 0

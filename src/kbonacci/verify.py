@@ -225,15 +225,11 @@ def ham_pair_check(max_k: int, max_n: int, *, run: _Run | None = None) -> list[C
 
 
 def _ham_rule_report(run: _Run) -> CheckReport:
-    """The ham-rule row: it passes iff `frontier.check_ham_rule` proves the
+    """The ham-rule row: it passes iff `graph.check_ham_rule` proves the
     odd-run rule of `graph.hamiltonian_by_odd_runs` for every word, and
     else names the shortest word on which the rule fails.  Its k = 2 and
     n = 0 stand for every k and n."""
-    # imported here, not with the module: every command imports verify,
-    # and only this row needs the automaton
-    from . import frontier
-
-    found = frontier.check_ham_rule().counterexample
+    found = graph.check_ham_rule().counterexample
     claim = "odd runs iff Hamiltonian"
     return run.report("ham-rule", 2, 0, claim,
                       claim if found is None else f"differs at {found}")

