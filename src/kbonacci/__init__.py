@@ -13,7 +13,6 @@ from .words import (
 )
 from .polyomino import Polyomino, area, from_word, semiperimeter, semiperimeter_closed
 from .graph import (
-    GridGraph,
     WordStats,
     build_graph,
     degree_profile,
@@ -40,8 +39,8 @@ __all__ = [
     "Word", "count_words", "enumerate_words", "generalized_fibonacci",
     "is_kbonacci", "iter_words", "reverse",
     "Polyomino", "area", "from_word", "semiperimeter", "semiperimeter_closed",
-    "GridGraph", "WordStats", "build_graph", "degree_profile",
-    "grid_hamiltonian_rule", "is_hamiltonian", "word_stats",
+    "WordStats", "build_graph", "degree_profile", "grid_hamiltonian_rule",
+    "is_hamiltonian", "word_stats",
     "MultiPoly", "RationalGF", "expand", "expand_ints", "gf_degree",
     "gf_graph", "gf_hamiltonian", "gf_named_total", "gf_polyomino",
     "total_weight_series",

@@ -1,22 +1,21 @@
 """Grid graphs of bargraph polyominoes: cell corners are vertices, cell
 sides are edges.  All vertices have degree 2, 3 or 4.
 
-The degree profile, Hamiltonicity and the mirror x -> n - x have one
-implementation each, on integer vertex ids: `degree_counts`,
-`has_hamiltonian_cycle` and `mirrored`.  The first two read a private
-`_Graph`, built line by line by `polyomino._add_lines`, which keeps per
-line the running counts of vertices, edges and vertices by degree
-(read off the line and the one before it, `_corner_degrees`) and the
-frontier states of a Hamiltonian-cycle DP (`_step`).  One private record
-builder reads a word's statistics off it, each from the grid graph (area
-and semiperimeter by Euler's formula): `sweep_stats` takes a sequence of
-words on one `_Graph`, which `polyomino._build_each` cuts back to the
-letters a word shares with the previous one and extends from there, so
-the counts and frontiers of the kept lines are reused and the DP runs
-only over the rebuilt ones; `word_stats` is the sweep of one word, and
-`degree_counts` and `has_hamiltonian_cycle` build a `_Graph` of any
-graph as one line.  The `GridGraph` functions relabel their (x, y)
-vertices to ids first.
+A graph is a `polyomino.Geometry`, on integer vertex ids.  The degree
+profile, Hamiltonicity and the mirror x -> n - x have one implementation
+each: `degree_profile`, `is_hamiltonian` and `mirrored`.  The first two
+read a private `_Graph`, built line by line by `polyomino._add_lines`,
+which keeps per line the running counts of vertices, edges and vertices
+by degree (read off the line and the one before it, `_corner_degrees`)
+and the frontier states of a Hamiltonian-cycle DP (`_step`).  One
+private record builder reads a word's statistics off it, each from the
+grid graph (area and semiperimeter by Euler's formula): `sweep_stats`
+takes a sequence of words on one `_Graph`, which `polyomino._build_each`
+cuts back to the letters a word shares with the previous one and extends
+from there, so the counts and frontiers of the kept lines are reused and
+the DP runs only over the rebuilt ones; `word_stats` is the sweep of one
+word, and `degree_profile` and `is_hamiltonian` build a `_Graph` of any
+graph as one line.
 Hamiltonicity also has one O(n) fast path, `hamiltonian_by_odd_runs`,
 which `check_ham_rule` proves equal to the DP on every word by running
 `_step` itself over `polyomino._LINES` as a finite automaton; the DP
@@ -27,63 +26,26 @@ a Hamiltonicity DP.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from . import polyomino
 from .polyomino import Geometry, Polyomino, _build_each, by_euler, geometry
 from .words import Word
 
-Vertex = tuple[int, int]
-Edge = tuple[Vertex, Vertex]
+
+def build_graph(p: Polyomino) -> Geometry:
+    """Vertices = corners of every cell, edges = sides of every cell: the
+    polyomino's `geometry`.  This name, `degree_profile`, `is_hamiltonian`
+    and `mirrored` are kept because the benchmark's tracer and self-tests
+    look them up by name."""
+    return geometry(p)
 
 
-@dataclass(frozen=True)
-class GridGraph:
-    vertices: frozenset[Vertex]
-    edges: frozenset[Edge]
-
-    def __post_init__(self) -> None:
-        for u, v in self.edges:
-            if u not in self.vertices or v not in self.vertices:
-                raise ValueError("edge endpoint outside the vertex set")
-
-
-def build_graph(p: Polyomino) -> GridGraph:
-    """Vertices = corners of every cell, edges = sides of every cell."""
-    geo = geometry(p)
-    return GridGraph(frozenset(divmod(v, 3) for v in geo.vertices),
-                     frozenset((divmod(u, 3), divmod(v, 3)) for u, v in geo.edges))
-
-
-def _relabel(g: GridGraph) -> tuple[list[int], list[tuple[int, int]],
-                                    Callable[[int], Vertex]]:
-    """`g` on the integer ids h (x - x0) + (y - y0), where (x0, y0) is the
-    least x and least y and h is one above the greatest y - y0, so ids
-    order as the (x, y) pairs do.  Returns the ids, ascending, the edges
-    as id pairs in ascending (that is, sorted `g.edges`) order, and the
-    map back."""
-    x0 = min((x for x, _ in g.vertices), default=0)
-    y0 = min((y for _, y in g.vertices), default=0)
-    h = max((y - y0 for _, y in g.vertices), default=0) + 1
-    label = {(x, y): h * (x - x0) + y - y0 for x, y in g.vertices}
-    return (sorted(label.values()), sorted((label[u], label[v]) for u, v in g.edges),
-            lambda i: (i // h + x0, i % h + y0))
-
-
-def degree_counts(vertices: Sequence[int], edges: Sequence[tuple[int, int]],
-                  corner: Callable[[int], Vertex] = lambda v: divmod(v, 3),
-                  ) -> tuple[int, int, int]:
-    """Counts of vertices of degree 2, 3 and 4 of a graph on integer ids
-    (distinct, non-negative and ascending `vertices`, as
-    `has_hamiltonian_cycle` takes them); `corner` names a vertex in an
-    error, by default as the (x, y) of id 3x + y."""
-    return _Graph.of(vertices, edges).degrees(corner)
-
-
-def degree_profile(g: GridGraph) -> tuple[int, int, int]:
-    """Counts of vertices of degree 2, 3 and 4."""
-    return degree_counts(*_relabel(g))
+def degree_profile(g: Geometry) -> tuple[int, int, int]:
+    """Counts of vertices of degree 2, 3 and 4 of a graph on integer ids,
+    taken as `is_hamiltonian` takes them."""
+    return _Graph.of(g.vertices, g.edges).degrees()
 
 
 def mirrored(geo: Geometry) -> Geometry:
@@ -168,22 +130,21 @@ class _Graph:
         self.totals.append((nv + av, ne + ae, d2 + a2, d3 + a3, d4 + a4))
         self.lines.append((base, corners, sides))
 
-    def degrees(self, corner: Callable[[int], Vertex] = lambda v: divmod(v, 3),
-                ) -> tuple[int, int, int]:
+    def degrees(self) -> tuple[int, int, int]:
         """Counts of the vertices of degree 2, 3 and 4; a vertex of any
-        other degree is a `ValueError` that names the first one by
-        `corner`."""
+        other degree is a `ValueError` that names the first one as the
+        (x, y) of its id 3x + y."""
         nv, _, d2, d3, d4 = self.totals[-1]
         if d2 + d3 + d4 < nv:
             for (at, _, before), (base, corners, sides) in zip(self.lines, self.lines[1:]):
                 for c, d in _corner_degrees(base - at, before, corners, sides).items():
                     if not 2 <= d <= 4:
-                        raise ValueError(f"vertex {corner(base + c)} has degree {d}, "
+                        raise ValueError(f"vertex {divmod(base + c, 3)} has degree {d}, "
                                          "outside {2,3,4}")
         return d2, d3, d4
 
     def hamiltonian(self) -> bool:
-        """`has_hamiltonian_cycle` of the graph as it stands: the DP runs
+        """`is_hamiltonian` of the graph as it stands: the DP runs
         over the lines past the last checkpoint, one `_step` per line."""
         if self.totals[-1][0] < 3:
             raise ValueError("Hamiltonicity needs at least 3 vertices")
@@ -213,29 +174,6 @@ def _corner_degrees(shift: int, before: Sequence[tuple[int, int]], corners: Sequ
         if end in degree:
             degree[end] += 1
     return degree
-
-
-def has_hamiltonian_cycle(vertices: Sequence[int],
-                          edges: Sequence[tuple[int, int]]) -> bool:
-    """Decide Hamiltonicity of a graph on integer ids (distinct,
-    non-negative and ascending `vertices`; every edge end one of them,
-    else a `ValueError`) by a frontier DP over its edges in ascending
-    order of their ends (Knuth's SIMPATH, TAOCP 7.1.4; the
-    transfer-matrix method), whatever the order of `edges`.
-
-    Each edge is left out or put in a set of chosen edges; a state says,
-    for each vertex of the frontier, how many chosen edges it has and
-    which vertex ends its chosen path.  `_step` reads one line of a
-    `_Graph`; here the graph is one line, built in one go, and
-    `sweep_stats` runs it per line of the `_Graph` it keeps, from the
-    states kept for the lines a word shares with the previous one.  Time
-    is linear in the edges while the frontier stays bounded: the vertices
-    met by an edge so far and by an edge still to come, at most about one
-    column of a grid graph on ids in (x, y) order.  Read in a shuffled
-    order, a grid's edges would let the frontier grow to most of its
-    vertices, and the states with it, hence the sort.
-    """
-    return _Graph.of(vertices, edges).hamiltonian()
 
 
 _CLOSED = "closed"
@@ -388,15 +326,26 @@ def check_ham_rule() -> RuleCheck:
     return RuleCheck(frozenset(f for _, f, _ in words), len(words), None)
 
 
-def is_hamiltonian(g: GridGraph) -> bool:
-    """Whether `g` has a Hamiltonian cycle, decided by `has_hamiltonian_cycle`.
+def is_hamiltonian(g: Geometry) -> bool:
+    """Decide Hamiltonicity of a graph on integer ids (distinct,
+    non-negative and ascending `g.vertices`; every end of `g.edges` one of
+    them, else a `ValueError`) by a frontier DP over its edges in ascending
+    order of their ends (Knuth's SIMPATH, TAOCP 7.1.4; the
+    transfer-matrix method), whatever the order of `g.edges`.
 
-    The vertices are relabelled to ids in sorted (x, y) order, so the DP
-    reads the edges in sorted (x, y) endpoint order, which keeps its
-    frontier to about one column of the grid.
+    Each edge is left out or put in a set of chosen edges; a state says,
+    for each vertex of the frontier, how many chosen edges it has and
+    which vertex ends its chosen path.  `_step` reads one line of a
+    `_Graph`; here the graph is one line, built in one go, and
+    `sweep_stats` runs it per line of the `_Graph` it keeps, from the
+    states kept for the lines a word shares with the previous one.  Time
+    is linear in the edges while the frontier stays bounded: the vertices
+    met by an edge so far and by an edge still to come, at most about one
+    column of a grid graph on ids in (x, y) order.  Read in a shuffled
+    order, a grid's edges would let the frontier grow to most of its
+    vertices, and the states with it, hence the sort.
     """
-    vertices, edges, _ = _relabel(g)
-    return has_hamiltonian_cycle(vertices, edges)
+    return _Graph.of(g.vertices, g.edges).hamiltonian()
 
 
 @dataclass(frozen=True)

@@ -53,15 +53,16 @@ def from_word(w: Word) -> Polyomino:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Cell corners and cell sides of a bargraph polyomino on integer
-    vertex ids: the corner (x, y) has id 3x + y (heights are at most 2),
-    so ids order as the (x, y) pairs do and have the parity of x + y.
-
-    `vertices` ascend; `edges` are the distinct cell sides as id pairs
-    (u, v) with u < v, in ascending order.  A bargraph has no holes, so
-    its cells are the bounded faces of this connected plane graph: Euler
-    gives V - E + (area + 1) = 2, and as a side lies in two cells, or in
-    one on the perimeter P, 4 area = 2E - P and P / 2 = 2V - E - 2.
+    """A graph on integer vertex ids, the one graph type of the package:
+    `vertices` ascend, and `edges` are id pairs.  A bargraph polyomino's
+    geometry has its cell corners as vertices, the corner (x, y) at id
+    3x + y (heights are at most 2), so ids order as the (x, y) pairs do
+    and have the parity of x + y, and its distinct cell sides as edges,
+    id pairs (u, v) with u < v in ascending order.  A bargraph has no
+    holes, so its cells are the bounded faces of this connected plane
+    graph: Euler gives V - E + (area + 1) = 2, and as a side lies in two
+    cells, or in one on the perimeter P, 4 area = 2E - P and
+    P / 2 = 2V - E - 2 (`area`, `semiperimeter`).
     """
 
     vertices: tuple[int, ...]

@@ -5,6 +5,8 @@ and `graph.WordStats` agree with."""
 import argparse
 import ast
 import dataclasses
+import importlib
+import importlib.util
 import inspect
 import pathlib
 import re
@@ -15,6 +17,7 @@ import kbonacci
 from kbonacci import cli, graph, series, verify
 
 SRC = pathlib.Path(kbonacci.__file__).parent
+ROOT = pathlib.Path(__file__).parent.parent
 
 # public functions that only tests call, kept on purpose as reference code
 TEST_ONLY = {
@@ -174,7 +177,7 @@ def test_hamiltonicity_has_one_fast_path_and_one_oracle():
     calls = _called_names(ast.parse((SRC / "cli.py").read_text()))
     names = {name for name, _ in calls}
     assert "hamiltonian_by_odd_runs" in names
-    assert not names & {"has_hamiltonian_cycle", "is_hamiltonian", "word_stats"}
+    assert not names & {"is_hamiltonian", "word_stats"}
     assert "sweep_stats" in names
     for name, call in calls:
         if name == "sweep_stats":
@@ -249,14 +252,14 @@ def _free_names(func: ast.FunctionDef) -> set[str]:
 
 
 def _graph_oracle() -> dict[str, ast.FunctionDef]:
-    """The search core and the prefix structure: `has_hamiltonian_cycle`,
-    `degree_counts`, every method of `graph._Graph` and of its bases, and
+    """The search core and the prefix structure: `is_hamiltonian`,
+    `degree_profile`, every method of `graph._Graph` and of its bases, and
     every function or class of graph.py that any of them reads, by
     qualified name."""
     defs = {node.name: node for path in ("graph.py", "polyomino.py")
             for node in ast.parse((SRC / path).read_text()).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    todo = ["has_hamiltonian_cycle", "degree_counts", "_Graph"]
+    todo = ["is_hamiltonian", "degree_profile", "_Graph"]
     found: dict[str, ast.FunctionDef] = {}
     while todo:
         node = defs[todo.pop()]
@@ -283,13 +286,13 @@ def test_the_search_reads_only_the_graph():
     one kind of graph."""
     found = _graph_oracle()
     assert set(found) == {
-        "has_hamiltonian_cycle", "degree_counts", "_step", "_corner_degrees",
+        "is_hamiltonian", "degree_profile", "_step", "_corner_degrees",
         "_Graph.__init__", "_Graph.of", "_Graph.cut", "_Graph.add", "_Graph.degrees",
         "_Graph.hamiltonian"}
     free = set().union(*map(_free_names, found.values()))
     assert free == {"_CLOSED", "_Graph", "_corner_degrees", "_step", "ValueError", "all",
-                    "any", "dict", "enumerate", "frozenset", "int", "len", "list", "max",
-                    "range", "set", "sorted", "sum", "tuple", "type", "zip"}
+                    "any", "dict", "divmod", "enumerate", "frozenset", "int", "len", "list",
+                    "max", "range", "set", "sorted", "sum", "tuple", "type", "zip"}
     init = found["_Graph.__init__"].args
     assert [a.arg for a in init.args] == ["self"]
     assert not (init.vararg or init.kwonlyargs or init.kwarg)
@@ -330,8 +333,56 @@ def test_only_the_line_builder_and_the_automaton_read_the_line_table():
 def test_the_readme_layout_lists_every_module():
     """The Layout block of README.md names exactly the modules of
     src/kbonacci, so adding or deleting one cannot leave it out of date."""
-    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     block = readme.split("## Layout", 1)[1].split("```")[1]
     listed = re.findall(r"^  (\w+\.py) ", block.split("src/kbonacci/\n", 1)[1], re.MULTILINE)
     assert sorted(listed) == sorted(path.name for path in SRC.glob("*.py"))
     assert len(listed) == len(set(listed))
+
+
+def test_every_traced_name_resolves():
+    """Each (module, attribute) of the benchmark tracer's `TARGETS`
+    (perfbench/tracing.py, read and not edited) resolves as its `install`
+    resolves it: a module attribute, or a method in the class's own
+    `__dict__`, so deleting or renaming a traced function fails here
+    rather than in a traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module, attr, _ in tracing.TARGETS:
+        owner = importlib.import_module(f"kbonacci.{module}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(owner, cls_name)), (module, attr)
+        else:
+            assert callable(getattr(owner, attr, None)), (module, attr)
+
+
+def test_the_readme_library_block_shows_what_it_gives(capsys):
+    """README's Library block runs statement by statement, and each result
+    it shows in a comment is what the statement gives: the words of the
+    first line, the printed polynomial, and the value of each bare
+    expression (on its line, or the comment line after it)."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    shown = []  # (the result comment, what the statement gives)
+    for stmt in ast.parse(block).body:
+        source = ast.get_source_segment(block, stmt)
+        if not isinstance(stmt, ast.Expr):
+            exec(source, namespace)
+            continue
+        value = eval(source, namespace)
+        given = capsys.readouterr().out.rstrip("\n") if value is None else repr(value)
+        comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+        shown.append((comment or lines[stmt.end_lineno].lstrip("# "), given))
+    assert [given for _, given in shown] == [
+        "p^4*q^3 + 3*p^5*q^4 + 2*p^5*q^5 + p^6*q^5", "True",
+        "WordStats(area=5, perimeter=6, vertices=12, edges=16, deg2=6, deg3=4, deg4=2, ham=1)"]
+    for comment, given in shown:
+        assert comment == given
+    first = next(line for line in lines if line.startswith("words = "))
+    assert " ".join(w.text for w in namespace["words"]) == first.partition("#")[2].strip()

@@ -8,7 +8,7 @@
   length that `verify --ham-cap` lets the Hamiltonicity DP decide: its ham
   column comes from the odd-run rule, as at every n.
 - golden/dot_sha256.json: `enumerate --dot` at k = 2..5 and n = 1..6.
-  Taken from `to_dot` of the (x, y) `GridGraph` of each word.
+  Taken from `to_dot` of each word's `Geometry`, the id 3x + y named x,y.
 - golden/verify_sha256.json: `verify --suite S --max-n 6 --max-k 4
   --format text` for every suite, `all` included.
 - golden/verify_json_sha256.json: `verify --suite S --max-n 6 --max-k 5

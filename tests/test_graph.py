@@ -6,13 +6,10 @@ import pytest
 
 from kbonacci import graph, polyomino
 from kbonacci.graph import (
-    GridGraph,
     build_graph,
-    degree_counts,
     degree_profile,
     grid_hamiltonian_rule,
     hamiltonian_by_odd_runs,
-    has_hamiltonian_cycle,
     is_hamiltonian,
     mirrored,
     sweep_stats,
@@ -20,7 +17,15 @@ from kbonacci.graph import (
     word_stats,
     WordStats,
 )
-from kbonacci.polyomino import Polyomino, area, from_word, geometries, geometry, semiperimeter
+from kbonacci.polyomino import (
+    Geometry,
+    Polyomino,
+    area,
+    from_word,
+    geometries,
+    geometry,
+    semiperimeter,
+)
 from kbonacci.series import expand, gf_hamiltonian
 from kbonacci.verify import brute_totals
 from kbonacci.words import Word, count_words, enumerate_words, iter_words, reverse
@@ -28,20 +33,17 @@ from kbonacci.words import Word, count_words, enumerate_words, iter_words, rever
 from test_polyomino import sweep_orders
 
 
-def graph_of(text: str, k: int) -> GridGraph:
+def graph_of(text: str, k: int) -> Geometry:
     return build_graph(from_word(Word.from_text(text, k)))
 
 
-def rectangle_grid(m: int, n: int) -> GridGraph:
-    """The grid graph on an m x n array of vertices."""
-    verts = {(x, y) for x in range(m) for y in range(n)}
-    edges = set()
-    for x, y in verts:
-        if (x + 1, y) in verts:
-            edges.add(((x, y), (x + 1, y)))
-        if (x, y + 1) in verts:
-            edges.add(((x, y), (x, y + 1)))
-    return GridGraph(frozenset(verts), frozenset(edges))
+def rectangle_grid(m: int, n: int) -> Geometry:
+    """The grid graph on an m x n array of vertices, the vertex (x, y) at
+    id n x + y."""
+    ids = range(m * n)
+    edges = [(v, v + n) for v in ids if v + n < m * n]
+    edges += [(v, v + 1) for v in ids if v % n < n - 1]
+    return Geometry(tuple(ids), tuple(sorted(edges)))
 
 
 def brute_force_hamiltonian(vertices, edges) -> bool:
@@ -54,15 +56,22 @@ def brute_force_hamiltonian(vertices, edges) -> bool:
                for order in itertools.permutations(rest))
 
 
-def cell_union_graph(p: Polyomino) -> GridGraph:
-    """Corners and the four sides of every cell, cell by cell."""
+def cell_union_graph(p: Polyomino) -> tuple[frozenset, frozenset]:
+    """Corners and the four sides of every cell, cell by cell, as (x, y)
+    pairs."""
     verts, edges = set(), set()
     for x, h in enumerate(p.heights):
         for y in range(h):
             verts.update([(x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)])
             edges.update([((x, y), (x + 1, y)), ((x, y + 1), (x + 1, y + 1)),
                           ((x, y), (x, y + 1)), ((x + 1, y), (x + 1, y + 1))])
-    return GridGraph(frozenset(verts), frozenset(edges))
+    return frozenset(verts), frozenset(edges)
+
+
+def as_pairs(geo: Geometry) -> tuple[frozenset, frozenset]:
+    """A polyomino's geometry on (x, y) pairs: the id 3x + y as (x, y)."""
+    return (frozenset(divmod(v, 3) for v in geo.vertices),
+            frozenset((divmod(u, 3), divmod(v, 3)) for u, v in geo.edges))
 
 
 class TestBuild:
@@ -83,11 +92,7 @@ class TestBuild:
             for n in range(1, 9):
                 for w in enumerate_words(n, k):
                     p = from_word(w)
-                    assert build_graph(p) == cell_union_graph(p), w.text
-
-    def test_edge_outside_vertices_rejected(self):
-        with pytest.raises(ValueError):
-            GridGraph(frozenset([(0, 0)]), frozenset([((0, 0), (1, 0))]))
+                    assert as_pairs(build_graph(p)) == cell_union_graph(p), w.text
 
     def test_vertex_count_closed_form(self):
         # 2(n+1) + (number of 1's) + (number of maximal 1-runs)
@@ -123,13 +128,14 @@ class TestDegreeProfile:
                     assert 2 * d2 + 3 * d3 + 4 * d4 == 2 * len(g.edges)
 
     def test_degree_outside_range_rejected(self):
-        path = GridGraph(frozenset([(0, 0), (1, 0)]), frozenset([((0, 0), (1, 0))]))
+        path = Geometry((0, 3), ((0, 3),))
         with pytest.raises(ValueError):
             degree_profile(path)
 
     def test_error_names_the_vertex_by_coordinates(self):
-        path = GridGraph(frozenset([(5, -2), (6, -2)]), frozenset([((5, -2), (6, -2))]))
-        with pytest.raises(ValueError, match=r"vertex \(5, -2\) has degree 1"):
+        # the ids 3x + y of (5, 1) and (6, 1)
+        path = Geometry((16, 19), ((16, 19),))
+        with pytest.raises(ValueError, match=r"vertex \(5, 1\) has degree 1"):
             degree_profile(path)
 
 
@@ -153,15 +159,6 @@ class TestHamiltonianRule:
                 assert is_hamiltonian(rectangle_grid(1, n)) is False
                 assert is_hamiltonian(rectangle_grid(n, 1)) is False
 
-    def test_relabelling_ignores_position(self):
-        for m, n in ((2, 3), (3, 3), (4, 5)):
-            g = rectangle_grid(m, n)
-            moved = GridGraph(frozenset((x - 7, y - 4) for x, y in g.vertices),
-                              frozenset(((ux - 7, uy - 4), (vx - 7, vy - 4))
-                                        for (ux, uy), (vx, vy) in g.edges))
-            assert is_hamiltonian(moved) == grid_hamiltonian_rule(m, n)
-            assert degree_profile(moved) == degree_profile(g)
-
 
 class TestIsHamiltonian:
     def test_four_cycle(self):
@@ -175,7 +172,7 @@ class TestIsHamiltonian:
         assert is_hamiltonian(graph_of("1", 2)) is True
 
     def test_too_small_rejected(self):
-        tiny = GridGraph(frozenset([(0, 0), (1, 0)]), frozenset([((0, 0), (1, 0))]))
+        tiny = Geometry((0, 3), ((0, 3),))
         with pytest.raises(ValueError):
             is_hamiltonian(tiny)
 
@@ -188,30 +185,32 @@ class TestIsHamiltonian:
 
     def test_graphs_that_are_not_bipartite_are_searched(self):
         def complete(m):
-            return [(u, v) for u in range(m) for v in range(u + 1, m)]
+            return Geometry(tuple(range(m)),
+                            tuple((u, v) for u in range(m) for v in range(u + 1, m)))
 
-        assert has_hamiltonian_cycle(range(4), complete(4)) is True
+        assert is_hamiltonian(complete(4)) is True
         # an odd number of vertices does not refute a graph with an odd cycle
-        assert has_hamiltonian_cycle(range(3), complete(3)) is True
-        assert has_hamiltonian_cycle(range(5), complete(5)) is True
+        assert is_hamiltonian(complete(3)) is True
+        assert is_hamiltonian(complete(5)) is True
         # a 5-cycle with a pendant vertex: not bipartite and not Hamiltonian
-        five = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
-        assert has_hamiltonian_cycle(range(6), five + [(4, 5)]) is False
+        five = ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
+        assert is_hamiltonian(Geometry(tuple(range(6)), five + ((4, 5),))) is False
 
     def test_disconnected_graphs_have_no_cycle(self):
-        square = [(0, 1), (0, 2), (1, 3), (2, 3)]
-        assert has_hamiltonian_cycle(range(8), square + [(u + 4, v + 4) for u, v in square]) is False
-        assert has_hamiltonian_cycle(range(5), square) is False  # vertex 4 has no edge
+        square = ((0, 1), (0, 2), (1, 3), (2, 3))
+        two = square + tuple((u + 4, v + 4) for u, v in square)
+        assert is_hamiltonian(Geometry(tuple(range(8)), two)) is False
+        # vertex 4 has no edge
+        assert is_hamiltonian(Geometry(tuple(range(5)), square)) is False
 
     def test_a_reversed_edge_order_is_refuted_as_well(self):
         # the 3 x 3 grid's edges from the last, and with their ends
         # swapped: the verdict is the same either way
         g = rectangle_grid(3, 3)
-        vertices, edges, _ = graph._relabel(g)
-        edges.reverse()
-        assert has_hamiltonian_cycle(vertices, edges) is False
-        assert has_hamiltonian_cycle(vertices, [(v, u) for u, v in edges]) is False
-        assert has_hamiltonian_cycle(vertices, sorted(edges)) is False
+        edges = g.edges[::-1]
+        assert is_hamiltonian(Geometry(g.vertices, edges)) is False
+        assert is_hamiltonian(Geometry(g.vertices, tuple((v, u) for u, v in edges))) is False
+        assert is_hamiltonian(Geometry(g.vertices, tuple(sorted(edges)))) is False
 
     def test_the_dp_agrees_with_brute_force_on_small_graphs(self):
         """Every simple graph on 3, 4 or 5 vertices (1,096 of them) on each
@@ -228,26 +227,10 @@ class TestIsHamiltonian:
                               if mask >> i & 1]
                     expected = brute_force_hamiltonian(ids, chosen)
                     for edges in (chosen, chosen[::-1], [(v, u) for u, v in chosen]):
-                        assert has_hamiltonian_cycle(ids, edges) is expected, (ids, edges)
+                        assert is_hamiltonian(Geometry(ids, tuple(edges))) is expected, (
+                            ids, edges)
                     graphs += 1
         assert graphs == 3 * 1096
-
-    def test_relabelled_ids_ascend_in_x_y_order_and_map_back(self):
-        """`_relabel` numbers a grid graph's vertices in (x, y) order and
-        keeps its edges, wherever the graph lies: the ids ascend with their
-        vertices, `back` inverts them, and the id pairs are the edges in
-        sorted order."""
-        grids = [rectangle_grid(m, n) for m in range(1, 6) for n in range(1, 6)]
-        words = [graph_of(w.text, 4) for n in range(1, 7) for w in iter_words(n, 4)]
-        for g in grids + words:
-            for dx, dy in ((0, 0), (-7, -4), (2, 6)):
-                moved = GridGraph(frozenset((x + dx, y + dy) for x, y in g.vertices),
-                                  frozenset(((ux + dx, uy + dy), (vx + dx, vy + dy))
-                                            for (ux, uy), (vx, vy) in g.edges))
-                vertices, edges, back = graph._relabel(moved)
-                assert vertices == sorted(set(vertices))
-                assert [back(v) for v in vertices] == sorted(moved.vertices)
-                assert [(back(u), back(v)) for u, v in edges] == sorted(moved.edges)
 
     def test_balanced_graphs_without_a_cycle_are_still_searched(self):
         # 1^(2a) 0 1^(2b): the two sides of the grid graph, by the parity of
@@ -257,13 +240,13 @@ class TestIsHamiltonian:
             geo = geometry(from_word(w))
             ones = sum(sum(divmod(v, 3)) % 2 for v in geo.vertices)
             assert 2 * ones == len(geo.vertices), w.text
-            assert has_hamiltonian_cycle(geo.vertices, geo.edges) is False, w.text
+            assert is_hamiltonian(geo) is False, w.text
 
     @pytest.mark.parametrize("a", [14, 250])
     def test_long_balanced_words_are_decided_in_linear_time(self, a):
         """1^(2a) 0 1^(2a) has balanced sides and no cycle; a backtracking
         search took 237 ms on it at a = 14, doubling every 4 letters.  The
-        sweep's DP and the DP on the relabelled `GridGraph`, whose
+        sweep's DP and the DP on the whole geometry as one line, whose
         frontier is one column wide, both agree with the odd-run rule, as
         does the word with its 0 moved one letter right (all runs odd)."""
         for text in ("1" * (2 * a) + "0" + "1" * (2 * a),
@@ -285,7 +268,7 @@ class TestIsHamiltonian:
             for n in range(1, 13):
                 for w, geo in geometries(iter_words(n, k)):
                     if w.bits not in searched:
-                        searched[w.bits] = has_hamiltonian_cycle(geo.vertices, geo.edges)
+                        searched[w.bits] = is_hamiltonian(geo)
                     assert searched[w.bits] is hamiltonian_by_odd_runs(w), (w.text, k)
                     pairs += 1
         assert pairs == 33596
@@ -312,8 +295,7 @@ class TestIsHamiltonian:
             for n in range(1, 11):
                 for w in enumerate_words(n, k):
                     if w.bits not in searched:
-                        geo = geometry(from_word(w))
-                        searched[w.bits] = has_hamiltonian_cycle(geo.vertices, geo.edges)
+                        searched[w.bits] = is_hamiltonian(geometry(from_word(w)))
                     assert hamiltonian_by_odd_runs(w) is searched[w.bits], (w.text, k)
         assert len(searched) == sum(count_words(n, 6) for n in range(1, 11))
 
@@ -332,7 +314,8 @@ class TestIsHamiltonian:
 
 class TestOracleAgreesWithPublicFunctions:
     def test_per_word_statistics(self):
-        # word_stats reads integer geometry; the public functions take a GridGraph
+        # word_stats reads the sweep's running counts; the public functions
+        # take the word's geometry, built in one go
         for k in (2, 3, 4, 5):
             for n in range(1, 9):
                 for w in enumerate_words(n, k):
@@ -342,10 +325,7 @@ class TestOracleAgreesWithPublicFunctions:
                                          len(g.edges), *degree_profile(g),
                                          int(is_hamiltonian(g)))
                     assert word_stats(w, True) == expected, w.text
-                    geo = geometry(p)
-                    assert degree_counts(geo.vertices, geo.edges) == degree_profile(g), w.text
-                    assert (has_hamiltonian_cycle(geo.vertices, geo.edges)
-                            == is_hamiltonian(g)), w.text
+                    assert g == geometry(p), w.text
 
     def test_the_sweep_equals_one_record_per_word_in_any_order(self):
         expected = {}  # bits -> word_stats; a word's record is free of k
@@ -383,20 +363,16 @@ class TestOracleAgreesWithPublicFunctions:
                 }, (n, k)
 
 
-def tuple_mirror(g: GridGraph) -> GridGraph:
-    """The grid graph reflected by (x, y) -> (n - x, y), on (x, y) tuples."""
-    n = max(x for x, _ in g.vertices)
+def tuple_mirror(g: tuple[frozenset, frozenset]) -> tuple[frozenset, frozenset]:
+    """The grid graph reflected by (x, y) -> (n - x, y), on (x, y) pairs."""
+    vertices, edges = g
+    n = max(x for x, _ in vertices)
 
     def flip(v):
         return (n - v[0], v[1])
 
-    return GridGraph(frozenset(map(flip, g.vertices)),
-                     frozenset(tuple(sorted((flip(u), flip(v)))) for u, v in g.edges))
-
-
-def as_grid_graph(geo) -> GridGraph:
-    return GridGraph(frozenset(divmod(v, 3) for v in geo.vertices),
-                     frozenset((divmod(u, 3), divmod(v, 3)) for u, v in geo.edges))
+    return (frozenset(map(flip, vertices)),
+            frozenset(tuple(sorted((flip(u), flip(v)))) for u, v in edges))
 
 
 def scratch_build(vertices, edges):
@@ -421,7 +397,7 @@ class Counted(dict):
 
 
 class TestGraphInput:
-    """`has_hamiltonian_cycle` and `degree_counts` take distinct,
+    """`is_hamiltonian` and `degree_profile` take a graph of distinct,
     non-negative int ids in ascending order and edges between them; any
     other graph is a `ValueError`, checked before any work."""
 
@@ -436,9 +412,9 @@ class TestGraphInput:
         (["0", "1", "2", "3"], square),
     ])
     def test_bad_vertex_ids_rejected(self, vertices, edges):
-        for f in (has_hamiltonian_cycle, degree_counts):
+        for f in (is_hamiltonian, degree_profile):
             with pytest.raises(ValueError, match="distinct non-negative ints in ascending"):
-                f(vertices, edges)
+                f(Geometry(tuple(vertices), tuple(edges)))
 
     @pytest.mark.parametrize("edges", [
         square + [(0, 4)],
@@ -447,25 +423,27 @@ class TestGraphInput:
         [(0, True), (1, 2), (2, 3), (0, 3)],
     ])
     def test_edge_ends_outside_the_vertices_rejected(self, edges):
-        for f in (has_hamiltonian_cycle, degree_counts):
+        for f in (is_hamiltonian, degree_profile):
             with pytest.raises(ValueError, match="every edge end must be a listed vertex id"):
-                f([0, 1, 2, 3], edges)
+                f(Geometry((0, 1, 2, 3), tuple(edges)))
 
     def test_valid_graphs_pass(self):
-        assert has_hamiltonian_cycle([0, 1, 2, 3], self.square) is True
-        assert has_hamiltonian_cycle((3, 4, 7, 10), [(3, 4), (4, 7), (7, 10), (3, 10)]) is True
-        assert degree_counts(range(4), self.square) == (4, 0, 0)
-        assert degree_counts((), ()) == (0, 0, 0)
+        square = Geometry((0, 1, 2, 3), tuple(self.square))
+        assert is_hamiltonian(square) is True
+        assert is_hamiltonian(Geometry((3, 4, 7, 10),
+                                       ((3, 4), (4, 7), (7, 10), (3, 10)))) is True
+        assert degree_profile(square) == (4, 0, 0)
+        assert degree_profile(Geometry((), ())) == (0, 0, 0)
 
     def test_memory_follows_the_graph_not_its_largest_id(self):
         """A 4-cycle whose largest id is 10**6 takes under 1 MB at peak:
         nothing is sized by the largest id."""
         top = 10 ** 6
-        ids, edges = (0, 1, 2, top), [(0, 1), (1, top), (2, top), (0, 2)]
+        g = Geometry((0, 1, 2, top), ((0, 1), (1, top), (2, top), (0, 2)))
         tracemalloc.start()
         try:
-            assert degree_counts(ids, edges) == (4, 0, 0)
-            assert has_hamiltonian_cycle(ids, edges) is True
+            assert degree_profile(g) == (4, 0, 0)
+            assert is_hamiltonian(g) is True
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -481,8 +459,8 @@ class TestSweepGraph:
         (`sweep_orders`), the sweep's running counts equal a build from
         scratch of the word's geometry, `geometry(from_word(w))`, and the
         DP's verdict from the kept frontier states equals
-        `has_hamiltonian_cycle` of that geometry (built and decided once
-        per distinct word graph)."""
+        `is_hamiltonian` of that geometry (built and decided once per
+        distinct word graph)."""
         built = {}
         for ws in sweep_orders():
             g = graph._Graph()
@@ -491,7 +469,7 @@ class TestSweepGraph:
                 if w.bits not in built:
                     geo = geometry(from_word(w))
                     built[w.bits] = (scratch_build(geo.vertices, geo.edges),
-                                     has_hamiltonian_cycle(geo.vertices, geo.edges))
+                                     is_hamiltonian(geo))
                 totals, verdict = built[w.bits]
                 assert (g.totals[-1], g.degrees()) == (totals, totals[2:]), w.text
                 assert g.hamiltonian() is verdict, w.text
@@ -506,17 +484,16 @@ class TestSweepGraph:
         its frontier to a column: in the order given, the shuffled edges
         of the 3 x 12 grid below ran out of 2 GB of memory."""
         rng = random.Random(17)
-        graphs = [graph._relabel(g)[:2] for g in
-                  [graph_of(w.text, 4) for n in range(1, 7) for w in iter_words(n, 4)]
-                  + [rectangle_grid(m, n) for m in range(1, 5) for n in range(2, 5)
-                     if m * n > 2] + [rectangle_grid(12, 3)]]
-        graphs += [((0, 1, 2, 3, 5), [(0, 1), (1, 2), (2, 3), (0, 3), (3, 5), (1, 5)]),
-                   ((0, 2, 4, 6), [(0, 2), (2, 4), (4, 6), (0, 6)])]
-        for vertices, edges in graphs:
-            expected = has_hamiltonian_cycle(vertices, edges)
+        graphs = [graph_of(w.text, 4) for n in range(1, 7) for w in iter_words(n, 4)]
+        graphs += [rectangle_grid(m, n) for m in range(1, 5) for n in range(2, 5) if m * n > 2]
+        graphs += [rectangle_grid(12, 3),
+                   Geometry((0, 1, 2, 3, 5), ((0, 1), (1, 2), (2, 3), (0, 3), (3, 5), (1, 5))),
+                   Geometry((0, 2, 4, 6), ((0, 2), (2, 4), (4, 6), (0, 6)))]
+        for g in graphs:
+            expected = is_hamiltonian(g)
             for _ in range(3):
-                shuffled = rng.sample(edges, len(edges))
-                assert has_hamiltonian_cycle(vertices, shuffled) is expected, shuffled
+                shuffled = tuple(rng.sample(g.edges, len(g.edges)))
+                assert is_hamiltonian(Geometry(g.vertices, shuffled)) is expected, shuffled
 
     def test_the_sweep_verdict_is_the_odd_run_rule(self):
         """The sweep's DP finds 2,842 non-Hamiltonian words among the 5,046
@@ -588,8 +565,7 @@ class TestReversalSymmetry:
                     assert len(geo.vertices) == len(geo_r.vertices)
                     assert len(geo.edges) == len(geo_r.edges)
                     assert geo.semiperimeter == geo_r.semiperimeter
-                    assert (degree_counts(geo.vertices, geo.edges)
-                            == degree_counts(geo_r.vertices, geo_r.edges))
+                    assert degree_profile(geo) == degree_profile(geo_r)
                     assert mirrored(geo) == geo_r
                     assert mirrored(geo_r) == geo
 
@@ -597,9 +573,9 @@ class TestReversalSymmetry:
         for k in (2, 3, 4, 5):
             for n in range(1, 9):
                 for w in enumerate_words(n, k):
-                    g = build_graph(from_word(w))
-                    assert as_grid_graph(mirrored(geometry(from_word(w)))) == tuple_mirror(g)
-                    assert tuple_mirror(g) == build_graph(from_word(reverse(w)))
+                    g = as_pairs(build_graph(from_word(w)))
+                    assert as_pairs(mirrored(geometry(from_word(w)))) == tuple_mirror(g)
+                    assert tuple_mirror(g) == as_pairs(build_graph(from_word(reverse(w))))
 
 
 class TestSerialization:
@@ -608,3 +584,109 @@ class TestSerialization:
         assert dot.startswith("graph G {")
         assert '"0,0" -- "0,1";' in dot
         assert dot.endswith("}")
+
+
+START = ((), frozenset([()]))
+# the frontiers after a line, on ids relative to its base (the corners
+# 3, 4, ... of the next line), each with its states: per frontier vertex
+# the other end of its chosen path
+SEVEN_FRONTIERS = {
+    START,
+    ((3, 4), frozenset({(4, 3)})),  # one path with both ends on a height-1 line
+    # ... and the cycle of the first cell closed early, after "00"; the
+    # mark dies at the next line
+    ((3, 4), frozenset({(4, 3), graph._CLOSED})),
+    ((3, 4, 5), frozenset({(5, 4, 3)})),
+    ((3, 4, 5), frozenset({(3, 5, 4), (4, 3, 5)})),
+    ((3, 4), frozenset()),  # no state left: after an even run ("110")
+    ((3, 4, 5), frozenset()),  # the same on a height-2 line ("1101")
+}
+
+
+def accepted(max_n: int) -> dict[tuple[int, ...], bool]:
+    """Whether `_step`, run over the current line table as
+    `check_ham_rule` runs it, closes a cycle on the closing line of each
+    nonempty binary word of length <= max_n."""
+    lines = polyomino._LINES
+    out = {}
+    level = {(): (0, START)}
+    for _ in range(max_n):
+        level = {bits + (b,): (b + 1, graph._step(f, 3 if left else 0, *lines[left, b + 1]))
+                 for bits, (left, f) in level.items() for b in (0, 1)}
+        for bits, (left, f) in level.items():
+            out[bits] = graph._CLOSED in graph._step(f, 3, *lines[left, 0])[1]
+    return out
+
+
+def searched(bits: tuple[int, ...]) -> bool:
+    """The DP on the geometry built from the current line table, read as
+    one line (`is_hamiltonian`), not line by line."""
+    return is_hamiltonian(geometry(Polyomino(tuple(b + 1 for b in bits), 2)))
+
+
+class TestRuleProof:
+    """The odd-run rule proved on the Hamiltonicity DP itself:
+    `graph.check_ham_rule` runs the DP's step, `graph._step`, over the
+    line table as a finite automaton, whose verdict on each word is the
+    sweep's, and proves it equal to the rule of
+    `graph.hamiltonian_by_odd_runs`."""
+
+    def test_the_rule_is_proved_over_seven_frontiers(self):
+        check = graph.check_ham_rule()
+        assert check.counterexample is None
+        assert check.frontiers == SEVEN_FRONTIERS
+        assert check.pairs == 7
+
+    def test_the_automaton_accepts_exactly_the_hamiltonian_words(self):
+        verdicts = accepted(9)
+        assert len(verdicts) == 2 ** 10 - 2
+        swept = {w.bits: s.ham for w, s in graph.sweep_stats(
+            (Word(bits, 11) for bits in verdicts), True)}
+        for bits, closes in verdicts.items():
+            assert closes is searched(bits), bits
+            assert swept[bits] == closes, bits
+            assert closes is graph.hamiltonian_by_odd_runs(Word(bits, 11)), bits
+
+    def test_the_automaton_follows_the_line_table(self, monkeypatch):
+        """Each side dropped from the table changes the automaton as it
+        changes the graph.  The proof fails for 21 of the 28 drops, each
+        time naming a word on which the rule and the one-line DP differ,
+        the shortest and lexicographically least; the other 7 leave every
+        word's Hamiltonicity as it was, as far as the DP sees."""
+        table = dict(polyomino._LINES)
+        failing = 0
+        for key, (corners, sides) in table.items():
+            for i in range(len(sides)):
+                mutated = {**table, key: (corners, sides[:i] + sides[i + 1:])}
+                monkeypatch.setattr(polyomino, "_LINES", mutated)
+                verdicts = accepted(6)
+                for bits, closes in verdicts.items():
+                    assert closes is searched(bits), (key, sides[i], bits)
+                found = graph.check_ham_rule().counterexample
+                # the words of length <= 6 on which the rule fails, shortest
+                # first, then in lexicographic order
+                wrong = sorted((len(bits), bits) for bits, closes in verdicts.items()
+                               if closes is not graph.hamiltonian_by_odd_runs(Word(bits, 7)))
+                if found is None:
+                    assert not wrong, (key, sides[i])
+                else:
+                    failing += 1
+                    bits = tuple(map(int, found))
+                    assert searched(bits) is not graph.hamiltonian_by_odd_runs(Word(bits, 7))
+                    assert len(found) > 6 if not wrong else bits == wrong[0][1]
+        assert failing == 21
+
+    def test_the_counterexample_is_the_least_of_the_shortest_words(self, monkeypatch):
+        # a DFA that accepts no word: both "0" and "1" are Hamiltonian
+        monkeypatch.setattr(graph, "ODD_RUN_ACCEPT", (False,) * 4)
+        assert graph.check_ham_rule().counterexample == "0"
+
+    def test_a_start_that_cannot_close_is_not_accepted(self):
+        # the empty word: there is no line between two missing columns, so
+        # the start node, where the sweep starts too, is excepted from the
+        # proof although the DFA accepts in its start state
+        assert (0, 0) not in polyomino._LINES
+        assert graph._Graph().frontiers == [(0, START)]
+        assert graph._CLOSED not in START[1]
+        assert graph.ODD_RUN_ACCEPT[0] is True
+        assert graph.check_ham_rule().counterexample is None
