@@ -17,9 +17,9 @@ affected (their sums never touch the negative diagonal).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 from .series import (MultiPoly, expand, expand_ints, gf_degree, gf_graph, gf_named_total,
                      gf_polyomino)
@@ -294,8 +294,7 @@ def count_polyominoes_by_area(a: int) -> int:
 # ---------------------------------------------------------------------
 # Asymptotic degree proportions for k = 2.
 
-@dataclass(frozen=True)
-class QuadraticConstant:
+class QuadraticConstant(NamedTuple):
     """The exact value (a + b*sqrt(5)) / c with integer a, b and c > 0."""
 
     a: int

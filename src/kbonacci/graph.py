@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import polyomino
 from .polyomino import Geometry, Polyomino, _build_each, by_euler, geometry
@@ -272,8 +272,7 @@ def hamiltonian_by_odd_runs(w: Word) -> bool:
     return ODD_RUN_ACCEPT[state]
 
 
-@dataclass(frozen=True)
-class RuleCheck:
+class RuleCheck(NamedTuple):
     """The outcome of `check_ham_rule`: the frontiers reached, the number
     of (left height, frontier, DFA state) nodes reached, and the shortest
     word on which the DP and the odd-run DFA disagree (None: they agree
@@ -348,8 +347,7 @@ def is_hamiltonian(g: Geometry) -> bool:
     return _Graph.of(g.vertices, g.edges).hamiltonian()
 
 
-@dataclass(frozen=True)
-class WordStats:
+class WordStats(NamedTuple):
     """Every per-word statistic of the paper, each field named after its
     total (`verify.TOTALS`, in the same order): the polyomino's area and
     semiperimeter (`perimeter`), the grid graph's vertex and edge counts

@@ -21,26 +21,27 @@ gives a geometry's area and semiperimeter (`Geometry`, `by_euler`).
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .words import Word
+from .words import Word, _Frozen
 
 if TYPE_CHECKING:
     from .graph import _Graph
 
 
-@dataclass(frozen=True)
-class Polyomino:
+class Polyomino(_Frozen):
     """Column heights (each 1 or 2), left to right, with the source word's k."""
 
+    __slots__ = ("heights", "k")
     heights: tuple[int, ...]
     k: int
 
-    def __post_init__(self) -> None:
-        if not self.heights:
+    def __init__(self, heights: tuple[int, ...], k: int) -> None:
+        object.__setattr__(self, "heights", heights)
+        object.__setattr__(self, "k", k)
+        if not heights:
             raise ValueError("a polyomino needs at least one column")
-        if any(h not in (1, 2) for h in self.heights):
+        if any(h not in (1, 2) for h in heights):
             raise ValueError("column heights must be 1 or 2")
 
 
@@ -51,8 +52,7 @@ def from_word(w: Word) -> Polyomino:
     return Polyomino(tuple(b + 1 for b in w.bits), w.k)
 
 
-@dataclass(frozen=True)
-class Geometry:
+class Geometry(NamedTuple):
     """A graph on integer vertex ids, the one graph type of the package:
     `vertices` ascend, and `edges` are id pairs.  A bargraph polyomino's
     geometry has its cell corners as vertices, the corner (x, y) at id

@@ -8,12 +8,11 @@ so discrepancies can be inspected together.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import formulas, graph, polyomino, series, words
 from .series import MultiPoly, RationalGF
@@ -21,8 +20,7 @@ from .series import MultiPoly, RationalGF
 DEFAULT_HAM_CAP = 14
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """A multivariate family: its generating-function constructor and the
     `graph.WordStats` fields its auxiliary variables mark, in order."""
 
@@ -42,11 +40,10 @@ FAMILIES = {
 # total name -> (multivariate family, marking variable), in WordStats order
 _MARKS = {name: (family, var) for family, fam in FAMILIES.items()
           for name, var in zip(fam.fields, fam.gf(2).aux_variables)}
-TOTALS = {f.name: _MARKS[f.name] for f in dataclasses.fields(graph.WordStats)}
+TOTALS = {name: _MARKS[name] for name in graph.WordStats._fields}
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     family: str
     k: int
     n: int
@@ -56,9 +53,11 @@ class CheckReport:
     elapsed_ms: int
 
 
-@dataclass
 class Summary:
-    reports: list[CheckReport]
+    """The reports of a verification run, in order, and their counts."""
+
+    def __init__(self, reports: list[CheckReport]) -> None:
+        self.reports = reports
 
     @property
     def passes(self) -> int:

@@ -7,7 +7,6 @@ generalized Fibonacci number F(n+2, k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -56,19 +55,54 @@ def is_kbonacci(bits: Iterable[int] | str, k: int) -> bool:
     return _avoids(_as_bits(bits), k)
 
 
-@dataclass(frozen=True)
-class Word:
+class _Frozen:
+    """An immutable record on `__slots__`, which name its fields in the
+    order its `__init__` takes them: equal to a record of the same class
+    with equal fields and to nothing else (not to a tuple), hashed and
+    shown by its fields, and pickled and copied by calling the class on
+    them.  It is not a tuple, so it is not iterable."""
+
+    __slots__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return self.__class__, self._values()
+
+
+class Word(_Frozen):
     """An immutable binary word together with the k it was validated against."""
 
+    __slots__ = ("bits", "k")
     bits: tuple[int, ...]
     k: int
 
-    def __post_init__(self) -> None:
-        bits = _as_bits(self.bits)
+    def __init__(self, bits: Iterable[int] | str, k: int) -> None:
+        bits = _as_bits(bits)
         object.__setattr__(self, "bits", bits)
-        check_k(self.k)
-        if not _avoids(bits, self.k):
-            raise ValueError(f"word {self.text!r} contains {self.k} consecutive 1's")
+        object.__setattr__(self, "k", k)
+        check_k(k)
+        if not _avoids(bits, k):
+            raise ValueError(f"word {self.text!r} contains {k} consecutive 1's")
 
     @classmethod
     def from_text(cls, text: str, k: int) -> "Word":

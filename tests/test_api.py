@@ -1,20 +1,25 @@
-"""The package's surface: no dead module-level API in src/kbonacci, and one
+"""The package's surface: no dead module-level API in src/kbonacci, one
 family registry (`verify.FAMILIES`) that the CLI choices, the named totals
-and `graph.WordStats` agree with."""
+and `graph.WordStats` agree with, records that behave as values, and a
+start-up that loads no `dataclasses`."""
 
 import argparse
 import ast
-import dataclasses
+import copy
 import importlib
 import importlib.util
 import inspect
 import pathlib
+import pickle
 import re
+import subprocess
+import sys
 
 import pytest
 
 import kbonacci
-from kbonacci import cli, graph, series, verify
+from kbonacci import cli, graph, polyomino, series, verify
+from kbonacci.words import Word
 
 SRC = pathlib.Path(kbonacci.__file__).parent
 ROOT = pathlib.Path(__file__).parent.parent
@@ -98,7 +103,7 @@ def test_named_totals_are_exactly_the_totals():
 
 
 def test_word_stats_fields_are_the_totals_in_order():
-    assert [f.name for f in dataclasses.fields(graph.WordStats)] == list(verify.TOTALS)
+    assert list(graph.WordStats._fields) == list(verify.TOTALS)
 
 
 def test_each_statistic_belongs_to_one_family():
@@ -319,7 +324,7 @@ def test_graph_keeps_no_module_level_container():
                 if not name.startswith("__") and isinstance(value, (dict, list, set))]
     decorators = {ast.unparse(d) for node in ast.walk(tree)
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef)) for d in node.decorator_list}
-    assert decorators <= {"classmethod", "dataclass(frozen=True)"}
+    assert decorators <= {"classmethod"}
 
 
 def test_only_the_line_builder_and_the_automaton_read_the_line_table():
@@ -386,3 +391,50 @@ def test_the_readme_library_block_shows_what_it_gives(capsys):
         assert comment == given
     first = next(line for line in lines if line.startswith("words = "))
     assert " ".join(w.text for w in namespace["words"]) == first.partition("#")[2].strip()
+
+
+def test_start_up_loads_no_dataclasses():
+    """Importing the CLI and building its parser, the set-up of every
+    command, loads neither `dataclasses` nor the `inspect` it imports (a
+    bare interpreter loads neither)."""
+    code = ("import sys; from kbonacci import cli; cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=SRC.parent, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
+# each slotted record class: an instance, its fields in order, and its repr
+SLOTTED = [(Word((1, 0), 2), {"bits": (1, 0), "k": 2}, "Word(bits=(1, 0), k=2)"),
+           (polyomino.Polyomino((2, 1), 2), {"heights": (2, 1), "k": 2},
+            "Polyomino(heights=(2, 1), k=2)")]
+
+
+@pytest.mark.parametrize("record, fields, text", SLOTTED, ids=["Word", "Polyomino"])
+def test_slotted_records_are_values(record, fields, text):
+    same = type(record)(*fields.values())
+    assert same == record and not same != record
+    assert hash(same) == hash(record)
+    assert record != tuple(fields.values())
+    assert all(record != other for other, _, _ in SLOTTED if other is not record)
+    assert repr(record) == text
+    for name, value in {**fields, "extra": 1}.items():
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(TypeError):
+        iter(record)
+
+
+@pytest.mark.parametrize("record", [
+    Word((1, 0), 2),
+    polyomino.Polyomino((2, 1), 2),
+    graph.word_stats(Word((1, 0), 2), True),
+    polyomino.geometry(polyomino.Polyomino((2, 1), 2)),
+    verify.CheckReport("poly", 2, 1, "pass", "x", "x", 3),
+], ids=lambda record: type(record).__name__)
+def test_records_survive_pickle_and_deepcopy(record):
+    for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(twin) is type(record)
+        assert twin == record and repr(twin) == repr(record)

@@ -1,6 +1,5 @@
 import collections
 import contextlib
-import dataclasses
 import io
 import json
 import re
@@ -36,7 +35,7 @@ def corrupt_area_of_1100(monkeypatch):
     def corrupt(ws, ham):
         for w, s in sweep(ws, ham):
             if w.bits == (1, 1, 0, 0) and w.k == 3:
-                s = dataclasses.replace(s, area=s.area + 1)
+                s = s._replace(area=s.area + 1)
             yield w, s
 
     monkeypatch.setattr(graph, "sweep_stats", corrupt)
@@ -400,7 +399,7 @@ class TestSharedSweeps:
 class TestOneRun:
     def test_run_all_reports_are_the_standalone_reports(self):
         def untimed(reports):
-            return [dataclasses.replace(r, elapsed_ms=0) for r in reports]
+            return [r._replace(elapsed_ms=0) for r in reports]
 
         alone = []
         for family in verify.FAMILIES:
@@ -540,10 +539,10 @@ class TestRendering:
         assert lines[0] == "family,k,n,status,elapsed_ms"
         assert lines[1] == "poly,2,1,pass,3"
 
-    def test_json_equals_the_dataclass_rendering(self):
+    def test_json_equals_the_record_rendering(self):
         summary = run_all(4, 3)
         assert json.dumps(to_json_obj(summary)) == json.dumps(
-            [dataclasses.asdict(r) for r in summary.reports])
+            [r._asdict() for r in summary.reports])
 
     def test_json_keys(self):
         objs = to_json_obj(self.sample())
