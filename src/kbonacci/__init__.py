@@ -25,6 +25,7 @@ from .series import (
     RationalGF,
     expand,
     expand_ints,
+    iter_expand,
     gf_degree,
     gf_graph,
     gf_hamiltonian,
@@ -41,8 +42,8 @@ __all__ = [
     "Polyomino", "area", "from_word", "semiperimeter", "semiperimeter_closed",
     "WordStats", "build_graph", "degree_profile", "grid_hamiltonian_rule",
     "is_hamiltonian", "word_stats",
-    "MultiPoly", "RationalGF", "expand", "expand_ints", "gf_degree",
-    "gf_graph", "gf_hamiltonian", "gf_named_total", "gf_polyomino",
-    "total_weight_series",
+    "MultiPoly", "RationalGF", "expand", "iter_expand", "expand_ints",
+    "gf_degree", "gf_graph", "gf_hamiltonian", "gf_named_total",
+    "gf_polyomino", "total_weight_series",
     "__version__",
 ]

@@ -147,12 +147,19 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _print_json_list(items) -> None:
-    """Print the bytes of `json.dumps(list(items))`, one item at a time."""
-    print("[", end="")
-    for i, item in enumerate(items):
-        print(", " * (i > 0) + json.dumps(item), end="")
-    print("]")
+def _print_json_list(items, head: str = "[", tail: str = "]") -> None:
+    """Print `head`, the items of a JSON list one at a time, then `tail`:
+    with the defaults, the bytes of `json.dumps(list(items))`.  A document
+    whose last member is the list passes its text up to the list's "["
+    as `head` and the closing text after its "]" as `tail`."""
+    encode = json.JSONEncoder().encode  # the encoder `json.dumps` uses
+    write = sys.stdout.write
+    write(head)
+    separator = ""
+    for item in items:
+        write(separator + encode(item))
+        separator = ", "
+    write(tail + "\n")
 
 
 def cmd_series(args) -> int:
@@ -165,23 +172,21 @@ def cmd_series(args) -> int:
     if unknown:
         raise ValueError(f"variables {sorted(unknown)} not in {gf.aux_variables}")
     # specialized before expanding: with every marker at 1 the gf is in x
-    # alone, and `expand` runs it on integers
-    coeffs = series.expand(gf.specialize({v: 1 for v in at_one}), args.terms)
+    # alone, and `iter_expand` runs it on integers
+    coeffs = series.iter_expand(gf.specialize({v: 1 for v in at_one}), args.terms)
+    next(coeffs)  # c_0, which no format prints; taken before any output
     if args.format == "json":
-        payload = {
-            "family": args.family,
-            "k": args.k,
-            "coefficients": [{"n": n, "terms": coeffs[n].to_json_terms()}
-                             for n in range(1, args.terms + 1)],
-        }
-        print(json.dumps(payload))
+        head = json.dumps({"family": args.family, "k": args.k, "coefficients": []})
+        _print_json_list(({"n": n, "terms": c.to_json_terms()}
+                          for n, c in enumerate(coeffs, 1)),
+                         head[:-2], "]}")
     elif args.format == "csv":
         print("n,coefficient")
-        for n in range(1, args.terms + 1):
-            print(f"{n},{coeffs[n].to_text()}")
+        for n, c in enumerate(coeffs, 1):
+            print(f"{n},{c.to_text()}")
     else:
-        for n in range(1, args.terms + 1):
-            print(coeffs[n].to_text())
+        for c in coeffs:
+            print(c.to_text())
     return 0
 
 

@@ -6,16 +6,21 @@ are numerator/denominator pairs whose first variable is the length marker
 ``x``; series expansion is linear-recurrence long division on the x-slices.
 
 Univariate generating functions (the named totals, and any family with
-all its markers specialized) have integer kernels of their own: `expand`
-runs them on `expand_ints`, and `MultiPoly.to_text` renders a polynomial
-in no variables as its constant.  The packed multivariate recurrence
-serves only generating functions with markers.
+all its markers specialized) have integer kernels of their own:
+`iter_expand` runs them on `expand_ints`, and `MultiPoly.to_text` renders
+a polynomial in no variables as its constant.  The packed multivariate
+recurrence serves only generating functions with markers.
+
+`iter_expand` yields the coefficients one at a time and holds only the
+recurrence window, so a caller that prints each coefficient as it comes
+(as `kbonacci series` does) never holds the whole expansion; `expand` is
+its list.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .words import check_k, check_n
 
@@ -292,7 +297,14 @@ class RationalGF:
 
 
 def expand(gf: RationalGF, n_max: int) -> list[MultiPoly]:
-    """Coefficients of x^0..x^n_max as polynomials in the other variables.
+    """Coefficients of x^0..x^n_max as polynomials in the other variables:
+    the list of `iter_expand(gf, n_max)`."""
+    return list(iter_expand(gf, n_max))
+
+
+def iter_expand(gf: RationalGF, n_max: int) -> Iterator[MultiPoly]:
+    """Coefficients of x^0..x^n_max as polynomials in the other variables,
+    yielded in order, each as soon as the recurrence is done with it.
 
     With numerator slices N_j and denominator slices D_j (D_0 = 1), the
     coefficients satisfy c_n = N_n - sum_{j>=1} D_j c_{n-j}.  A gf in x
@@ -302,18 +314,27 @@ def expand(gf: RationalGF, n_max: int) -> list[MultiPoly]:
     variable i takes bits [width*i, width*(i+1)) of the key, so
     multiplying monomials adds keys.  No exponent of c_n exceeds
     maxN + n*maxD (each D_j has j >= 1), and width bits hold that bound
-    at n = n_max, so no field overflows.  Each c_n becomes a MultiPoly
-    once it leaves the recurrence window, the denominator's largest
-    x-degree; its terms are unpacked from valid ones with the zeros
-    dropped, so it is built by `MultiPoly._trusted` with no checks.
+    at n = n_max, so no field overflows.  Only the recurrence window, the
+    last `depth` coefficients (the denominator's largest x-degree), is
+    held; each c_n is yielded as a MultiPoly once it leaves the window.
+    Its terms are unpacked from valid ones with the zeros dropped, so it
+    is built by `MultiPoly._trusted` with no checks.
+
+    `n_max` is checked at the call, not at the first `next()`.
     """
     check_n(n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if not gf.aux_variables:
+        return (MultiPoly._trusted((), {(): c} if c else {})
+                for c in expand_ints(gf, n_max))
+    return _iter_packed(gf, n_max)
+
+
+def _iter_packed(gf: RationalGF, n_max: int) -> Iterator[MultiPoly]:
+    """`iter_expand`'s recurrence on packed exponent keys, for a gf with
+    auxiliary variables and an `n_max` already checked."""
     aux = gf.aux_variables
-    if not aux:
-        return [MultiPoly._trusted((), {(): c} if c else {})
-                for c in expand_ints(gf, n_max)]
     num_terms = gf.numerator.terms
     den_terms = gf.denominator.terms
     width = 0
@@ -342,7 +363,6 @@ def expand(gf: RationalGF, n_max: int) -> list[MultiPoly]:
         fields = [[(key >> s) & mask for key in packed] for s in shifts]
         return MultiPoly._trusted(aux, dict(zip(zip(*fields), packed.values())))
 
-    coeffs: list[MultiPoly] = []
     window: list[dict[int, int]] = []  # c_{n-depth}..c_{n-1}, packed
     for n in range(n_max + 1):
         c = dict(num.get(n, ()))
@@ -357,9 +377,9 @@ def expand(gf: RationalGF, n_max: int) -> list[MultiPoly]:
                     c[key] = get(key, 0) - dcoef * coef
         window.append({key: coef for key, coef in c.items() if coef})
         if len(window) > depth:
-            coeffs.append(unpack(window.pop(0)))
-    coeffs.extend(unpack(packed) for packed in window)
-    return coeffs
+            yield unpack(window.pop(0))
+    for packed in window:
+        yield unpack(packed)
 
 
 def expand_ints(gf: RationalGF, n_max: int) -> list[int]:

@@ -1,9 +1,11 @@
 import json
+import os
 import sys
+import tracemalloc
 
 import pytest
 
-from kbonacci import cli, graph, polyomino, verify, words
+from kbonacci import cli, graph, polyomino, series, verify, words
 from kbonacci.verify import CheckReport, Summary
 
 
@@ -260,6 +262,81 @@ class TestSeries:
         _, out = run(capsys, "series", "--family", "area-total", "--k", "2",
                      "--terms", "2", "--format", "csv")
         assert out == "n,coefficient\n1,3\n2,8\n"
+
+    @pytest.mark.parametrize("family, k, at_one", [
+        ("poly", 3, ""), ("graph", 2, "p"), ("ham", 4, ""), ("edges-total", 3, "")])
+    def test_streamed_json_is_one_dumps(self, capsys, family, k, at_one):
+        _, out = run(capsys, "series", "--family", family, "--k", str(k),
+                     "--terms", "12", "--vars-at-1", at_one, "--format", "json")
+        gf = (verify.FAMILIES[family].gf(k) if family in verify.FAMILIES
+              else series.gf_named_total(family.removesuffix("-total"), k))
+        coeffs = series.expand(gf.specialize({v: 1 for v in at_one.split(",") if v}), 12)
+        payload = {"family": family, "k": k,
+                   "coefficients": [{"n": n, "terms": coeffs[n].to_json_terms()}
+                                    for n in range(1, 13)]}
+        assert out == json.dumps(payload) + "\n"
+
+    @pytest.mark.parametrize("argv", [["series", "--family", "poly", "--k", "3", "--terms", "1"],
+                                      ["enumerate", "--n", "3", "--k", "2"]])
+    def test_json_lists_share_one_helper(self, capsys, monkeypatch, argv):
+        helper, calls = cli._print_json_list, []
+
+        def spy(*args):
+            calls.append(args)
+            helper(*args)
+
+        monkeypatch.setattr(cli, "_print_json_list", spy)
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 0 and len(calls) == 1
+        assert json.dumps(json.loads(out)) + "\n" == out
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("at_one", ["z", "p,z"])
+    def test_bad_vars_at_one_print_nothing(self, capsys, fmt, at_one):
+        code = cli.main(["series", "--family", "poly", "--k", "3", "--terms", "3",
+                         "--vars-at-1", at_one, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: variables ['z'] not in ('p', 'q')\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_coefficients_stream_as_they_come(self, capsys, monkeypatch, fmt):
+        iter_expand = series.iter_expand
+
+        def three_then_fail(gf, n_max):
+            it = iter_expand(gf, n_max)
+            yield from (next(it) for _ in range(3))
+            raise RuntimeError("no more terms")
+
+        monkeypatch.setattr(series, "iter_expand", three_then_fail)
+        code = cli.main(["series", "--family", "area-total", "--k", "2",
+                         "--terms", "5", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: RuntimeError: no more terms\n"
+        assert captured.out == {
+            "text": "3\n8\n", "csv": "n,coefficient\n1,3\n2,8\n",
+            "json": '{"family": "area-total", "k": 2, "coefficients": ['
+                    '{"n": 1, "terms": [{"exp": [], "coef": "3"}]}, '
+                    '{"n": 2, "terms": [{"exp": [], "coef": "8"}]}'}[fmt]
+
+    @pytest.mark.parametrize("family, k, terms", [("graph", 3, 75), ("edges-total", 4, 2500)])
+    def test_json_holds_no_whole_expansion(self, monkeypatch, family, k, terms):
+        # holding every coefficient and one JSON document of them peaked at
+        # 9.5 MB and 6.4 MB; streaming holds the recurrence window and one
+        # coefficient, under 1 MB
+        with open(os.devnull, "w") as devnull:
+            monkeypatch.setattr(sys, "stdout", devnull)
+            tracemalloc.start()
+            try:
+                code = cli.main(["series", "--family", family, "--k", str(k),
+                                 "--terms", str(terms), "--format", "json"])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * 2**20
 
 
 class TestVerify:

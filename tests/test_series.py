@@ -14,6 +14,7 @@ from kbonacci.series import (
     gf_hamiltonian,
     gf_named_total,
     gf_polyomino,
+    iter_expand,
     total_weight_series,
 )
 from kbonacci.verify import FAMILIES, TOTALS
@@ -374,6 +375,52 @@ class TestExpand:
         gab = RationalGF(a + b, den)
         ca, cb, cab = expand(ga, 6), expand(gb, 6), expand(gab, 6)
         assert all(ca[n] + cb[n] == cab[n] for n in range(7))
+
+
+class TestIterExpand:
+    """`iter_expand` is the one recurrence, yielded a coefficient at a
+    time; `expand` is its list."""
+
+    @pytest.mark.parametrize("n_max", [2.0, True, -1])
+    def test_arguments_checked_at_the_call(self, n_max):
+        # a generator body runs only at its first next(): the checks must not
+        for gf in (gf_polyomino(2), gf_named_total("vertices", 2)):
+            with pytest.raises(ValueError, match="n must be an int|n_max must be >= 0"):
+                iter_expand(gf, n_max)
+
+    @staticmethod
+    def gfs(k):
+        """Every family plain and with each marker at 1 and at 2, and
+        every named total."""
+        for family in FAMILIES.values():
+            gf = family.gf(k)
+            yield gf
+            for v in gf.aux_variables:
+                yield gf.specialize({v: 1})
+                yield gf.specialize({v: 2})
+        yield from (gf_named_total(name, k) for name in TOTALS)
+
+    def test_list_is_expand(self):
+        for k in range(2, 6):
+            for gf in self.gfs(k):
+                coeffs = iter_expand(gf, 25)
+                assert not isinstance(coeffs, list)
+                assert list(coeffs) == expand(gf, 25), (k, gf)
+
+    def test_equals_the_reference(self):
+        for k in range(2, 6):
+            for gf in self.gfs(k):
+                assert list(iter_expand(gf, 15)) == _expand_reference(gf, 15), (k, gf)
+
+    def test_a_prefix_needs_no_more_terms(self):
+        # n_max sets the packing width; the first coefficients do not depend on it
+        for gf in (gf_graph(3), gf_degree(4), gf_named_total("ham", 3)):
+            coeffs = iter_expand(gf, 200)
+            assert [next(coeffs) for _ in range(6)] == expand(gf, 5)
+
+    def test_n_max_zero_yields_one_coefficient(self):
+        for gf in (gf_polyomino(2), gf_named_total("area", 2)):
+            assert [c.is_zero for c in iter_expand(gf, 0)] == [True]
 
 
 def _reference_ints(gf, n_max):
