@@ -5,6 +5,15 @@ exponent vectors to nonzero coefficients.  Rational generating functions
 are numerator/denominator pairs whose first variable is the length marker
 ``x``; series expansion is linear-recurrence long division on the x-slices.
 
+A polynomial's `terms` always iterate in graded-lex order of its declared
+variables: by total degree, then by exponent tuple.  The order is made
+once, where terms are made: the checked constructor, `+`, `*` and
+`specialize` order their results, and each expanded coefficient is
+unpacked from one sort of its packed integer keys.  Unary `-`, scalar
+`*` and `rename` keep their operand's order, and `to_text`,
+`to_json_terms` and every other reader iterate `terms` as they are,
+with no sort of their own.
+
 Univariate generating functions (the named totals, and any family with
 all its markers specialized) have integer kernels of their own:
 `iter_expand` runs them on `expand_ints`, and `MultiPoly.to_text` renders
@@ -20,6 +29,7 @@ its list.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .words import check_k, check_n
@@ -36,31 +46,43 @@ def _factor(variable: str, exponent: int) -> str:
     return f"*{variable}^{exponent}"
 
 
+def _graded(terms: Mapping[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """`terms` with the zero coefficients dropped, in graded-lex order: by
+    total degree, then by exponent tuple.  Exponent tuples are distinct,
+    so the coefficients are never compared."""
+    return {e: c for _, e, c in sorted(zip(map(sum, terms), terms, terms.values())) if c}
+
+
+def _names(variables: Iterable[str]) -> tuple[str, ...]:
+    """`variables` as a tuple, checked to be distinct nonempty strs."""
+    variables = tuple(variables)
+    if any(type(v) is not str or not v for v in variables):
+        raise ValueError(f"variable names {variables} are not all nonempty strs")
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"repeated variable name in {variables}")
+    return variables
+
+
 class MultiPoly:
-    """Immutable sparse polynomial over named variables."""
+    """Immutable sparse polynomial over named variables, whose `terms`
+    iterate in graded-lex order."""
 
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables: Sequence[str],
                  terms: Mapping[tuple[int, ...], int] | None = None):
-        variables = tuple(variables)
-        if any(type(v) is not str or not v for v in variables):
-            raise ValueError(f"variable names {variables} are not all nonempty strs")
-        if len(set(variables)) != len(variables):
-            raise ValueError(f"repeated variable name in {variables}")
+        variables = _names(variables)
         object.__setattr__(self, "variables", variables)
-        clean: dict[tuple[int, ...], int] = {}
+        terms = terms or {}
         arity = len(variables)
-        for exps, coef in (terms or {}).items():
+        for exps, coef in terms.items():
             if type(exps) is not tuple or len(exps) != arity:
                 raise ValueError(f"exponent vector {exps!r} is not a tuple of arity {arity}")
             if any(type(e) is not int or e < 0 for e in exps):
                 raise ValueError(f"exponent in {exps} is negative or not an int")
             if type(coef) is not int:
                 raise ValueError(f"coefficient {coef!r} of {exps} is not an int")
-            if coef:
-                clean[exps] = coef
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _graded(terms))
 
     @classmethod
     def _trusted(cls, variables: tuple[str, ...],
@@ -68,9 +90,9 @@ class MultiPoly:
         """A polynomial that stores its arguments as given, unchecked and
         uncopied: `variables` a tuple of distinct names, `terms` a dict
         from exponent tuples of their arity, none negative, to nonzero
-        ints.  Only the producers in this module whose terms come from
-        valid polynomials call it; everything else goes through
-        `MultiPoly(...)`."""
+        ints, in graded-lex order.  Only the producers in this module
+        whose terms come from valid polynomials call it; everything else
+        goes through `MultiPoly(...)`."""
         self = object.__new__(cls)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", terms)
@@ -93,9 +115,9 @@ class MultiPoly:
     def monomial(cls, variables: Sequence[str], coef: int = 1,
                  **exps: int) -> "MultiPoly":
         variables = tuple(variables)
-        unknown = set(exps) - set(variables)
+        unknown = [v for v in exps if v not in variables]
         if unknown:
-            raise ValueError(f"unknown variables {sorted(unknown)}")
+            raise ValueError(f"unknown variables {unknown}")
         key = tuple(exps.get(v, 0) for v in variables)
         return cls(variables, {key: coef})
 
@@ -112,7 +134,7 @@ class MultiPoly:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0) + c
-        return MultiPoly._trusted(self.variables, {e: c for e, c in terms.items() if c})
+        return MultiPoly._trusted(self.variables, _graded(terms))
 
     __radd__ = __add__
 
@@ -139,7 +161,7 @@ class MultiPoly:
             for eb, cb in other.terms.items():
                 key = tuple(x + y for x, y in zip(ea, eb))
                 out[key] = out.get(key, 0) + ca * cb
-        return MultiPoly._trusted(self.variables, {e: c for e, c in out.items() if c})
+        return MultiPoly._trusted(self.variables, _graded(out))
 
     __rmul__ = __mul__
 
@@ -152,8 +174,9 @@ class MultiPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # the last bit needs no further square
+                base = base * base
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -174,9 +197,9 @@ class MultiPoly:
 
     def specialize(self, values: Mapping[str, int]) -> "MultiPoly":
         """Substitute integers for some variables; the rest remain."""
-        unknown = set(values) - set(self.variables)
+        unknown = [v for v in values if v not in self.variables]
         if unknown:
-            raise ValueError(f"unknown variables {sorted(unknown)}")
+            raise ValueError(f"unknown variables {unknown}")
         if not values:
             return self
         if any(type(value) is not int for value in values.values()):
@@ -191,11 +214,12 @@ class MultiPoly:
                 coef *= value ** exps[i]
             key = tuple([exps[i] for i in keep])
             out[key] = out.get(key, 0) + coef
-        return MultiPoly._trusted(tuple(self.variables[i] for i in keep),
-                                  {e: c for e, c in out.items() if c})
+        return MultiPoly._trusted(tuple(self.variables[i] for i in keep), _graded(out))
 
     def rename(self, mapping: Mapping[str, str]) -> "MultiPoly":
-        return MultiPoly(tuple(mapping.get(v, v) for v in self.variables), self.terms)
+        """The same terms, in the same order, over renamed variables."""
+        return MultiPoly._trusted(_names(mapping.get(v, v) for v in self.variables),
+                                  dict(self.terms))
 
     def as_int(self) -> int:
         """The value of a variable-free (or constant) polynomial."""
@@ -210,13 +234,6 @@ class MultiPoly:
         idx = self.variables.index(var)
         return sum(e[idx] * c for e, c in self.terms.items())
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in graded lexicographic order of the declared variables:
-        by total degree, then by exponent tuple.  Exponent tuples are
-        distinct, so the coefficients are never compared."""
-        t = self.terms
-        return [(e, c) for _, e, c in sorted(zip(map(sum, t), t, t.values()))]
-
     # -- serialization ------------------------------------------------
 
     def to_text(self) -> str:
@@ -224,9 +241,11 @@ class MultiPoly:
             return str(self.terms.get((), 0))
         if not self.terms:
             return "0"
+        # factor strings ("*p^2*q") built one exponent column at a time
+        columns = [map(_factor, repeat(v), col)
+                   for v, col in zip(self.variables, zip(*self.terms))]
         parts = []
-        for exps, coef in self.sorted_terms():
-            factors = "".join(map(_factor, self.variables, exps))  # "*p^2*q"
+        for factors, coef in zip(map("".join, zip(*columns)), self.terms.values()):
             if coef < 0:
                 sign, coef = " - ", -coef
             else:
@@ -239,7 +258,7 @@ class MultiPoly:
         return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def to_json_terms(self) -> list[dict]:
-        return [{"exp": list(e), "coef": str(c)} for e, c in self.sorted_terms()]
+        return [{"exp": list(e), "coef": str(c)} for e, c in self.terms.items()]
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.variables!r}, {self.to_text()!r})"
@@ -304,21 +323,18 @@ def expand(gf: RationalGF, n_max: int) -> list[MultiPoly]:
 
 def iter_expand(gf: RationalGF, n_max: int) -> Iterator[MultiPoly]:
     """Coefficients of x^0..x^n_max as polynomials in the other variables,
-    yielded in order, each as soon as the recurrence is done with it.
+    yielded in order, each as soon as the recurrence is done with it, with
+    its terms in graded-lex order.
 
     With numerator slices N_j and denominator slices D_j (D_0 = 1), the
     coefficients satisfy c_n = N_n - sum_{j>=1} D_j c_{n-j}.  A gf in x
     alone runs the recurrence on plain ints (`expand_ints`), and each
     c_n becomes a constant polynomial in no variables.  Otherwise the
-    recurrence runs on dicts keyed by packed exponent vectors: auxiliary
-    variable i takes bits [width*i, width*(i+1)) of the key, so
-    multiplying monomials adds keys.  No exponent of c_n exceeds
-    maxN + n*maxD (each D_j has j >= 1), and width bits hold that bound
-    at n = n_max, so no field overflows.  Only the recurrence window, the
-    last `depth` coefficients (the denominator's largest x-degree), is
-    held; each c_n is yielded as a MultiPoly once it leaves the window.
-    Its terms are unpacked from valid ones with the zeros dropped, so it
-    is built by `MultiPoly._trusted` with no checks.
+    recurrence runs on dicts keyed by packed exponent vectors
+    (`_iter_packed`), whose integer order is graded-lex order.  Only the
+    recurrence window, the last `depth` coefficients (the denominator's
+    largest x-degree), is held; each c_n is yielded as a MultiPoly once
+    it leaves the window.
 
     `n_max` is checked at the call, not at the first `next()`.
     """
@@ -333,7 +349,19 @@ def iter_expand(gf: RationalGF, n_max: int) -> Iterator[MultiPoly]:
 
 def _iter_packed(gf: RationalGF, n_max: int) -> Iterator[MultiPoly]:
     """`iter_expand`'s recurrence on packed exponent keys, for a gf with
-    auxiliary variables and an `n_max` already checked."""
+    auxiliary variables and an `n_max` already checked.
+
+    With m auxiliary variables, the key of exponents (e_1, ..., e_m) holds
+    e_i in bits [width*(m-i), width*(m-i+1)) and the total degree
+    e_1 + ... + e_m above bit width*m, so the first variable has the most
+    significant fixed-width field, and integer order is graded-lex order.
+    Packing is linear, so multiplying monomials adds keys.  No exponent of
+    c_n exceeds maxN + n*maxD (each D_j has j >= 1), and width bits hold
+    that bound at n = n_max, so no fixed-width field overflows; the
+    degree field has no field above it and needs no bound.  Each c_n is
+    unpacked from one sort of its int keys, so its terms come out in
+    graded-lex order; they are unpacked from valid ones with the zeros
+    dropped, so it is built by `MultiPoly._trusted` with no checks."""
     aux = gf.aux_variables
     num_terms = gf.numerator.terms
     den_terms = gf.denominator.terms
@@ -342,11 +370,13 @@ def _iter_packed(gf: RationalGF, n_max: int) -> Iterator[MultiPoly]:
         bound = (max((e[v] for e in num_terms), default=0)
                  + n_max * max(e[v] for e in den_terms))
         width = max(width, bound.bit_length())
-    shifts = [width * i for i in range(len(aux))]
+    shifts = [width * i for i in reversed(range(len(aux)))]
+    degree_shift = width * len(aux)
     mask = (1 << width) - 1
 
     def pack(exps: tuple[int, ...]) -> int:
-        return sum(e << s for e, s in zip(exps[1:], shifts))
+        aux_exps = exps[1:]
+        return sum(aux_exps) << degree_shift | sum(e << s for e, s in zip(aux_exps, shifts))
 
     num: dict[int, dict[int, int]] = {}
     for exps, coef in num_terms.items():
@@ -360,8 +390,9 @@ def _iter_packed(gf: RationalGF, n_max: int) -> Iterator[MultiPoly]:
     depth = den_slices[-1][0] if den_slices else 0
 
     def unpack(packed: dict[int, int]) -> MultiPoly:
-        fields = [[(key >> s) & mask for key in packed] for s in shifts]
-        return MultiPoly._trusted(aux, dict(zip(zip(*fields), packed.values())))
+        keys = sorted(packed)
+        fields = [[(key >> s) & mask for key in keys] for s in shifts]
+        return MultiPoly._trusted(aux, dict(zip(zip(*fields), map(packed.__getitem__, keys))))
 
     window: list[dict[int, int]] = []  # c_{n-depth}..c_{n-1}, packed
     for n in range(n_max + 1):
@@ -395,7 +426,8 @@ def expand_ints(gf: RationalGF, n_max: int) -> list[int]:
     for (e,), coef in gf.numerator.terms.items():
         if e <= n_max:
             coeffs[e] = coef
-    den = sorted((e, coef) for (e,), coef in gf.denominator.terms.items() if e)
+    # terms in x alone iterate by increasing exponent
+    den = [(e, coef) for (e,), coef in gf.denominator.terms.items() if e]
     for n in range(1, n_max + 1):
         c = coeffs[n]
         for j, dj in den:
@@ -414,7 +446,7 @@ def total_weight_series(gf: RationalGF, var: str, n_max: int) -> list[int]:
         raise ValueError("x is the series variable, not a statistic marker")
     if var not in gf.aux_variables:
         raise ValueError(f"unknown variable {var!r}")
-    return [c.weighted_total(var) for c in expand(gf, n_max)]
+    return [c.weighted_total(var) for c in iter_expand(gf, n_max)]
 
 
 # ---------------------------------------------------------------------

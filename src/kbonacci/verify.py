@@ -142,7 +142,7 @@ def _first_difference(left: MultiPoly, right: MultiPoly,
                       names: tuple[str, str] = ("brute", "series")) -> str:
     """Where two unequal polynomials first differ in graded-lex order:
     the monomial and both coefficients, each after its side's name."""
-    exps = (left - right).sorted_terms()[0][0]
+    exps = next(iter((left - right).terms))
     monomial = MultiPoly(left.variables, {exps: 1}).to_text()
     return (f"differs at {monomial}: {names[0]} {left.terms.get(exps, 0)}, "
             f"{names[1]} {right.terms.get(exps, 0)}")

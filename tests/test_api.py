@@ -209,6 +209,45 @@ def test_only_series_builds_unchecked_polynomials():
         assert ("_trusted" in names) == (path.name == "series.py"), path.name
 
 
+def _callers(tree: ast.Module, name: str) -> set[str]:
+    """The module functions and methods of `tree`, by bare name, that call
+    `name` (nested functions count as their enclosing one), plus
+    "<module>" for a call outside every function."""
+    callers, inside = set(), 0
+    for node in tree.body:
+        for d in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = [call for called, call in _called_names(d) if called == name]
+                inside += len(calls)
+                if calls:
+                    callers.add(d.name)
+    if inside < sum(called == name for called, _ in _called_names(tree)):
+        callers.add("<module>")
+    return callers
+
+
+def test_the_caller_finder():
+    tree = ast.parse("def f(xs):\n    def g():\n        return sorted(xs)\n    return g\n"
+                     "class A:\n    def m(self):\n        self.xs.sort()\n"
+                     "    ORDER = sorted([2, 1])\n"
+                     "def h():\n    return 1\n")
+    assert _callers(tree, "sorted") == {"f", "<module>"}
+    assert _callers(tree, "sort") == {"m"}
+    assert _callers(tree, "len") == set()
+
+
+def test_series_orders_terms_only_where_they_are_made():
+    """`MultiPoly.terms` iterate in graded-lex order from the moment they
+    are made, so series.py sorts only in `_graded`, which orders the
+    terms of the checked constructor, `+`, `*` and `specialize`, and in
+    `_iter_packed`, which unpacks each coefficient from one sort of its
+    packed keys.  A renderer that sorts again fails here."""
+    tree = ast.parse((SRC / "series.py").read_text())
+    assert _callers(tree, "sorted") | _callers(tree, "sort") == {"_graded", "_iter_packed"}
+    assert _callers(tree, "_graded") == {"__init__", "__add__", "__mul__", "specialize"}
+    assert not hasattr(series.MultiPoly, "sorted_terms")
+
+
 def _self_calls(tree: ast.AST) -> list[str]:
     """Every function under `tree` that calls itself, by its bare name or
     as `self.<name>` (a call on another object, such as

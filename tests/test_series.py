@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kbonacci import series
 from kbonacci.series import (
     MultiPoly,
     RationalGF,
@@ -284,7 +285,8 @@ class TestTrustedOutputs:
 
     @given(small_polys(PQ, max_coef=2), small_polys(PQ, max_coef=2), st.integers(-2, 2))
     def test_ring_operations(self, a, b, m):
-        for c in (a + b, a - b, -a, a * b, a * m, m * a, a + m, m - a, a ** 2):
+        for c in (a + b, a - b, -a, a * b, a * m, m * a, a + m, m - a, a ** 2,
+                  a.rename({"p": "z"})):
             self.assert_valid(c)
 
 
@@ -657,6 +659,91 @@ class TestExpandEquivalence:
         assert expand(gf, n_max) == _expand_reference(gf, n_max)
 
 
+def _in_graded_order(p):
+    return list(p.terms) == sorted(p.terms, key=lambda e: (sum(e), e))
+
+
+PQR = ("p", "q", "r")
+
+
+class TestGradedOrder:
+    """Every producer yields its terms in graded-lex order: by total
+    degree, then by exponent tuple.  Renderers read them as they are."""
+
+    @given(st.dictionaries(st.tuples(*[st.integers(0, 40)] * 3),
+                           st.integers(-3, 3), max_size=12))
+    def test_checked_constructor(self, terms):
+        p = MultiPoly(PQR, terms)
+        assert _in_graded_order(p)
+        assert p.terms == {e: c for e, c in terms.items() if c}
+        assert _in_graded_order(MultiPoly.monomial(PQR, 3, q=2, r=5))
+        assert _in_graded_order(MultiPoly.constant(PQR, 4))
+
+    @given(small_polys(PQR, max_exp=9, max_coef=3), small_polys(PQR, max_exp=9, max_coef=3),
+           st.integers(-3, 3), st.integers(0, 3))
+    def test_ring_operations(self, a, b, m, e):
+        for c in (a + b, a - b, a * b, a ** e, -a, a * m, m * a, a + m, m - a):
+            assert _in_graded_order(c), c.terms
+
+    @given(small_polys(PQR, max_terms=8, max_exp=9, max_coef=3),
+           st.dictionaries(st.sampled_from(PQR), st.integers(-2, 2)))
+    def test_specialize_and_rename(self, p, values):
+        assert _in_graded_order(p.specialize(values))
+        assert _in_graded_order(p.rename({"p": "z", "r": "p"}))
+
+    @given(st.sampled_from((("p",), ("p", "q"), ("q2", "q3", "q4"))).flatmap(random_gfs),
+           st.integers(0, 10))
+    @settings(max_examples=40, deadline=None)
+    def test_expanded_coefficients(self, gf, n_max):
+        assert all(map(_in_graded_order, iter_expand(gf, n_max)))
+
+    def test_family_coefficients(self):
+        for family in FAMILIES.values():
+            assert all(map(_in_graded_order, iter_expand(family.gf(4), 30)))
+
+
+def _expand_tuples(gf, n_max):
+    """The recurrence c_n = N_n - sum_{j>=1} D_j c_{n-j} on dicts keyed by
+    exponent tuples, with no packing and no MultiPoly arithmetic: the
+    reference for the field layout of `expand`'s packed keys."""
+    num, den = {}, {}
+    for exps, coef in gf.numerator.terms.items():
+        num.setdefault(exps[0], {})[exps[1:]] = coef
+    for exps, coef in gf.denominator.terms.items():
+        if exps[0]:
+            den.setdefault(exps[0], {})[exps[1:]] = coef
+    coeffs = []
+    for n in range(n_max + 1):
+        c = dict(num.get(n, {}))
+        for j, dj in den.items():
+            if j <= n:
+                for dexps, dcoef in dj.items():
+                    for exps, coef in coeffs[n - j].items():
+                        key = tuple(a + b for a, b in zip(dexps, exps))
+                        c[key] = c.get(key, 0) - dcoef * coef
+        coeffs.append({exps: coef for exps, coef in c.items() if coef})
+    return coeffs
+
+
+class TestPackedKeysAgainstTuples:
+    """`expand` packs the total degree above one fixed-width field per
+    marker; these compare it with `_expand_tuples`, which packs nothing,
+    far beyond the n <= 10 that brute force reaches."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_families(self, family):
+        for k in range(2, 7):
+            gf = FAMILIES[family].gf(k)
+            assert [c.terms for c in expand(gf, 40)] == _expand_tuples(gf, 40), k
+
+    @given(st.sampled_from((("p",), ("p", "q"), ("q2", "q3", "q4"))).flatmap(
+               lambda aux: random_gfs(aux, max_exp=10 ** 6)),
+           st.integers(0, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_large_exponents(self, gf, n_max):
+        assert [c.terms for c in expand(gf, n_max)] == _expand_tuples(gf, n_max)
+
+
 class TestFamilyConstructors:
     @pytest.mark.parametrize("k", [1, 2.0, 2.5, True])
     def test_k_must_be_an_int_of_at_least_two(self, k):
@@ -745,6 +832,12 @@ class TestTotalWeightSeries:
         gf = RationalGF(MultiPoly(v, {(1, 0): 1}),
                         MultiPoly(v, {(0, 0): 1, (1, 0): -1}))
         assert total_weight_series(gf, "q", 5) == [0] * 6
+
+    def test_reads_the_coefficients_as_they_come(self, monkeypatch):
+        # one weighted sum per coefficient: the whole list is never built
+        wanted = [c.weighted_total("q") for c in expand(gf_graph(3), 30)]
+        monkeypatch.setattr(series, "expand", None)
+        assert total_weight_series(gf_graph(3), "q", 30) == wanted
 
     def test_x_rejected(self):
         with pytest.raises(ValueError):
