@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import formulas, graph, polyomino, series, verify, words
@@ -112,7 +113,7 @@ def cmd_enumerate(args) -> int:
         return 0
     if not args.with_stats:
         if args.format == "json":
-            _print_json_list({"word": w.text} for w in word_iter)
+            _print_json_list(json.dumps({"word": w.text}) for w in word_iter)
         elif args.format == "csv":
             print("word")
             for w in word_iter:
@@ -126,10 +127,10 @@ def cmd_enumerate(args) -> int:
     rows = ((w, s, graph.hamiltonian_by_odd_runs(w))
             for w, s in graph.sweep_stats(word_iter, False))
     if args.format == "json":
-        _print_json_list(
+        _print_json_list(json.dumps(
             {"word": w.text, "heights": list(polyomino.from_word(w).heights),
              "area": s.area, "sper": s.perimeter, "vertices": s.vertices,
-             "edges": s.edges, "deg": [s.deg2, s.deg3, s.deg4], "hamiltonian": ham}
+             "edges": s.edges, "deg": [s.deg2, s.deg3, s.deg4], "hamiltonian": ham})
             for w, s, ham in rows)
         return 0
     if args.format == "csv":
@@ -148,16 +149,16 @@ def cmd_enumerate(args) -> int:
 
 
 def _print_json_list(items, head: str = "[", tail: str = "]") -> None:
-    """Print `head`, the items of a JSON list one at a time, then `tail`:
-    with the defaults, the bytes of `json.dumps(list(items))`.  A document
-    whose last member is the list passes its text up to the list's "["
-    as `head` and the closing text after its "]" as `tail`."""
-    encode = json.JSONEncoder().encode  # the encoder `json.dumps` uses
+    """Print `head`, the already-encoded items of a JSON list one at a
+    time, then `tail`: with the defaults, the bytes of `json.dumps` of the
+    list.  A document whose last member is the list passes its text up to
+    the list's "[" as `head` and the closing text after its "]" as
+    `tail`."""
     write = sys.stdout.write
     write(head)
     separator = ""
     for item in items:
-        write(separator + encode(item))
+        write(separator + item)
         separator = ", "
     write(tail + "\n")
 
@@ -172,21 +173,23 @@ def cmd_series(args) -> int:
     if unknown:
         raise ValueError(f"variables {sorted(unknown)} not in {gf.aux_variables}")
     # specialized before expanding: with every marker at 1 the gf is in x
-    # alone, and `iter_expand` runs it on integers
-    coeffs = series.iter_expand(gf.specialize({v: 1 for v in at_one}), args.terms)
-    next(coeffs)  # c_0, which no format prints; taken before any output
+    # alone, and the expansion runs on integers; each coefficient is
+    # rendered as the recurrence yields it
+    render = series.iter_json_terms if args.format == "json" else series.iter_text
+    texts = render(gf.specialize({v: 1 for v in at_one}), args.terms)
+    next(texts)  # c_0, which no format prints; taken before any output
     if args.format == "json":
         head = json.dumps({"family": args.family, "k": args.k, "coefficients": []})
-        _print_json_list(({"n": n, "terms": c.to_json_terms()}
-                          for n, c in enumerate(coeffs, 1)),
+        _print_json_list((f'{{"n": {n}, "terms": {terms}}}'
+                          for n, terms in enumerate(texts, 1)),
                          head[:-2], "]}")
     elif args.format == "csv":
         print("n,coefficient")
-        for n, c in enumerate(coeffs, 1):
-            print(f"{n},{c.to_text()}")
+        for n, text in enumerate(texts, 1):
+            print(f"{n},{text}")
     else:
-        for c in coeffs:
-            print(c.to_text())
+        for text in texts:
+            print(text)
     return 0
 
 
@@ -249,7 +252,14 @@ def main(argv: list[str] | None = None) -> int:
     if digit_limit:
         sys.set_int_max_str_digits(0)
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: stop writing, and point stdout at
+        # devnull so that the flush at interpreter exit has nothing to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,28 +22,79 @@ recurrence serves only generating functions with markers.
 
 `iter_expand` yields the coefficients one at a time and holds only the
 recurrence window, so a caller that prints each coefficient as it comes
-(as `kbonacci series` does) never holds the whole expansion; `expand` is
-its list.
+never holds the whole expansion; `expand` is its list.
+
+The packed recurrence (`_iter_packed`) lets each coefficient go once, as
+its exponent columns (one list per marker) and its coefficient list, in
+graded-lex order; only this module reads that form.  `iter_expand` zips
+the columns into a `MultiPoly`.  `iter_text` and `iter_json_terms`, which
+`kbonacci series` prints, render the columns straight into the bytes of
+`to_text` and of `json.dumps(to_json_terms())` through `_text` and
+`_json_terms`, with no per-term tuple, polynomial or dict between;
+`to_text` itself calls `_text`.  A gf in x alone keeps the `MultiPoly`
+path of its integer kernel.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import repeat
+import json
+from functools import lru_cache, partial
+from itertools import repeat, starmap
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .words import check_k, check_n
 
 
-@lru_cache(maxsize=4096)
-def _factor(variable: str, exponent: int) -> str:
-    """One variable's factor in a term of `MultiPoly.to_text`, with its
-    leading "*": "" at exponent 0, "*p" at 1, "*p^3" above."""
-    if exponent == 0:
-        return ""
-    if exponent == 1:
-        return "*" + variable
-    return f"*{variable}^{exponent}"
+class _Factors(dict):
+    """One variable's factors in a term of the text form, by exponent,
+    each with its leading "*": "" at exponent 0, "*p" at 1, "*p^3" above.
+    A factor is made at its first lookup; a table that reaches 4,096
+    factors starts again empty."""
+
+    __slots__ = ("variable",)
+
+    def __init__(self, variable: str):
+        self.variable = variable
+
+    def __missing__(self, exponent: int) -> str:
+        if len(self) >= 4096:
+            self.clear()
+        v = self.variable
+        factor = self[exponent] = ("" if exponent == 0 else "*" + v if exponent == 1
+                                   else f"*{v}^{exponent}")
+        return factor
+
+
+@lru_cache(maxsize=64)
+def _factors(variable: str) -> _Factors:
+    """The factor table of `variable`, kept for the last 64 names used."""
+    return _Factors(variable)
+
+
+def _text(variables: tuple[str, ...], columns: Iterable[Iterable[int]],
+          coefs: Iterable[int]) -> str:
+    """The text form of the polynomial over `variables` whose terms, in
+    order, have the exponent `columns` (one per variable) and the
+    coefficients `coefs`: "0" with no terms, else e.g. "p^2*q - 3*q^4".
+    The factor strings ("*p^2*q") are looked up one column at a time;
+    only the sign and the unit coefficient are decided term by term."""
+    factors = [map(_factors(v).__getitem__, col) for v, col in zip(variables, columns)]
+    text = "".join([f" + {c}{f}" if c > 1 else f" - {-c}{f}" if c < -1
+                    else (" + " if c == 1 else " - ") + (f[1:] if f else "1")
+                    for f, c in zip(map("".join, zip(*factors)) if factors else repeat(""),
+                                    coefs)])
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _json_terms(columns: Iterable[Iterable[int]], coefs: Iterable[int]) -> str:
+    """`json.dumps` of the `to_json_terms` of the polynomial whose terms
+    have the exponent `columns` and the coefficients `coefs`, written
+    from the columns by one format per term, with no per-term dict."""
+    columns = list(columns)
+    term = '{{"exp": [' + ", ".join(["{}"] * len(columns)) + '], "coef": "{}"}}'
+    return "[" + ", ".join(map(term.format, *columns, coefs)) + "]"
 
 
 def _graded(terms: Mapping[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
@@ -237,25 +288,9 @@ class MultiPoly:
     # -- serialization ------------------------------------------------
 
     def to_text(self) -> str:
-        if not self.variables:  # a constant: the term loop yields str(c)
+        if not self.variables:  # a constant: `_text` would yield str(c)
             return str(self.terms.get((), 0))
-        if not self.terms:
-            return "0"
-        # factor strings ("*p^2*q") built one exponent column at a time
-        columns = [map(_factor, repeat(v), col)
-                   for v, col in zip(self.variables, zip(*self.terms))]
-        parts = []
-        for factors, coef in zip(map("".join, zip(*columns)), self.terms.values()):
-            if coef < 0:
-                sign, coef = " - ", -coef
-            else:
-                sign = " + "
-            if coef == 1 and factors:
-                parts.append(sign + factors[1:])
-            else:
-                parts.append(f"{sign}{coef}{factors}")
-        text = "".join(parts)
-        return text[3:] if text[1] == "+" else "-" + text[3:]
+        return _text(self.variables, zip(*self.terms), self.terms.values())
 
     def to_json_terms(self) -> list[dict]:
         return [{"exp": list(e), "coef": str(c)} for e, c in self.terms.items()]
@@ -321,6 +356,12 @@ def expand(gf: RationalGF, n_max: int) -> list[MultiPoly]:
     return list(iter_expand(gf, n_max))
 
 
+def _check_n_max(n_max: int) -> None:
+    check_n(n_max)
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+
+
 def iter_expand(gf: RationalGF, n_max: int) -> Iterator[MultiPoly]:
     """Coefficients of x^0..x^n_max as polynomials in the other variables,
     yielded in order, each as soon as the recurrence is done with it, with
@@ -330,26 +371,52 @@ def iter_expand(gf: RationalGF, n_max: int) -> Iterator[MultiPoly]:
     coefficients satisfy c_n = N_n - sum_{j>=1} D_j c_{n-j}.  A gf in x
     alone runs the recurrence on plain ints (`expand_ints`), and each
     c_n becomes a constant polynomial in no variables.  Otherwise the
-    recurrence runs on dicts keyed by packed exponent vectors
-    (`_iter_packed`), whose integer order is graded-lex order.  Only the
-    recurrence window, the last `depth` coefficients (the denominator's
-    largest x-degree), is held; each c_n is yielded as a MultiPoly once
-    it leaves the window.
+    recurrence runs on packed exponent keys (`_iter_packed`), and each
+    c_n is the `MultiPoly` view of the exponent columns and coefficient
+    list it leaves the recurrence as: its terms zip the columns, and it
+    is built by `MultiPoly._trusted` with no checks.
 
     `n_max` is checked at the call, not at the first `next()`.
     """
-    check_n(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _check_n_max(n_max)
     if not gf.aux_variables:
         return (MultiPoly._trusted((), {(): c} if c else {})
                 for c in expand_ints(gf, n_max))
-    return _iter_packed(gf, n_max)
+    aux = gf.aux_variables
+    return (MultiPoly._trusted(aux, dict(zip(zip(*columns), coefs)))
+            for columns, coefs in _iter_packed(gf, n_max))
 
 
-def _iter_packed(gf: RationalGF, n_max: int) -> Iterator[MultiPoly]:
-    """`iter_expand`'s recurrence on packed exponent keys, for a gf with
-    auxiliary variables and an `n_max` already checked.
+def iter_text(gf: RationalGF, n_max: int) -> Iterator[str]:
+    """`c.to_text()` for each c of `iter_expand(gf, n_max)`, in order.  A
+    gf with markers renders each coefficient straight from the exponent
+    columns `_iter_packed` yields, building no `MultiPoly`."""
+    if not gf.aux_variables:
+        return map(MultiPoly.to_text, iter_expand(gf, n_max))
+    _check_n_max(n_max)
+    return starmap(partial(_text, gf.aux_variables), _iter_packed(gf, n_max))
+
+
+def iter_json_terms(gf: RationalGF, n_max: int) -> Iterator[str]:
+    """`json.dumps(c.to_json_terms())` for each c of `iter_expand(gf,
+    n_max)`, in order.  A gf with markers writes each coefficient straight
+    from the exponent columns `_iter_packed` yields, building no
+    `MultiPoly` and no per-term dict."""
+    if not gf.aux_variables:
+        return map(json.dumps, map(MultiPoly.to_json_terms, iter_expand(gf, n_max)))
+    _check_n_max(n_max)
+    return starmap(_json_terms, _iter_packed(gf, n_max))
+
+
+def _iter_packed(gf: RationalGF, n_max: int) -> Iterator[tuple[list[list[int]], list[int]]]:
+    """The recurrence of `iter_expand` on packed exponent keys, for a gf
+    with auxiliary variables and an `n_max` already checked.  Each c_n is
+    yielded once, as soon as it leaves the recurrence window (the last
+    `depth` coefficients, `depth` the denominator's largest x-degree), as
+    a pair: its exponent columns, one list per auxiliary variable, and
+    its list of nonzero coefficients, all in the graded-lex order of its
+    terms.  Term i of c_n has exponents (columns[0][i], ..., columns[m-1][i])
+    and coefficient coefs[i].  No other module reads this format.
 
     With m auxiliary variables, the key of exponents (e_1, ..., e_m) holds
     e_i in bits [width*(m-i), width*(m-i+1)) and the total degree
@@ -359,9 +426,7 @@ def _iter_packed(gf: RationalGF, n_max: int) -> Iterator[MultiPoly]:
     c_n exceeds maxN + n*maxD (each D_j has j >= 1), and width bits hold
     that bound at n = n_max, so no fixed-width field overflows; the
     degree field has no field above it and needs no bound.  Each c_n is
-    unpacked from one sort of its int keys, so its terms come out in
-    graded-lex order; they are unpacked from valid ones with the zeros
-    dropped, so it is built by `MultiPoly._trusted` with no checks."""
+    unpacked from one sort of its int keys, a column at a time."""
     aux = gf.aux_variables
     num_terms = gf.numerator.terms
     den_terms = gf.denominator.terms
@@ -389,24 +454,29 @@ def _iter_packed(gf: RationalGF, n_max: int) -> Iterator[MultiPoly]:
     den_slices = sorted(den.items())
     depth = den_slices[-1][0] if den_slices else 0
 
-    def unpack(packed: dict[int, int]) -> MultiPoly:
+    def unpack(packed: dict[int, int]) -> tuple[list[list[int]], list[int]]:
         keys = sorted(packed)
-        fields = [[(key >> s) & mask for key in keys] for s in shifts]
-        return MultiPoly._trusted(aux, dict(zip(zip(*fields), map(packed.__getitem__, keys))))
+        return ([[(key >> s) & mask for key in keys] for s in shifts],
+                list(map(packed.__getitem__, keys)))
 
     window: list[dict[int, int]] = []  # c_{n-depth}..c_{n-1}, packed
     for n in range(n_max + 1):
         c = dict(num.get(n, ()))
-        get = c.get
         for j, dj in den_slices:
             if j > n:
                 break
             prev = window[-j]
             for dkey, dcoef in dj:
+                if not c:  # the first contribution: distinct keys, none zero
+                    c = dict(zip(map(dkey.__add__, prev),
+                                 map((-dcoef).__mul__, prev.values())))
+                    continue
+                get = c.get
                 for key, coef in prev.items():
                     key += dkey
                     c[key] = get(key, 0) - dcoef * coef
-        window.append({key: coef for key, coef in c.items() if coef})
+        window.append(c if 0 not in c.values()
+                      else {key: coef for key, coef in c.items() if coef})
         if len(window) > depth:
             yield unpack(window.pop(0))
     for packed in window:
@@ -419,9 +489,7 @@ def expand_ints(gf: RationalGF, n_max: int) -> list[int]:
     D_0 = 1 guaranteed by `RationalGF`."""
     if gf.aux_variables:
         raise ValueError("expand_ints requires a gf in x alone")
-    check_n(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _check_n_max(n_max)
     coeffs = [0] * (n_max + 1)
     for (e,), coef in gf.numerator.terms.items():
         if e <= n_max:

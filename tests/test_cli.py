@@ -321,6 +321,54 @@ class TestSeries:
                     '{"n": 1, "terms": [{"exp": [], "coef": "3"}]}, '
                     '{"n": 2, "terms": [{"exp": [], "coef": "8"}]}'}[fmt]
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_marker_coefficients_stream_as_they_come(self, capsys, monkeypatch, fmt):
+        c1, c2 = series.expand(series.gf_degree(3), 2)[1:]
+        iter_packed = series._iter_packed
+
+        def three_then_fail(gf, n_max):
+            it = iter_packed(gf, n_max)
+            yield from (next(it) for _ in range(3))
+            raise RuntimeError("no more terms")
+
+        monkeypatch.setattr(series, "_iter_packed", three_then_fail)
+        code = cli.main(["series", "--family", "degree", "--k", "3",
+                         "--terms", "5", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: RuntimeError: no more terms\n"
+        assert captured.out == {
+            "text": f"{c1.to_text()}\n{c2.to_text()}\n",
+            "csv": f"n,coefficient\n1,{c1.to_text()}\n2,{c2.to_text()}\n",
+            "json": '{"family": "degree", "k": 3, "coefficients": ['
+                    f'{{"n": 1, "terms": {json.dumps(c1.to_json_terms())}}}, '
+                    f'{{"n": 2, "terms": {json.dumps(c2.to_json_terms())}}}'}[fmt]
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_marker_coefficients_build_no_polynomial(self, capsys, monkeypatch, fmt):
+        # the coefficients go from the recurrence's exponent columns to
+        # stdout: the only polynomials built are those of the gf itself
+        built = []
+        trusted, init = series.MultiPoly._trusted.__func__, series.MultiPoly.__init__
+
+        def counting_trusted(cls, *args):
+            built.append("_trusted")
+            return trusted(cls, *args)
+
+        def counting_init(self, *args, **kwargs):
+            built.append("__init__")
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(series.MultiPoly, "_trusted", classmethod(counting_trusted))
+        monkeypatch.setattr(series.MultiPoly, "__init__", counting_init)
+        verify.FAMILIES["degree"].gf(3).specialize({})
+        gf_only, built[:] = list(built), []
+        assert gf_only
+        code, out = run(capsys, "series", "--family", "degree", "--k", "3",
+                        "--terms", "20", "--format", fmt)
+        assert code == 0 and len(out) > 10_000
+        assert built == gf_only
+
     @pytest.mark.parametrize("family, k, terms", [("graph", 3, 75), ("edges-total", 4, 2500)])
     def test_json_holds_no_whole_expansion(self, monkeypatch, family, k, terms):
         # holding every coefficient and one JSON document of them peaked at
@@ -384,6 +432,24 @@ class TestErrors:
         monkeypatch.setattr(cli, "cmd_count", bad)
         assert cli.main(["count", "--n", "3"]) == 2
         assert capsys.readouterr().err == "error: bad input\n"
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["series", "--family", "poly", "--k", "3", "--terms", "75"],
+        ["enumerate", "--n", "20", "--k", "2"]])
+    def test_reader_that_leaves_ends_the_command_quietly(self, argv):
+        # each command prints well over a pipe's buffer, so it is still
+        # writing when the reader closes the pipe after one line
+        import subprocess
+
+        proc = subprocess.Popen([sys.executable, "-m", "kbonacci.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
 
 class TestAsymptotics:

@@ -2,7 +2,10 @@
 
 - golden/series_sha256.json: every series family at k = 2..5 and
   --terms 20 in text, json and csv, plus --vars-at-1 p and --vars-at-1 p,q
-  on poly and graph.  Taken from the plain MultiPoly recurrence.
+  on poly and graph, and --vars-at-1 q3 and --vars-at-1 q2,q4 on degree at
+  k = 3 and 5.  Taken from the plain MultiPoly recurrence; the partly
+  specialized degree cases from the packed recurrence that yielded
+  MultiPoly coefficients to `to_text` and `to_json_terms`.
 - golden/enumerate_sha256.json: `enumerate --with-stats` at k = 2..5 and
   n = 1..6 in text, json and csv, plus `--n 16 --k 3` in csv, past the
   length that `verify --ham-cap` lets the Hamiltonicity DP decide: its ham
@@ -67,6 +70,12 @@ def _series_cases() -> list[tuple[str, ...]]:
                     cases.append(("series", "--family", family, "--k", str(k),
                                   "--terms", "20", "--format", fmt,
                                   "--vars-at-1", at_one))
+    for at_one in ("q3", "q2,q4"):
+        for k in (3, 5):
+            for fmt in ("text", "json", "csv"):
+                cases.append(("series", "--family", "degree", "--k", str(k),
+                              "--terms", "20", "--format", fmt,
+                              "--vars-at-1", at_one))
     return cases
 
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from kbonacci.series import (
     gf_named_total,
     gf_polyomino,
     iter_expand,
+    iter_json_terms,
+    iter_text,
     total_weight_series,
 )
 from kbonacci.verify import FAMILIES, TOTALS
@@ -244,6 +247,21 @@ class TestTextFormAgainstReference:
         assert p.to_text() == _reference_to_text(p)
         assert p.to_json_terms() == _reference_to_json_terms(p)
 
+    @given(any_polys())
+    @settings(max_examples=300)
+    def test_column_renderers(self, p):
+        # what `kbonacci series` prints for a gf with markers, from the
+        # exponent columns that the recurrence yields
+        assert series._text(p.variables, zip(*p.terms), p.terms.values()) \
+            == _reference_to_text(p)
+        assert series._json_terms(zip(*p.terms), p.terms.values()) \
+            == json.dumps(_reference_to_json_terms(p))
+
+    def test_factor_tables_stay_bounded(self):
+        p = MultiPoly(("p", "q"), {(e, 1): 1 for e in range(5000)})
+        assert p.to_text() == _reference_to_text(p)
+        assert len(series._factors("p")) <= 4096
+
     def test_edge_cases(self):
         polys = [
             MultiPoly.zero(()), MultiPoly.zero(PQ),
@@ -387,8 +405,9 @@ class TestIterExpand:
     def test_arguments_checked_at_the_call(self, n_max):
         # a generator body runs only at its first next(): the checks must not
         for gf in (gf_polyomino(2), gf_named_total("vertices", 2)):
-            with pytest.raises(ValueError, match="n must be an int|n_max must be >= 0"):
-                iter_expand(gf, n_max)
+            for iterate in (iter_expand, iter_text, iter_json_terms):
+                with pytest.raises(ValueError, match="n must be an int|n_max must be >= 0"):
+                    iterate(gf, n_max)
 
     @staticmethod
     def gfs(k):
@@ -413,6 +432,14 @@ class TestIterExpand:
         for k in range(2, 6):
             for gf in self.gfs(k):
                 assert list(iter_expand(gf, 15)) == _expand_reference(gf, 15), (k, gf)
+
+    def test_rendered_streams(self):
+        for k in range(2, 6):
+            for gf in self.gfs(k):
+                coeffs = expand(gf, 15)
+                assert list(iter_text(gf, 15)) == [c.to_text() for c in coeffs]
+                assert list(iter_json_terms(gf, 15)) == [json.dumps(c.to_json_terms())
+                                                         for c in coeffs]
 
     def test_a_prefix_needs_no_more_terms(self):
         # n_max sets the packing width; the first coefficients do not depend on it
