@@ -3,34 +3,35 @@ sides are edges.  All vertices have degree 2, 3 or 4.
 
 A graph is a `polyomino.Geometry`, on integer vertex ids.  The degree
 profile, Hamiltonicity and the mirror x -> n - x have one implementation
-each: `degree_profile`, `is_hamiltonian` and `mirrored`.  The first two
-read a private `_Graph`, built line by line by `polyomino._add_lines`,
-which keeps per line the running counts of vertices, edges and vertices
-by degree (read off the line and the one before it, `_corner_degrees`)
-and the frontier states of a Hamiltonian-cycle DP (`_step`).  One
-private record builder reads a word's statistics off it, each from the
-grid graph (area and semiperimeter by Euler's formula): `sweep_stats`
-takes a sequence of words on one `_Graph`, which `polyomino._build_each`
-cuts back to the letters a word shares with the previous one and extends
-from there, so the counts and frontiers of the kept lines are reused and
-the DP runs only over the rebuilt ones; `word_stats` is the sweep of one
-word, and `degree_profile` and `is_hamiltonian` build a `_Graph` of any
-graph as one line.
+each: `degree_profile`, `is_hamiltonian` and `mirrored`.  Two per-line
+rules read a line, its corners and sides as `polyomino._LINES` gives
+them: `_corner_degrees` counts its corners by degree, reading the line
+before it too, and `_step` is the one step of a Hamiltonian-cycle DP.
+`degree_profile` and `is_hamiltonian` run them once on any graph, read
+as one line.  Over the table they make a finite automaton, `_Automaton`,
+whose node is what the next line's rules read and whose edge, one line,
+holds the node after it and the line's counts; each user numbers its
+nodes and edges as it walks them.  One private record builder,
+`sweep_stats`, reads every statistic of a word off the grid graph (area
+and semiperimeter by Euler's formula): it walks a word's lines on the
+automaton, resuming each word at the node kept before the first line it
+does not share with the previous word (`polyomino._kept_lines`), so a
+rebuilt line costs one int-keyed lookup; `word_stats` is the sweep of
+one word.
 Hamiltonicity also has one O(n) fast path, `hamiltonian_by_odd_runs`,
-which `check_ham_rule` proves equal to the DP on every word by running
-`_step` itself over `polyomino._LINES` as a finite automaton; the DP
-stays as the rule's independent oracle, and `_step` is the only step of
-a Hamiltonicity DP.
+which `check_ham_rule` proves equal to the DP on every word by a search
+over the same automaton; the DP stays as the rule's independent oracle.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
+from operator import add
 from typing import NamedTuple
 
 from . import polyomino
-from .polyomino import Geometry, Polyomino, _build_each, by_euler, geometry
+from .polyomino import Geometry, Polyomino, by_euler, geometry
 from .words import Word
 
 
@@ -42,10 +43,26 @@ def build_graph(p: Polyomino) -> Geometry:
     return geometry(p)
 
 
+def _one_line(g: Geometry) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The vertices of `g`, distinct non-negative int ids in ascending
+    order, and its edges, pairs of them, as one line: edges as (lower,
+    upper) pairs in ascending order.  Any other graph is a `ValueError`."""
+    ids = tuple(g.vertices)
+    if (any(type(v) is not int for v in ids) or list(ids) != sorted(set(ids))
+            or ids and ids[0] < 0):
+        raise ValueError("vertex ids must be distinct non-negative ints in ascending order")
+    listed = set(ids)
+    if not all(type(u) is type(v) is int and u in listed and v in listed
+               for u, v in g.edges):
+        raise ValueError("every edge end must be a listed vertex id")
+    return ids, tuple(sorted((u, v) if u < v else (v, u) for u, v in g.edges))
+
+
 def degree_profile(g: Geometry) -> tuple[int, int, int]:
     """Counts of vertices of degree 2, 3 and 4 of a graph on integer ids,
-    taken as `is_hamiltonian` takes them."""
-    return _Graph.of(g.vertices, g.edges).degrees()
+    taken as `is_hamiltonian` takes them; a vertex of any other degree is
+    a `ValueError` that names it as the (x, y) of its id 3x + y."""
+    return _corner_degrees(0, (), *_one_line(g), 0)
 
 
 def mirrored(geo: Geometry) -> Geometry:
@@ -68,115 +85,34 @@ def grid_hamiltonian_rule(m: int, n: int) -> bool:
     return m >= 2 and n >= 2 and m * n % 2 == 0 or m == n == 1
 
 
-class _Graph:
-    """A grid graph built and cut back line by line by
-    `polyomino._add_lines`, as `polyomino._Lines` is, that keeps per
-    line only what the record and the Hamiltonicity DP read, so a word
-    of a sweep costs only the lines it rebuilds.  `lines[x + 1]` holds
-    line x's base id, corners and sides as `add` took them (`lines[0]`
-    is an empty line before line 0), and `totals[x + 1]` the vertices,
-    edges and vertices of degree 2, 3 and 4 of lines 0..x.  A line's
-    corners are final once it is in (`_corner_degrees`), so `add` adds
-    to the totals the counts of the line in the context of the line
-    before it, which `increments` maps to them: a sweep's lines come
-    from one small table, so it stays small (11 contexts for every word
-    with k = 2..5 and n <= 10).  `frontiers[x + 1]` holds line x's base
-    and the DP's frontier (`_step`) after it, which `hamiltonian`
-    extends up to the last line; `memo` maps a (frontier, base shift,
-    corners, sides) step to the frontier after it (20 steps for the same
-    words).  `cut(x)` truncates the three lists.  `of` builds a graph of
-    any vertices and edges as one line; a sweep's graph has the counts
-    and verdict of the one `of` builds from its vertex and edge lists."""
-
-    def __init__(self) -> None:
-        self.lines: list[tuple[int, Sequence[int], Sequence[tuple[int, int]]]] = [(0, (), ())]
-        self.totals = [(0, 0, 0, 0, 0)]
-        self.increments: dict[tuple, tuple[int, ...]] = {}
-        self.frontiers = [(0, ((), frozenset([()])))]
-        self.memo: dict[tuple, tuple[tuple[int, ...], frozenset]] = {}
-
-    @classmethod
-    def of(cls, vertices: Sequence[int], edges: Sequence[tuple[int, int]]) -> _Graph:
-        """The graph of `vertices`, distinct non-negative int ids in
-        ascending order, and `edges`, pairs of them, as one line with its
-        edges as (lower, upper) pairs in ascending order; any other input
-        is a `ValueError`."""
-        ids = tuple(vertices)
-        if (any(type(v) is not int for v in ids) or list(ids) != sorted(set(ids))
-                or ids and ids[0] < 0):
-            raise ValueError("vertex ids must be distinct non-negative ints in ascending order")
-        listed = set(ids)
-        if not all(type(u) is type(v) is int and u in listed and v in listed
-                   for u, v in edges):
-            raise ValueError("every edge end must be a listed vertex id")
-        g = cls()
-        g.add(0, ids, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges)))
-        return g
-
-    def cut(self, x: int) -> None:
-        del self.lines[x + 1:], self.totals[x + 1:], self.frontiers[x + 1:]
-
-    def add(self, base: int, corners: Sequence[int],
-            sides: Sequence[tuple[int, int]]) -> None:
-        at, _, before = self.lines[-1]
-        key = (base - at, before, corners, sides)
-        counts = self.increments.get(key)
-        if counts is None:
-            degrees = list(_corner_degrees(*key).values())
-            counts = self.increments[key] = (len(corners), len(sides), degrees.count(2),
-                                             degrees.count(3), degrees.count(4))
-        nv, ne, d2, d3, d4 = self.totals[-1]
-        av, ae, a2, a3, a4 = counts
-        self.totals.append((nv + av, ne + ae, d2 + a2, d3 + a3, d4 + a4))
-        self.lines.append((base, corners, sides))
-
-    def degrees(self) -> tuple[int, int, int]:
-        """Counts of the vertices of degree 2, 3 and 4; a vertex of any
-        other degree is a `ValueError` that names the first one as the
-        (x, y) of its id 3x + y."""
-        nv, _, d2, d3, d4 = self.totals[-1]
-        if d2 + d3 + d4 < nv:
-            for (at, _, before), (base, corners, sides) in zip(self.lines, self.lines[1:]):
-                for c, d in _corner_degrees(base - at, before, corners, sides).items():
-                    if not 2 <= d <= 4:
-                        raise ValueError(f"vertex {divmod(base + c, 3)} has degree {d}, "
-                                         "outside {2,3,4}")
-        return d2, d3, d4
-
-    def hamiltonian(self) -> bool:
-        """`is_hamiltonian` of the graph as it stands: the DP runs
-        over the lines past the last checkpoint, one `_step` per line."""
-        if self.totals[-1][0] < 3:
-            raise ValueError("Hamiltonicity needs at least 3 vertices")
-        frontiers, memo = self.frontiers, self.memo
-        for base, corners, sides in self.lines[len(frontiers):]:
-            at, frontier = frontiers[-1]
-            key = (frontier, base - at, corners, sides)
-            after = memo.get(key)
-            if after is None:
-                after = memo[key] = _step(*key)
-            frontiers.append((base, after))
-        _, (_, states) = frontiers[-1]
-        return _CLOSED in states
-
-
 def _corner_degrees(shift: int, before: Sequence[tuple[int, int]], corners: Sequence[int],
-                    sides: Sequence[tuple[int, int]]) -> dict[int, int]:
-    """The degree of each of a line's `corners`, in their order, from its
-    `sides` and the sides `before` of the line before it, whose base id
-    was `shift` below this one's (all as offsets from their line's base).
-    No other side meets them: each side's lower end lies in the line
-    that adds it and its upper end in that line or the next."""
-    ends = [end - shift for side in before for end in side]
-    ends += [end for side in sides for end in side]
+                    sides: Sequence[tuple[int, int]], base: int) -> tuple[int, int, int]:
+    """Counts of a line's `corners` of degree 2, 3 and 4, from its `sides`
+    and the sides `before` of the line before it, whose base id was
+    `shift` below this one's (all as offsets from their line's base).  No
+    other side meets them: each side's lower end lies in the line that
+    adds it and its upper end in that line or the next.  A corner of any
+    other degree is a `ValueError` that names the first one as the
+    (x, y) of its id 3x + y, `base` being the line's base id."""
     degree = dict.fromkeys(corners, 0)
-    for end in ends:
+    for end in [end - shift for side in before for end in side]:
         if end in degree:
             degree[end] += 1
-    return degree
+    for side in sides:
+        for end in side:
+            if end in degree:
+                degree[end] += 1
+    counts = [0, 0, 0, 0, 0]
+    for c, d in degree.items():
+        if not 2 <= d <= 4:
+            raise ValueError(f"vertex {divmod(base + c, 3)} has degree {d}, outside {{2,3,4}}")
+        counts[d] += 1
+    return counts[2], counts[3], counts[4]
 
 
 _CLOSED = "closed"
+# the DP's frontier before the first line: no vertex, one empty state
+_START = ((), frozenset([()]))
 
 
 def _step(frontier: tuple[tuple[int, ...], frozenset], shift: int, corners: Sequence[int],
@@ -192,11 +128,11 @@ def _step(frontier: tuple[tuple[int, ...], frozenset], shift: int, corners: Sequ
     A vertex enters the frontier at its first side and leaves after its
     last side in its own line, where it must have two chosen edges: no
     side of a later line reaches a corner of this one, as the ids of
-    `polyomino._Lines` ascend line by line and each side's lower end lies
-    in the line that adds it.  A corner that no side of its line meets
-    leaves at the start.  So the frontier's vertices depend only on the
-    position, not the state.  A chosen side that joins the two ends of
-    one path closes the cycle, which it may do only when every other
+    `polyomino._add_lines` ascend line by line and each side's lower end
+    lies in the line that adds it.  A corner that no side of its line
+    meets leaves at the start.  So the frontier's vertices depend only on
+    the position, not the state.  A chosen side that joins the two ends
+    of one path closes the cycle, which it may do only when every other
     frontier vertex has two chosen edges and every corner of the line has
     entered; `_CLOSED` dies at any later line with corners (each corner
     of a grid line has a side in its own line, so none of them is on the
@@ -249,6 +185,53 @@ def _step(frontier: tuple[tuple[int, ...], frozenset], shift: int, corners: Sequ
     return tuple(order), frozenset(now | {_CLOSED} if closed else now)
 
 
+class _Automaton:
+    """The lines of `polyomino._LINES` as a finite automaton, numbered as
+    it is walked (the transfer-matrix method, Stanley, EC1 4.7).  A node
+    is what the next line's rules read: the left height of the next line
+    (0 before the first line), the previous line's sides when `counts`
+    is set, else (), for `_corner_degrees`, and the DP's frontier when
+    `ham` is set, else None, for `_step`.  Node i has the number 3i, and
+    `edges[node + right]` is the line between a column of the node's left
+    height and one of height `right` (0: the closing line), as the pair
+    (number of the node after it, the line's increment of vertices,
+    edges and vertices of degree 2, 3 and 4, or () without `counts`).  A
+    frontier holds ids relative to its line's base, so both depend only
+    on the node and `right`, and `edge` computes each once, where the
+    walk first needs it; a user keeps its own automaton, dropped with it.
+    The nodes are finitely many (`check_ham_rule`)."""
+
+    __slots__ = ("keys", "numbers", "edges", "counts")
+
+    def __init__(self, counts: bool, ham: bool) -> None:
+        start = (0, (), _START if ham else None)
+        self.keys = [start]  # keys[i]: node 3i
+        self.numbers = {start: 0}
+        self.edges: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self.counts = counts
+
+    def edge(self, node: int, right: int, x: int) -> tuple[int, tuple[int, ...]]:
+        """Compute and store `edges[node + right]`, met as line x of a
+        walk: a corner of a degree outside 2..4 is a `ValueError` that
+        names it at its ids on that line."""
+        left, before, frontier = self.keys[node // 3]
+        corners, sides = polyomino._LINES[left, right]
+        shift = 3 if left else 0
+        if frontier is not None:
+            frontier = _step(frontier, shift, corners, sides)
+        increment: tuple[int, ...] = ()
+        if self.counts:
+            increment = (len(corners), len(sides),
+                         *_corner_degrees(shift, before, corners, sides, 3 * x))
+        key = (right, sides if self.counts else (), frontier)
+        after = self.numbers.get(key)
+        if after is None:
+            after = self.numbers[key] = 3 * len(self.keys)
+            self.keys.append(key)
+        edge = self.edges[node + right] = (after, increment)
+        return edge
+
+
 # The odd-run rule as a DFA on the letters 0 and 1: state 0 is outside a
 # run of 1's, 1 and 2 are inside a run of odd and of even length, and 3
 # follows an even run (dead).  ODD_RUN_STEP[s][b] is the state after
@@ -288,41 +271,41 @@ def check_ham_rule() -> RuleCheck:
     odd-run rule of `ODD_RUN_STEP` and `ODD_RUN_ACCEPT`, or find the
     shortest word on which they differ.
 
-    A word's graph is built from `polyomino._LINES` one line at a time
-    (`polyomino._add_lines`), each line 3 ids above the one before, and
-    the sweep's `_Graph` runs `_step` once per line with that shift.  A
-    frontier holds ids relative to its line's base, so the frontier
-    after a line depends only on the frontier before it and the heights
-    (left, right) either side of the line: run over the table, `_step` is
-    a deterministic automaton.  The letter b reads the line whose right
-    column has height b + 1, and a word is Hamiltonian iff `_CLOSED` is
-    in the frontier after its closing line (right height 0).  A breadth
-    first search, letter 0 before 1, over the reachable (left height,
-    frontier, DFA state) nodes compares that with the DFA at each node.
-    The nodes are finitely many, so if every reached node agrees, the two
-    agree on every word of every length, and so for every k; the first
-    node that does not is reached by a shortest word, the least of those
-    in lexicographic order.  The start node, the empty word, is excepted:
+    A word's graph is built from `polyomino._LINES` one line at a time,
+    each line 3 ids above the one before, and the sweep walks the same
+    lines on an `_Automaton`; here its nodes are (left height, frontier),
+    with no counts.  The letter b reads the line whose right column has
+    height b + 1, and a word is Hamiltonian iff `_CLOSED` is in the
+    frontier after its closing line (right height 0).  A breadth first
+    search, letter 0 before 1, over the reachable (node, DFA state)
+    pairs compares that with the DFA at each pair.  The pairs are
+    finitely many, so if every reached pair agrees, the two agree on
+    every word of every length, and so for every k; the first pair that
+    does not is reached by a shortest word, the least of those in
+    lexicographic order.  The start pair, the empty word, is excepted:
     it has no polyomino and no closing line.  The table is read when
     this is called, not at import."""
-    lines = polyomino._LINES
-    start = (0, _Graph().frontiers[0][1], 0)
-    words = {start: ""}
-    queue = deque([start])
+    lines = _Automaton(False, True)
+    keys, get, edge = lines.keys, lines.edges.get, lines.edge
+    words = {(0, 0): ""}
+    queue = deque([(0, 0)])
+    counterexample = None
     while queue:
-        node = queue.popleft()
-        left, frontier, s = node
-        word = words[node]
-        shift = 3 if left else 0
-        if word and (_CLOSED in _step(frontier, shift, *lines[left, 0])[1]) != ODD_RUN_ACCEPT[s]:
-            return RuleCheck(frozenset(f for _, f, _ in words), len(words), word)
+        node, s = pair = queue.popleft()
+        word = words[pair]
+        if word:
+            closing = (get(node) or edge(node, 0, len(word)))[0]
+            if (_CLOSED in keys[closing // 3][2][1]) != ODD_RUN_ACCEPT[s]:
+                counterexample = word
+                break
         for b in (0, 1):
-            after = (b + 1, _step(frontier, shift, *lines[left, b + 1]),
+            after = ((get(node + b + 1) or edge(node, b + 1, len(word)))[0],
                      ODD_RUN_STEP[s][b])
             if after not in words:
                 words[after] = word + str(b)
                 queue.append(after)
-    return RuleCheck(frozenset(f for _, f, _ in words), len(words), None)
+    return RuleCheck(frozenset(keys[node // 3][2] for node, _ in words), len(words),
+                     counterexample)
 
 
 def is_hamiltonian(g: Geometry) -> bool:
@@ -334,17 +317,19 @@ def is_hamiltonian(g: Geometry) -> bool:
 
     Each edge is left out or put in a set of chosen edges; a state says,
     for each vertex of the frontier, how many chosen edges it has and
-    which vertex ends its chosen path.  `_step` reads one line of a
-    `_Graph`; here the graph is one line, built in one go, and
-    `sweep_stats` runs it per line of the `_Graph` it keeps, from the
-    states kept for the lines a word shares with the previous one.  Time
-    is linear in the edges while the frontier stays bounded: the vertices
-    met by an edge so far and by an edge still to come, at most about one
-    column of a grid graph on ids in (x, y) order.  Read in a shuffled
-    order, a grid's edges would let the frontier grow to most of its
-    vertices, and the states with it, hence the sort.
+    which vertex ends its chosen path.  `_step` reads one line; here the
+    graph is one line, read in one go, and `sweep_stats` runs it once per
+    line of the automaton it walks.  Time is linear in the edges while
+    the frontier stays bounded: the vertices met by an edge so far and by
+    an edge still to come, at most about one column of a grid graph on
+    ids in (x, y) order.  Read in a shuffled order, a grid's edges would
+    let the frontier grow to most of its vertices, and the states with
+    it, hence the sort.
     """
-    return _Graph.of(g.vertices, g.edges).hamiltonian()
+    ids, edges = _one_line(g)
+    if len(ids) < 3:
+        raise ValueError("Hamiltonicity needs at least 3 vertices")
+    return _CLOSED in _step(_START, 0, ids, edges)[1]
 
 
 class WordStats(NamedTuple):
@@ -364,15 +349,6 @@ class WordStats(NamedTuple):
     ham: int | None
 
 
-def _record(g: _Graph, ham: bool) -> WordStats:
-    """The statistics of a polyomino, all read off its grid graph (area
-    and semiperimeter by Euler's formula, `polyomino.Geometry`);
-    Hamiltonicity is decided only when `ham` is set."""
-    nv, ne = g.totals[-1][:2]
-    return WordStats(*by_euler(nv, ne), nv, ne, *g.degrees(),
-                     int(g.hamiltonian()) if ham else None)
-
-
 def word_stats(w: Word, ham: bool) -> WordStats:
     """The statistics of a nonempty word, read off the grid graph of its
     polyomino: the sweep of `sweep_stats` on the one word."""
@@ -381,15 +357,29 @@ def word_stats(w: Word, ham: bool) -> WordStats:
 
 def sweep_stats(words: Iterable[Word], ham: bool) -> Iterator[tuple[Word, WordStats]]:
     """Each nonempty word of `words` with its statistics, equal to
-    `word_stats(w, ham)`, from one `_Graph` that `polyomino._build_each`
-    keeps per prefix: a word rebuilds only the lines past the letters it
-    shares with the previous word, and its record reads the running
-    counts and the DP's frontier states, both kept per line, so the DP
-    runs only over the rebuilt lines (and those looked up in the
-    `_Graph`'s memo)."""
-    g = _Graph()
-    for w in _build_each(words, g):
-        yield w, _record(g, ham)
+    `word_stats(w, ham)`, all read off its grid graph (area and
+    semiperimeter by Euler's formula, `polyomino.Geometry`), with
+    Hamiltonicity decided only when `ham` is set.  The sweep walks each
+    word's lines on one `_Automaton` and keeps per line the node before
+    it and the running counts of the lines before it, so a word resumes
+    at its first line not shared with the previous word
+    (`polyomino._kept_lines`) and a rebuilt line costs one lookup of an
+    int in the automaton's edges and one sum of count tuples."""
+    lines = _Automaton(True, ham)
+    keys, get, edge = lines.keys, lines.edges.get, lines.edge
+    path = [(0, (0, 0, 0, 0, 0))]  # path[x]: node before line x, counts of lines < x
+    for w, x in polyomino._kept_lines(words):
+        bits = w.bits
+        del path[x + 1:]
+        node, counts = path[x]
+        for b in bits[x:]:
+            node, increment = get(node + b + 1) or edge(node, b + 1, len(path) - 1)
+            counts = tuple(map(add, counts, increment))
+            path.append((node, counts))
+        node, increment = get(node) or edge(node, 0, len(bits))
+        nv, ne, d2, d3, d4 = map(add, counts, increment)
+        yield w, WordStats(*by_euler(nv, ne), nv, ne, d2, d3, d4,
+                           int(_CLOSED in keys[node // 3][2][1]) if ham else None)
 
 
 def to_dot(geo: Geometry, name: str = "G") -> str:

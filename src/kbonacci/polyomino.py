@@ -6,27 +6,23 @@ labels used by the graph module.
 
 `_add_lines` builds a polyomino's corners and sides line by line, from
 the vertical line x = 0 to x = n, each line from the heights of the
-columns on either side of it (`_LINES`), into a structure that can be
-cut back to a line: `_Lines` holds the vertex and edge lists, and
-`graph._Graph`, with the same `cut` and `add`, keeps per line just the
-grid graph's running counts and the frontier states of its
-Hamiltonicity DP.  `geometry` builds one polyomino.  `_build_each`
-keeps the lines a word shares with the previous one in a sequence of
-words: line x reads only letters x - 1 and x, so the words of one
-length in `iter_words` order rebuild about three lines each, not n + 1.
-`geometries` yields a sequence's geometries from it.  Euler's formula
-gives a geometry's area and semiperimeter (`Geometry`, `by_euler`).
+columns on either side of it (`_LINES`), into vertex and edge lists
+that can be cut back to a line.  `geometry` builds one polyomino.
+`_kept_lines` finds the lines a word shares with the previous one in a
+sequence of words: line x reads only letters x - 1 and x, so the words
+of one length in `iter_words` order rebuild about three lines each, not
+n + 1.  `geometries` yields a sequence's geometries from it, and
+`graph.sweep_stats` walks the same lines on its line automaton.
+Euler's formula gives a geometry's area and semiperimeter (`Geometry`,
+`by_euler`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .words import Word, _Frozen
-
-if TYPE_CHECKING:
-    from .graph import _Graph
 
 
 class Polyomino(_Frozen):
@@ -104,70 +100,51 @@ _LINES = {(left, right): _line(left, right)
           for left in range(3) for right in range(3) if left or right}
 
 
-class _Lines:
-    """The vertex and edge lists of a graph on integer ids, built line by
-    line by `_add_lines`: `cut(x)` drops every line from line x on, and
-    `add(base, corners, sides)` appends a line's corners and sides, as
-    offsets from the line's lowest id `base`.  Each line's ids exceed the
-    previous line's, so both lists ascend without a sort; `marks[i]`
-    holds their lengths before line i.  `graph._Graph` takes the same
-    `cut` and `add` and keeps per-line counts in place of the lists."""
-
-    def __init__(self) -> None:
-        self.vertices: list[int] = []
-        self.edges: list[tuple[int, int]] = []
-        self.marks = [(0, 0)]
-
-    def cut(self, x: int) -> None:
-        nv, ne = self.marks[x]
-        del self.vertices[nv:], self.edges[ne:], self.marks[x + 1:]
-
-    def add(self, base: int, corners: Sequence[int],
-            sides: Sequence[tuple[int, int]]) -> None:
-        vertices, edges = self.vertices, self.edges
+def _add_lines(bits: Sequence[int], x: int, vertices: list[int],
+               edges: list[tuple[int, int]], marks: list[tuple[int, int]]) -> None:
+    """Rebuild lines x, x + 1, ..., n of the polyomino of the letters
+    `bits` (n of them; column i has height bits[i] + 1) in the vertex
+    and edge lists of a graph on integer ids: cut them back to their
+    lengths before line x, `marks[x]`, then append the corners and sides
+    of each line at its ids 3x + y and its mark.  Each line's ids exceed
+    the previous line's, so both lists ascend without a sort.  Only the
+    letters from x - 1 on are read.  This is the one reader of `_LINES`
+    that builds geometry; the other, `graph._Automaton`, walks the same
+    lines as an automaton."""
+    nv, ne = marks[x]
+    del vertices[nv:], edges[ne:], marks[x + 1:]
+    base = 3 * x
+    left = bits[x - 1] + 1 if x else 0
+    for b in (*bits[x:], -1):  # -1: the closing line, with no column right of it
+        corners, sides = _LINES[left, b + 1]
         for y in corners:
             vertices.append(base + y)
         for u, v in sides:
             edges.append((base + u, base + v))
-        self.marks.append((len(vertices), len(edges)))
-
-
-def _add_lines(bits: Sequence[int], x: int, lines: _Lines | _Graph) -> None:
-    """Rebuild lines x, x + 1, ..., n of the polyomino of the letters
-    `bits` (n of them; column i has height bits[i] + 1) in `lines` (a
-    `_Lines` or a `graph._Graph`): cut it back to its state before line
-    x, then add the corners and sides of each line at its ids 3x + y.
-    Only the letters from x - 1 on are read.  This is the one reader of
-    `_LINES` that builds geometry; the other, `graph.check_ham_rule`,
-    runs the Hamiltonicity DP's step over it in the same order."""
-    lines.cut(x)
-    base = 3 * x
-    left = bits[x - 1] + 1 if x else 0
-    for right in [b + 1 for b in bits[x:]] + [0]:
-        corners, sides = _LINES[left, right]
-        lines.add(base, corners, sides)
+        marks.append((len(vertices), len(edges)))
         base += 3
-        left = right
+        left = b + 1
 
 
 def geometry(p: Polyomino) -> Geometry:
     """Corners and sides of every cell, built line by line from the
     column heights."""
-    lines = _Lines()
-    _add_lines([h - 1 for h in p.heights], 0, lines)
-    return Geometry(tuple(lines.vertices), tuple(lines.edges))
+    vertices: list[int] = []
+    edges: list[tuple[int, int]] = []
+    _add_lines([h - 1 for h in p.heights], 0, vertices, edges, [(0, 0)])
+    return Geometry(tuple(vertices), tuple(edges))
 
 
-def _build_each(words: Iterable[Word], lines: _Lines | _Graph) -> Iterator[Word]:
-    """Each nonempty word of `words`, once `lines` holds the lines of its
-    polyomino, built once per prefix: line x depends only on letters
-    x - 1 and x (counting from 0), so a word that shares its first i
+def _kept_lines(words: Iterable[Word]) -> Iterator[tuple[Word, int]]:
+    """Each nonempty word of `words` with the number x of its first
+    lines that equal the previous word's: line x depends only on letters
+    x - 1 and x (counting from 0), so a word that shares its first x
     letters with the previous one keeps the previous word's lines
-    0..i - 1 and rebuilds the rest.  In `iter_words` order, i is the new
+    0..x - 1 and rebuilds the rest.  In `iter_words` order, x is the new
     word's last 1 (the letter the successor raised; every later letter is
-    0), and comparing the first i letters confirms it.  When they differ,
-    or the length changes, every line is rebuilt, so any order of words
-    gets the right lines."""
+    0), and comparing the first x letters confirms it.  When they differ,
+    or the length changes, x is 0, so any order of words gets the right
+    lines."""
     last: tuple[int, ...] = ()
     for w in words:
         bits = w.bits
@@ -176,17 +153,19 @@ def _build_each(words: Iterable[Word], lines: _Lines | _Graph) -> Iterator[Word]
         x = len(bits) - 1 - bits[::-1].index(1) if 1 in bits else 0
         if len(bits) != len(last) or bits[:x] != last[:x]:
             x = 0
-        _add_lines(bits, x, lines)
         last = bits
-        yield w
+        yield w, x
 
 
 def geometries(words: Iterable[Word]) -> Iterator[tuple[Word, Geometry]]:
     """Each nonempty word with the geometry of its polyomino, equal to
-    `geometry(from_word(w))`, built once per prefix (`_build_each`)."""
-    lines = _Lines()
-    for w in _build_each(words, lines):
-        yield w, Geometry(tuple(lines.vertices), tuple(lines.edges))
+    `geometry(from_word(w))`, built once per prefix (`_kept_lines`)."""
+    vertices: list[int] = []
+    edges: list[tuple[int, int]] = []
+    marks = [(0, 0)]
+    for w, x in _kept_lines(words):
+        _add_lines(w.bits, x, vertices, edges, marks)
+        yield w, Geometry(tuple(vertices), tuple(edges))
 
 
 def area(p: Polyomino) -> int:

@@ -173,10 +173,11 @@ def _readers(name: str) -> set[tuple[str, str | None]]:
 def test_hamiltonicity_has_one_fast_path_and_one_oracle():
     """The CLI reads Hamiltonicity only from the odd-run rule, and
     verify's sweep only from the frontier DP.  The DP has one step,
-    `graph._step`: the sweep's graph and the rule's proof run it and
-    nothing else does, and only graph.py reads its closed mark, so a
-    second step function cannot appear without this test failing."""
-    assert _readers("_step") == {("graph", "_Graph.hamiltonian"), ("graph", "check_ham_rule")}
+    `graph._step`: the line automaton, which the sweep and the rule's
+    proof walk, and `is_hamiltonian` run it and nothing else does, and
+    only graph.py reads its closed mark, so a second step function cannot
+    appear without this test failing."""
+    assert _readers("_step") == {("graph", "_Automaton.edge"), ("graph", "is_hamiltonian")}
     assert {module for module, _ in _readers("_CLOSED")} == {"graph"}
 
     calls = _called_names(ast.parse((SRC / "cli.py").read_text()))
@@ -295,22 +296,22 @@ def _free_names(func: ast.FunctionDef) -> set[str]:
     return {node.id for node in names if isinstance(node.ctx, ast.Load)} - bound
 
 
-def _graph_oracle() -> dict[str, ast.FunctionDef]:
-    """The search core and the prefix structure: `is_hamiltonian`,
-    `degree_profile`, every method of `graph._Graph` and of its bases, and
-    every function or class of graph.py that any of them reads, by
+def _graph_oracle(*roots: str) -> dict[str, ast.FunctionDef]:
+    """`roots` and every function or class of graph.py and polyomino.py
+    that any of them reads, each class as its methods and its bases, by
     qualified name."""
     defs = {node.name: node for path in ("graph.py", "polyomino.py")
             for node in ast.parse((SRC / path).read_text()).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    todo = ["is_hamiltonian", "degree_profile", "_Graph"]
+    todo = list(roots)
     found: dict[str, ast.FunctionDef] = {}
     while todo:
         node = defs[todo.pop()]
         if isinstance(node, ast.ClassDef):
             funcs = [(f"{node.name}.{f.name}", f) for f in node.body
                      if isinstance(f, ast.FunctionDef)]
-            todo += [base.id for base in node.bases]
+            todo += [base.id for base in node.bases
+                     if isinstance(base, ast.Name) and base.id in defs]
         else:
             funcs = [(node.name, node)]
         for name, func in funcs:
@@ -320,32 +321,36 @@ def _graph_oracle() -> dict[str, ast.FunctionDef]:
     return found
 
 
-def test_the_search_reads_only_the_graph():
-    """The Hamiltonicity DP and the degree counts stay an oracle
-    independent of the odd-run rule and of the line table: the DP's step,
-    the per-prefix `_Graph`, its per-line degree count and every function
-    they call read only ids, edges, each other and builtins, never a
-    word's letters, the rule's tables, the line table or the rule's
-    proof.  `_Graph` takes no constructor argument, so a sweep keeps
-    one kind of graph."""
-    found = _graph_oracle()
-    assert set(found) == {
-        "is_hamiltonian", "degree_profile", "_step", "_corner_degrees",
-        "_Graph.__init__", "_Graph.of", "_Graph.cut", "_Graph.add", "_Graph.degrees",
-        "_Graph.hamiltonian"}
-    free = set().union(*map(_free_names, found.values()))
-    assert free == {"_CLOSED", "_Graph", "_corner_degrees", "_step", "ValueError", "all",
-                    "any", "dict", "divmod", "enumerate", "frozenset", "int", "len", "list",
-                    "max", "range", "set", "sorted", "sum", "tuple", "type", "zip"}
-    init = found["_Graph.__init__"].args
-    assert [a.arg for a in init.args] == ["self"]
-    assert not (init.vararg or init.kwonlyargs or init.kwarg)
+def _read(found: dict[str, ast.FunctionDef]) -> set[str]:
+    """The free names and the attribute names that `found` reads."""
     attributes = {node.attr for func in found.values() for node in ast.walk(func)
                   if isinstance(node, ast.Attribute)}
-    forbidden = {"bits", "text", "_LINES", "ODD_RUN_STEP", "ODD_RUN_ACCEPT",
-                 "hamiltonian_by_odd_runs", "check_ham_rule", "frontier", "polyomino",
-                 "words"}
-    assert not (free | attributes) & forbidden
+    return set().union(*map(_free_names, found.values())) | attributes
+
+
+def test_the_search_reads_only_the_graph():
+    """The Hamiltonicity DP and the degree counts stay an oracle
+    independent of the odd-run rule and of the line table: the search
+    core (`is_hamiltonian`, `degree_profile`, the DP's step, the per-line
+    degree count and every function they call) reads only ids, edges,
+    each other and builtins, never a word's letters, the rule's tables,
+    the line table or the rule's proof.  The line automaton and the
+    sweep that walks it may read the line table, but never the rule, so
+    the sweep's `ham` stays the DP's own verdict."""
+    found = _graph_oracle("is_hamiltonian", "degree_profile")
+    assert set(found) == {"is_hamiltonian", "degree_profile", "_one_line", "_step",
+                          "_corner_degrees"}
+    free = set().union(*map(_free_names, found.values()))
+    assert free == {"_CLOSED", "_START", "_corner_degrees", "_one_line", "_step", "ValueError",
+                    "all", "any", "dict", "divmod", "enumerate", "frozenset", "int", "len",
+                    "list", "max", "range", "set", "sorted", "sum", "tuple", "type"}
+    rule = {"ODD_RUN_STEP", "ODD_RUN_ACCEPT", "hamiltonian_by_odd_runs", "check_ham_rule"}
+    assert not _read(found) & (rule | {"bits", "text", "_LINES", "frontier", "polyomino",
+                                       "words"})
+    builder = _graph_oracle("_Automaton", "sweep_stats", "_kept_lines")
+    assert {"_Automaton.__init__", "_Automaton.edge", "_step", "_corner_degrees"} <= set(builder)
+    assert "_LINES" in _read(builder)
+    assert not _read(builder) & rule
 
 
 def test_graph_keeps_no_module_level_container():
@@ -368,10 +373,11 @@ def test_graph_keeps_no_module_level_container():
 
 def test_only_the_line_builder_and_the_automaton_read_the_line_table():
     """`polyomino._LINES` has one reader that builds geometry,
-    `polyomino._add_lines`, and one other, the rule's proof, which runs
-    the DP's step over it as an automaton, so a second line builder
-    cannot appear without this test failing."""
-    assert _readers("_LINES") == {("polyomino", "_add_lines"), ("graph", "check_ham_rule")}
+    `polyomino._add_lines`, and one other, the line automaton that the
+    sweep and the rule's proof walk, which runs the per-line rules over
+    it, so a second line builder cannot appear without this test
+    failing."""
+    assert _readers("_LINES") == {("polyomino", "_add_lines"), ("graph", "_Automaton.edge")}
 
 
 def test_the_readme_layout_lists_every_module():

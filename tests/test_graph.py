@@ -21,6 +21,7 @@ from kbonacci.polyomino import (
     Geometry,
     Polyomino,
     area,
+    by_euler,
     from_word,
     geometries,
     geometry,
@@ -450,29 +451,54 @@ class TestGraphInput:
         assert peak < 1 << 20
 
 
+def automata(monkeypatch) -> list:
+    """Every `graph._Automaton` made from now on, in order, each with an
+    edge table that counts its lookups (`Counted`)."""
+    made = []
+
+    class Recorded(graph._Automaton):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.edges = Counted()
+            made.append(self)
+
+    monkeypatch.setattr(graph, "_Automaton", Recorded)
+    return made
+
+
+def projected(automaton) -> set:
+    """The edges of an automaton as ((left height, frontier), right
+    height), the sides of a node left out: what `_step` reads."""
+    out = set()
+    for key in automaton.edges:
+        node, right = divmod(key, 3)
+        left, _, frontier = automaton.keys[node]
+        out.add(((left, frontier), right))
+    return out
+
+
 class TestSweepGraph:
-    """The per-prefix `graph._Graph` of a sweep against a graph built from
+    """The sweep's walk on its line automaton against a graph built from
     scratch from the same vertex and edge lists."""
 
     def test_every_word_in_every_order_equals_a_scratch_build(self):
         """In `iter_words` order, reversed, shuffled and with lengths mixed
-        (`sweep_orders`), the sweep's running counts equal a build from
-        scratch of the word's geometry, `geometry(from_word(w))`, and the
-        DP's verdict from the kept frontier states equals
-        `is_hamiltonian` of that geometry (built and decided once per
-        distinct word graph)."""
+        (`sweep_orders`), the sweep's counts equal a build from scratch of
+        the word's geometry, `geometry(from_word(w))`, and the DP's verdict
+        from the kept nodes equals `is_hamiltonian` of that geometry
+        (built and decided once per distinct word graph)."""
         built = {}
         for ws in sweep_orders():
-            g = graph._Graph()
             swept = []
-            for w in polyomino._build_each(ws, g):
+            for w, s in sweep_stats(ws, True):
                 if w.bits not in built:
                     geo = geometry(from_word(w))
-                    built[w.bits] = (scratch_build(geo.vertices, geo.edges),
-                                     is_hamiltonian(geo))
-                totals, verdict = built[w.bits]
-                assert (g.totals[-1], g.degrees()) == (totals, totals[2:]), w.text
-                assert g.hamiltonian() is verdict, w.text
+                    totals = scratch_build(geo.vertices, geo.edges)
+                    built[w.bits] = WordStats(*by_euler(*totals[:2]), *totals,
+                                              int(is_hamiltonian(geo)))
+                assert s == built[w.bits], w.text
                 swept.append(w)
             assert swept == ws
         assert len(built) == sum(count_words(n, 6) for n in range(1, 11))
@@ -502,57 +528,81 @@ class TestSweepGraph:
         non_hamiltonian = words = 0
         for k in (2, 3, 4, 6):
             for n in range(1, 11):
-                g = graph._Graph()
-                for w in polyomino._build_each(iter_words(n, k), g):
+                for w, s in sweep_stats(iter_words(n, k), True):
                     ham = hamiltonian_by_odd_runs(w)
-                    assert g.hamiltonian() is ham, w.text
+                    assert s.ham == ham, w.text
                     non_hamiltonian += not ham
                     words += 1
         assert (non_hamiltonian, words) == (2842, 5046)
 
-    def test_the_dp_runs_only_over_the_rebuilt_lines(self):
-        """A word of the sweep looks up one step per line it rebuilds, as
-        the frontier states of the lines it keeps are kept, and the memo
-        of steps stays small: the 4,934 words with k = 2..5 and n <= 10
-        need 20 distinct steps between 9 distinct frontiers (the start
-        and three dead ones, with no state left, among them)."""
-        g = graph._Graph()
-        g.memo = Counted()
-        ws = list(iter_words(10, 5))
-        built = [11] + [11 - max(i for i, b in enumerate(w.bits) if b) for w in ws[1:]]
-        for w in polyomino._build_each(ws, g):
-            g.hamiltonian()
-            assert len(g.frontiers) == len(g.lines) == len(w) + 2
-        assert g.memo.gets == sum(built) < 3.1 * len(ws)
-        g = graph._Graph()
+    def test_the_dp_runs_only_over_the_rebuilt_lines(self, monkeypatch):
+        """The sweep runs the DP's step only where a rebuilt line takes an
+        edge of its automaton for the first time, so once per edge: the
+        4,934 words with k = 2..5 and n <= 10 reach 13 nodes and 26 edges
+        with `ham`, between 9 distinct frontiers (the start and three
+        dead ones, with no state left, among them), and a sweep without
+        `ham` runs no step."""
+        made = automata(monkeypatch)
+        steps = []
+        step = graph._step
+        monkeypatch.setattr(graph, "_step", lambda *args: steps.append(args) or step(*args))
         words = [w for k in range(2, 6) for n in range(1, 11) for w in iter_words(n, k)]
         assert len(words) == 4934
-        for w in polyomino._build_each(words, g):
-            g.hamiltonian()
-        assert len(g.memo) == 20
-        assert len(set(g.memo.values()) | {f for f, *_ in g.memo}) == 9
+        assert len(list(sweep_stats(words, True))) == 4934
+        table = made[-1]
+        assert (len(table.keys), len(table.edges), len(steps)) == (13, 26, 26)
+        assert len({frontier for _, _, frontier in table.keys}) == 9
+        steps.clear()
+        assert len(list(sweep_stats(words, False))) == 4934
+        assert steps == []
 
-    def test_a_rebuilt_line_costs_one_count_lookup(self):
-        """A word of the sweep looks up the counts of each line it rebuilds
-        once and keeps the running counts of the lines before it, and the
-        memo of line contexts stays small: the 4,934 words with k = 2..5
-        and n <= 10 have 11, a first line beside a column of height 1 or
-        2, and the three lines that can follow a line of each of three
-        kinds (vertical sides of height 1 and a right column of height 1;
-        of height 2 and 1; of height 2 and 2)."""
-        g = graph._Graph()
-        g.increments = Counted()
+    def test_a_rebuilt_line_costs_one_count_lookup(self, monkeypatch):
+        """A word of the sweep looks up each line it rebuilds once in the
+        automaton's edges, from the node kept before its first rebuilt
+        line, and keeps the running counts of the lines before it; each
+        edge's counts are computed once: the 4,934 words with k = 2..5 and
+        n <= 10 reach 6 nodes and 11 edges without `ham`, a first line
+        beside a column of height 1 or 2, and the three lines that can
+        follow a line of each of three kinds (vertical sides of height 1
+        and a right column of height 1; of height 2 and 1; of height 2
+        and 2)."""
+        made = automata(monkeypatch)
+        counted = []
+        degrees = graph._corner_degrees
+        monkeypatch.setattr(graph, "_corner_degrees",
+                            lambda *args: counted.append(args) or degrees(*args))
         ws = list(iter_words(10, 5))
         built = [11] + [11 - max(i for i, b in enumerate(w.bits) if b) for w in ws[1:]]
-        gets = 0
-        for w, lines in zip(polyomino._build_each(ws, g), built):
-            assert g.increments.gets - gets == lines, w.text
-            assert len(g.totals) == len(g.lines) == len(w) + 2
-            gets = g.increments.gets
-        g = graph._Graph()
+        for ham in (False, True):
+            gets = 0
+            for (w, _), lines in zip(sweep_stats(ws, ham), built):
+                assert made[-1].edges.gets - gets == lines, w.text
+                gets = made[-1].edges.gets
+            assert gets == sum(built) < 3.1 * len(ws)
         words = [w for k in range(2, 6) for n in range(1, 11) for w in iter_words(n, k)]
-        assert len(list(polyomino._build_each(words, g))) == 4934
-        assert len(g.increments) == 11
+        counted.clear()
+        assert len(list(sweep_stats(words, False))) == 4934
+        assert (len(made[-1].keys), len(made[-1].edges), len(counted)) == (6, 11, 11)
+
+
+class TestSweepCoveredByTheProof:
+    """Every DP step the sweep takes is one that `check_ham_rule` checks,
+    so the proof covers the sweep's verdicts, and the sweep's automaton
+    stays bounded at any n."""
+
+    def test_every_edge_of_the_sweep_is_an_edge_of_the_proof(self, monkeypatch):
+        made = automata(monkeypatch)
+        assert graph.check_ham_rule().counterexample is None
+        proof = projected(made[-1])
+        words = [w for k in range(2, 8) for n in range(1, 13) for w in iter_words(n, k)]
+        assert len(list(sweep_stats(words, True))) == len(words) == 33596
+        swept = made[-1]
+        assert (len(swept.keys), len(swept.edges)) == (13, 26)
+        assert projected(swept) <= proof
+        long = [Word((1,) * 499 + (0,) + (1,) * 499, 500), Word((1,) * 999, 1000)]
+        assert [s.ham for _, s in sweep_stats(long, True)] == [1, 1]
+        assert set(made[-1].keys) <= set(swept.keys)
+        assert projected(made[-1]) <= proof
 
 
 class TestReversalSymmetry:
@@ -686,7 +736,8 @@ class TestRuleProof:
         # the start node, where the sweep starts too, is excepted from the
         # proof although the DFA accepts in its start state
         assert (0, 0) not in polyomino._LINES
-        assert graph._Graph().frontiers == [(0, START)]
+        assert graph._START == START
+        assert graph._Automaton(True, True).keys == [(0, (), START)]
         assert graph._CLOSED not in START[1]
         assert graph.ODD_RUN_ACCEPT[0] is True
         assert graph.check_ham_rule().counterexample is None

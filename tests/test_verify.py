@@ -321,25 +321,31 @@ class TestTiming:
 
 class _Counts:
     """Counts the records `graph.sweep_stats` yields, by (word, k, ham
-    asked), and Hamiltonicity searches: the calls of the sweep graph's
-    `hamiltonian`."""
+    asked), and Hamiltonicity searches: the calls of the DP's step,
+    `graph._step`, which a sweep runs once per edge of its automaton.
+    `swept[i]` holds the searches of the i-th sweep that asked for
+    Hamiltonicity and ran to its end."""
 
     def __init__(self, monkeypatch):
         self.records = collections.Counter()
         self.searches = 0
-        sweep, search = graph.sweep_stats, graph._Graph.hamiltonian
+        self.swept = []
+        sweep, search = graph.sweep_stats, graph._step
 
         def counted_sweep(ws, ham):
+            before = self.searches
             for w, stats in sweep(ws, ham):
                 self.records[w.bits, w.k, ham] += 1
                 yield w, stats
+            if ham:
+                self.swept.append(self.searches - before)
 
-        def counted_search(g):
+        def counted_search(*args):
             self.searches += 1
-            return search(g)
+            return search(*args)
 
         monkeypatch.setattr(graph, "sweep_stats", counted_sweep)
-        monkeypatch.setattr(graph._Graph, "hamiltonian", counted_search)
+        monkeypatch.setattr(graph, "_step", counted_search)
 
     def snapshot(self):
         return sum(self.records.values()), self.searches
@@ -359,7 +365,13 @@ class TestSharedSweeps:
         assert {(bits, k) for bits, k, _ in counts.records} == _words(8, 4)
         searched = {(bits, k) for bits, k, ham in counts.records if ham}
         assert searched == _words(7, 4)
-        assert counts.searches == len(searched)
+        # one sweep per (n, k) up to the cap, each running the DP's step
+        # at most once per edge of its automaton (26 edges at most), and
+        # the rule's proof, once per edge of its 20
+        assert len(counts.swept) == 7 * 3
+        assert all(0 < steps <= 26 for steps in counts.swept)
+        assert sum(counts.swept) < len(searched)
+        assert counts.searches == sum(counts.swept) + 20
 
     def test_no_search_without_a_suite_that_reads_ham(self, monkeypatch):
         counts = _Counts(monkeypatch)
@@ -429,7 +441,9 @@ class TestOneRun:
         assert all(r.status == "pass" for r in reversal_check(3, 6))
         assert counts.searches == 0
         assert all(r.status == "pass" for r in cross_check("ham", 3, 6))
-        assert counts.searches == sum(words.count_words(n, 3) for n in range(1, 7))
+        assert len(counts.swept) == 6
+        assert all(0 < steps <= 26 for steps in counts.swept)
+        assert sum(counts.swept) == counts.searches
 
 
 class TestHamRule:
