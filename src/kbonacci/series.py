@@ -10,34 +10,24 @@ variables: by total degree, then by exponent tuple.  The order is made
 once, where terms are made: the checked constructor, `+`, `*` and
 `specialize` order their results, and each expanded coefficient is
 unpacked from one sort of its packed integer keys.  Unary `-`, scalar
-`*` and `rename` keep their operand's order, and `to_text`,
-`to_json_terms` and every other reader iterate `terms` as they are,
-with no sort of their own.
+`*` and `rename` keep their operand's order, and `to_text` and every
+other reader iterate `terms` as they are, with no sort of their own.
 
-Univariate generating functions (the named totals, and any family with
-all its markers specialized) have integer kernels of their own:
-`iter_expand` runs them on `expand_ints`, and `MultiPoly.to_text` renders
-a polynomial in no variables as its constant.  The packed multivariate
-recurrence serves only generating functions with markers.
-
-`iter_expand` yields the coefficients one at a time and holds only the
-recurrence window, so a caller that prints each coefficient as it comes
-never holds the whole expansion; `expand` is its list.
-
-The packed recurrence (`_iter_packed`) lets each coefficient go once, as
-its exponent columns (one list per marker) and its coefficient list, in
-graded-lex order; only this module reads that form.  `iter_expand` zips
-the columns into a `MultiPoly`.  `iter_text` and `iter_json_terms`, which
-`kbonacci series` prints, render the columns straight into the bytes of
-`to_text` and of `json.dumps(to_json_terms())` through `_text` and
-`_json_terms`, with no per-term tuple, polynomial or dict between;
-`to_text` itself calls `_text`.  A gf in x alone keeps the `MultiPoly`
-path of its integer kernel.
+`iter_expand`, `iter_text` and `iter_json_terms` read one coefficient
+stream, `_coefficients`: each coefficient leaves the recurrence once, as
+soon as it is done with, as its exponent columns (one list per marker)
+and its coefficient list, in graded-lex order, and only the recurrence
+window is held.  A gf with markers runs on packed exponent keys
+(`_iter_packed`), a gf in x alone on plain ints (`_iter_ints`).
+`iter_expand` zips the columns into a `MultiPoly` (`expand` is its
+list); `iter_text` and `iter_json_terms`, which `kbonacci series`
+prints, render them through `_text` (which `to_text` calls too) and
+`_json_terms`, with no per-term tuple, polynomial or dict between.
 """
 
 from __future__ import annotations
 
-import json
+from collections import deque
 from functools import lru_cache, partial
 from itertools import repeat, starmap
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -89,9 +79,9 @@ def _text(variables: tuple[str, ...], columns: Iterable[Iterable[int]],
 
 
 def _json_terms(columns: Iterable[Iterable[int]], coefs: Iterable[int]) -> str:
-    """`json.dumps` of the `to_json_terms` of the polynomial whose terms
-    have the exponent `columns` and the coefficients `coefs`, written
-    from the columns by one format per term, with no per-term dict."""
+    """`json.dumps` of the terms, each {"exp": [...], "coef": "<int>"}, of
+    the polynomial with the exponent `columns` and the coefficients
+    `coefs`, written by one format per term, with no per-term dict."""
     columns = list(columns)
     term = '{{"exp": [' + ", ".join(["{}"] * len(columns)) + '], "coef": "{}"}}'
     return "[" + ", ".join(map(term.format, *columns, coefs)) + "]"
@@ -288,12 +278,7 @@ class MultiPoly:
     # -- serialization ------------------------------------------------
 
     def to_text(self) -> str:
-        if not self.variables:  # a constant: `_text` would yield str(c)
-            return str(self.terms.get((), 0))
         return _text(self.variables, zip(*self.terms), self.terms.values())
-
-    def to_json_terms(self) -> list[dict]:
-        return [{"exp": list(e), "coef": str(c)} for e, c in self.terms.items()]
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.variables!r}, {self.to_text()!r})"
@@ -368,44 +353,42 @@ def iter_expand(gf: RationalGF, n_max: int) -> Iterator[MultiPoly]:
     its terms in graded-lex order.
 
     With numerator slices N_j and denominator slices D_j (D_0 = 1), the
-    coefficients satisfy c_n = N_n - sum_{j>=1} D_j c_{n-j}.  A gf in x
-    alone runs the recurrence on plain ints (`expand_ints`), and each
-    c_n becomes a constant polynomial in no variables.  Otherwise the
-    recurrence runs on packed exponent keys (`_iter_packed`), and each
-    c_n is the `MultiPoly` view of the exponent columns and coefficient
-    list it leaves the recurrence as: its terms zip the columns, and it
-    is built by `MultiPoly._trusted` with no checks.
+    coefficients satisfy c_n = N_n - sum_{j>=1} D_j c_{n-j}.  Each c_n is
+    the `MultiPoly` view, built by `MultiPoly._trusted` with no checks, of
+    the columns and coefficients it leaves `_coefficients` as (a gf in x
+    alone has no column, and its term has the key ()).
 
     `n_max` is checked at the call, not at the first `next()`.
     """
-    _check_n_max(n_max)
-    if not gf.aux_variables:
-        return (MultiPoly._trusted((), {(): c} if c else {})
-                for c in expand_ints(gf, n_max))
     aux = gf.aux_variables
-    return (MultiPoly._trusted(aux, dict(zip(zip(*columns), coefs)))
-            for columns, coefs in _iter_packed(gf, n_max))
+    return (MultiPoly._trusted(aux, dict(zip(zip(*columns) if columns else repeat(()), coefs)))
+            for columns, coefs in _coefficients(gf, n_max))
 
 
 def iter_text(gf: RationalGF, n_max: int) -> Iterator[str]:
-    """`c.to_text()` for each c of `iter_expand(gf, n_max)`, in order.  A
-    gf with markers renders each coefficient straight from the exponent
-    columns `_iter_packed` yields, building no `MultiPoly`."""
-    if not gf.aux_variables:
-        return map(MultiPoly.to_text, iter_expand(gf, n_max))
-    _check_n_max(n_max)
-    return starmap(partial(_text, gf.aux_variables), _iter_packed(gf, n_max))
+    """`c.to_text()` for each c of `iter_expand(gf, n_max)`, in order,
+    rendered straight from the exponent columns of `_coefficients`,
+    building no `MultiPoly`."""
+    return starmap(partial(_text, gf.aux_variables), _coefficients(gf, n_max))
 
 
 def iter_json_terms(gf: RationalGF, n_max: int) -> Iterator[str]:
-    """`json.dumps(c.to_json_terms())` for each c of `iter_expand(gf,
-    n_max)`, in order.  A gf with markers writes each coefficient straight
-    from the exponent columns `_iter_packed` yields, building no
-    `MultiPoly` and no per-term dict."""
-    if not gf.aux_variables:
-        return map(json.dumps, map(MultiPoly.to_json_terms, iter_expand(gf, n_max)))
+    """The JSON list of the terms of each c of `iter_expand(gf, n_max)`,
+    in order, written straight from the exponent columns of
+    `_coefficients` (`_json_terms`), building no `MultiPoly` and no
+    per-term dict."""
+    return starmap(_json_terms, _coefficients(gf, n_max))
+
+
+def _coefficients(gf: RationalGF, n_max: int) -> Iterator[tuple[list[list[int]], list[int]]]:
+    """Each c_n of x^0..x^n_max once, in order, as the (exponent columns,
+    coefficients) pair of `_iter_packed`; a gf in x alone runs `_iter_ints`,
+    and c leaves as `([], [c])`, or `([], [])` when c = 0.  `n_max` is
+    checked here, at the call."""
     _check_n_max(n_max)
-    return starmap(_json_terms, _iter_packed(gf, n_max))
+    if gf.aux_variables:
+        return _iter_packed(gf, n_max)
+    return (([], [c] if c else []) for c in _iter_ints(gf, n_max))
 
 
 def _iter_packed(gf: RationalGF, n_max: int) -> Iterator[tuple[list[list[int]], list[int]]]:
@@ -483,27 +466,32 @@ def _iter_packed(gf: RationalGF, n_max: int) -> Iterator[tuple[list[list[int]], 
         yield unpack(packed)
 
 
+def _iter_ints(gf: RationalGF, n_max: int) -> Iterator[int]:
+    """The recurrence of `iter_expand` on ints, for a gf in x alone and an
+    `n_max` already checked: each c_n is yielded as it is made, and only
+    the last `depth` (the denominator's degree) are kept, as zeros before
+    c_0."""
+    num = {e: coef for (e,), coef in gf.numerator.terms.items()}
+    # (i, D_j) with i = -j, by increasing j as terms in x alone iterate:
+    # c_{n-j} is window[i]
+    den = [(-e, coef) for (e,), coef in gf.denominator.terms.items() if e]
+    depth = -den[-1][0] if den else 0
+    window = deque([0] * depth, maxlen=depth)  # c_{n-depth}..c_{n-1}
+    for n in range(n_max + 1):
+        c = num.get(n, 0)
+        for i, dj in den:
+            c -= dj * window[i]
+        yield c
+        window.append(c)
+
+
 def expand_ints(gf: RationalGF, n_max: int) -> list[int]:
     """expand() for a univariate gf, coefficients as plain integers: the
-    same recurrence c_n = N_n - sum_{j>=1} D_j c_{n-j} on ints, with
-    D_0 = 1 guaranteed by `RationalGF`."""
+    list of the recurrence `_iter_ints`."""
     if gf.aux_variables:
         raise ValueError("expand_ints requires a gf in x alone")
     _check_n_max(n_max)
-    coeffs = [0] * (n_max + 1)
-    for (e,), coef in gf.numerator.terms.items():
-        if e <= n_max:
-            coeffs[e] = coef
-    # terms in x alone iterate by increasing exponent
-    den = [(e, coef) for (e,), coef in gf.denominator.terms.items() if e]
-    for n in range(1, n_max + 1):
-        c = coeffs[n]
-        for j, dj in den:
-            if j > n:
-                break
-            c -= dj * coeffs[n - j]
-        coeffs[n] = c
-    return coeffs
+    return list(_iter_ints(gf, n_max))
 
 
 def total_weight_series(gf: RationalGF, var: str, n_max: int) -> list[int]:

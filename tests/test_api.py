@@ -354,9 +354,10 @@ def test_the_search_reads_only_the_graph():
 
 
 def test_graph_keeps_no_module_level_container():
-    """The DP's memo lives on each `_Graph`, so it is dropped with its
-    sweep: graph.py binds no dict, list or set at module level, by
-    assignment or as a cache decorator, and `_CLOSED` is immutable."""
+    """The DP's memo lives on the `_Automaton` that each sweep makes and
+    owns, so it is dropped with its sweep: graph.py binds no dict, list
+    or set at module level, by assignment or as a cache decorator, and
+    `_CLOSED` is immutable."""
     tree = ast.parse((SRC / "graph.py").read_text())
     bound = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
              for target in (node.targets if isinstance(node, ast.Assign) else [node.target])

@@ -15,6 +15,13 @@ def run(capsys, *argv):
     return code, out
 
 
+def _reference_json_terms(p):
+    """The terms of `p` in graded-lex order, as `series --format json`
+    lists them."""
+    return [{"exp": list(e), "coef": str(c)}
+            for e, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]))]
+
+
 class TestCount:
     def test_paper_listings(self, capsys):
         assert run(capsys, "count", "--n", "3", "--k", "2") == (0, "5\n")
@@ -272,7 +279,7 @@ class TestSeries:
               else series.gf_named_total(family.removesuffix("-total"), k))
         coeffs = series.expand(gf.specialize({v: 1 for v in at_one.split(",") if v}), 12)
         payload = {"family": family, "k": k,
-                   "coefficients": [{"n": n, "terms": coeffs[n].to_json_terms()}
+                   "coefficients": [{"n": n, "terms": _reference_json_terms(coeffs[n])}
                                     for n in range(1, 13)]}
         assert out == json.dumps(payload) + "\n"
 
@@ -302,47 +309,31 @@ class TestSeries:
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_coefficients_stream_as_they_come(self, capsys, monkeypatch, fmt):
-        iter_expand = series.iter_expand
+        # a gf in x alone and a gf with markers print from the one stream
+        cases = [(family, k, *series.expand(gf, 2)[1:]) for family, k, gf in
+                 (("area-total", 2, series.gf_named_total("area", 2)),
+                  ("degree", 3, series.gf_degree(3)))]
+        assert [c.to_text() for c in cases[0][2:]] == ["3", "8"]
+        coefficients = series._coefficients
 
         def three_then_fail(gf, n_max):
-            it = iter_expand(gf, n_max)
+            it = coefficients(gf, n_max)
             yield from (next(it) for _ in range(3))
             raise RuntimeError("no more terms")
 
-        monkeypatch.setattr(series, "iter_expand", three_then_fail)
-        code = cli.main(["series", "--family", "area-total", "--k", "2",
-                         "--terms", "5", "--format", fmt])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err == "error: RuntimeError: no more terms\n"
-        assert captured.out == {
-            "text": "3\n8\n", "csv": "n,coefficient\n1,3\n2,8\n",
-            "json": '{"family": "area-total", "k": 2, "coefficients": ['
-                    '{"n": 1, "terms": [{"exp": [], "coef": "3"}]}, '
-                    '{"n": 2, "terms": [{"exp": [], "coef": "8"}]}'}[fmt]
-
-    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-    def test_marker_coefficients_stream_as_they_come(self, capsys, monkeypatch, fmt):
-        c1, c2 = series.expand(series.gf_degree(3), 2)[1:]
-        iter_packed = series._iter_packed
-
-        def three_then_fail(gf, n_max):
-            it = iter_packed(gf, n_max)
-            yield from (next(it) for _ in range(3))
-            raise RuntimeError("no more terms")
-
-        monkeypatch.setattr(series, "_iter_packed", three_then_fail)
-        code = cli.main(["series", "--family", "degree", "--k", "3",
-                         "--terms", "5", "--format", fmt])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err == "error: RuntimeError: no more terms\n"
-        assert captured.out == {
-            "text": f"{c1.to_text()}\n{c2.to_text()}\n",
-            "csv": f"n,coefficient\n1,{c1.to_text()}\n2,{c2.to_text()}\n",
-            "json": '{"family": "degree", "k": 3, "coefficients": ['
-                    f'{{"n": 1, "terms": {json.dumps(c1.to_json_terms())}}}, '
-                    f'{{"n": 2, "terms": {json.dumps(c2.to_json_terms())}}}'}[fmt]
+        monkeypatch.setattr(series, "_coefficients", three_then_fail)
+        for family, k, c1, c2 in cases:
+            code = cli.main(["series", "--family", family, "--k", str(k),
+                             "--terms", "5", "--format", fmt])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.err == "error: RuntimeError: no more terms\n"
+            assert captured.out == {
+                "text": f"{c1.to_text()}\n{c2.to_text()}\n",
+                "csv": f"n,coefficient\n1,{c1.to_text()}\n2,{c2.to_text()}\n",
+                "json": f'{{"family": "{family}", "k": {k}, "coefficients": ['
+                        f'{{"n": 1, "terms": {json.dumps(_reference_json_terms(c1))}}}, '
+                        f'{{"n": 2, "terms": {json.dumps(_reference_json_terms(c2))}}}'}[fmt]
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_marker_coefficients_build_no_polynomial(self, capsys, monkeypatch, fmt):

@@ -5,7 +5,8 @@
   on poly and graph, and --vars-at-1 q3 and --vars-at-1 q2,q4 on degree at
   k = 3 and 5.  Taken from the plain MultiPoly recurrence; the partly
   specialized degree cases from the packed recurrence that yielded
-  MultiPoly coefficients to `to_text` and `to_json_terms`.
+  MultiPoly coefficients to `to_text` and to a JSON term list, whose
+  bytes `series._json_terms` now writes from exponent columns.
 - golden/enumerate_sha256.json: `enumerate --with-stats` at k = 2..5 and
   n = 1..6 in text, json and csv, plus `--n 16 --k 3` in csv, past the
   length that `verify --ham-cap` lets the Hamiltonicity DP decide: its ham
