@@ -307,33 +307,45 @@ class TestSeries:
         assert captured.out == ""
         assert captured.err == "error: variables ['z'] not in ('p', 'q')\n"
 
-    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-    def test_coefficients_stream_as_they_come(self, capsys, monkeypatch, fmt):
-        # a gf in x alone and a gf with markers print from the one stream
-        cases = [(family, k, *series.expand(gf, 2)[1:]) for family, k, gf in
-                 (("area-total", 2, series.gf_named_total("area", 2)),
-                  ("degree", 3, series.gf_degree(3)))]
-        assert [c.to_text() for c in cases[0][2:]] == ["3", "8"]
-        coefficients = series._coefficients
+    @staticmethod
+    def _assert_two_then_error(capsys, monkeypatch, stream, family, k, fmt):
+        """Patch `series.<stream>` to fail after its third coefficient and
+        check that `series` printed c_1 and c_2 of `family` before the error."""
+        c1, c2 = series.expand(verify.FAMILIES[family].gf(k) if family in verify.FAMILIES
+                               else series.gf_named_total(family.removesuffix("-total"), k),
+                               2)[1:]
+        original = getattr(series, stream)
 
         def three_then_fail(gf, n_max):
-            it = coefficients(gf, n_max)
+            it = original(gf, n_max)
             yield from (next(it) for _ in range(3))
             raise RuntimeError("no more terms")
 
-        monkeypatch.setattr(series, "_coefficients", three_then_fail)
-        for family, k, c1, c2 in cases:
-            code = cli.main(["series", "--family", family, "--k", str(k),
-                             "--terms", "5", "--format", fmt])
-            captured = capsys.readouterr()
-            assert code == 2
-            assert captured.err == "error: RuntimeError: no more terms\n"
-            assert captured.out == {
-                "text": f"{c1.to_text()}\n{c2.to_text()}\n",
-                "csv": f"n,coefficient\n1,{c1.to_text()}\n2,{c2.to_text()}\n",
-                "json": f'{{"family": "{family}", "k": {k}, "coefficients": ['
-                        f'{{"n": 1, "terms": {json.dumps(_reference_json_terms(c1))}}}, '
-                        f'{{"n": 2, "terms": {json.dumps(_reference_json_terms(c2))}}}'}[fmt]
+        monkeypatch.setattr(series, stream, three_then_fail)
+        code = cli.main(["series", "--family", family, "--k", str(k),
+                         "--terms", "5", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: RuntimeError: no more terms\n"
+        assert captured.out == {
+            "text": f"{c1.to_text()}\n{c2.to_text()}\n",
+            "csv": f"n,coefficient\n1,{c1.to_text()}\n2,{c2.to_text()}\n",
+            "json": f'{{"family": "{family}", "k": {k}, "coefficients": ['
+                    f'{{"n": 1, "terms": {json.dumps(_reference_json_terms(c1))}}}, '
+                    f'{{"n": 2, "terms": {json.dumps(_reference_json_terms(c2))}}}'}[fmt]
+        return c1, c2
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_coefficients_stream_as_they_come(self, capsys, monkeypatch, fmt):
+        # a gf in x alone prints from the shared stream
+        c1, c2 = self._assert_two_then_error(capsys, monkeypatch, "_coefficients",
+                                             "area-total", 2, fmt)
+        assert [c1.to_text(), c2.to_text()] == ["3", "8"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_marker_coefficients_stream_as_they_come(self, capsys, monkeypatch, fmt):
+        # a gf with markers prints from the packed recurrence under that stream
+        self._assert_two_then_error(capsys, monkeypatch, "_iter_packed", "degree", 3, fmt)
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_marker_coefficients_build_no_polynomial(self, capsys, monkeypatch, fmt):
