@@ -1,11 +1,15 @@
 """Closed-form sequences, recurrences, identities, telescoping-certificate
 checks, and the exact asymptotic degree proportions for the k = 2 family.
 
-Each k = 2 fact is held once: `RECURRENCES`, `CLOSED_FORMS` and
-`series_sides` for the five polynomial families t, v, d2, d3 and d4, and
-`DEGREES` for the degree index j, which `verify`'s formula suite loops
-over.  An identity's functions each return one evaluation, so a
-disagreement is a failing verify row, not an exception.
+Each k = 2 fact is held once: one table of recurrences (`_RULES`), read
+by the per-n `RECURRENCES` functions and by `recurrence_sides`, with
+`CLOSED_FORMS` and `series_sides`, for the five polynomial families t, v,
+d2, d3 and d4, and `DEGREES` for the degree index j, which `verify`'s
+formula suite loops over.  The suite reads each recurrence from one walk
+(`recurrence_sides`) and decides the degree partition for every n by
+cross-multiplying generating functions (`degree_partition_break`).  An
+identity's functions each return one evaluation, so a disagreement is a
+failing verify row, not an exception.
 
 Binomial convention: C(m, r) = 0 unless 0 <= r <= m, with one extension
 on the Pascal diagonal: C(m, m) = 1 also for negative m.  The
@@ -17,12 +21,16 @@ affected (their sums never touch the negative diagonal).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
-from .series import (MultiPoly, expand, expand_ints, gf_degree, gf_graph, gf_named_total,
-                     gf_polyomino)
+from .series import MultiPoly, expand, gf_degree, gf_graph, gf_named_total, gf_polyomino
+# read by no code here since the partition check stopped expanding; kept
+# bound because perfbench's install check looks it up (ROADMAP item 3)
+from .series import expand_ints  # noqa: F401
 from .words import check_n, enumerate_words, generalized_fibonacci
 
 PQ = ("p", "q")
@@ -52,46 +60,93 @@ def _check_n(n: int, low: int = 1) -> None:
         raise ValueError(f"index must be >= {low}, got {n}")
 
 
-def _walk(n: int, variables: tuple[str, ...],
-          first: dict[tuple[int, ...], int], second: dict[tuple[int, ...], int],
-          shift1: tuple[int, ...], shift2: tuple[int, ...]) -> MultiPoly:
-    """a_n of a_m = X1 a_{m-1} + X2 a_{m-2} from a_1 = `first` and
-    a_2 = `second`, where X1 and X2 are the monomials with coefficient 1
-    and exponent vectors `shift1` and `shift2`, walked forward from m = 1:
-    no recursion, and nothing is kept between calls.
+class _Recurrence(NamedTuple):
+    """a_m = X1 a_{m-1} + X2 a_{m-2} for m >= 3, over `variables`: a_1 and
+    a_2 as {exponent vector: coefficient}, and the exponent vectors of
+    the monomials X1 and X2, whose coefficients are 1."""
+
+    variables: tuple[str, ...]
+    first: dict[tuple[int, ...], int]
+    second: dict[tuple[int, ...], int]
+    shift1: tuple[int, ...]
+    shift2: tuple[int, ...]
+
+
+def _walk(rule: _Recurrence, n_max: int) -> Iterator[Callable[[], MultiPoly]]:
+    """a_1..a_n_max of `rule` in one pass forward from m = 1, with no
+    recursion and nothing kept between calls.  Each a_m is yielded as a
+    function of no arguments that builds its `MultiPoly`, so only the a_m
+    a caller reads become polynomials; the walk itself steps on dicts.
 
     Exponent vectors are packed into ints: variable i takes bits
     [width*i, width*(i+1)), and width bits hold every exponent up to
-    a_n's, so no field overflows and multiplying monomials adds keys.
+    a_n_max's, so no field overflows and multiplying monomials adds keys.
     Each a_m is an offset and a dict of terms keyed by packed exponents
     less that offset.  Multiplying by X1 then only moves the offset, so a
     step copies a_{m-1}'s dict and adds a_{m-2}'s terms into it."""
-    _check_n(n)
+    variables, first, second, shift1, shift2 = rule
     bound = (max(e for a in (first, second) for exps in a for e in exps)
-             + n * max(*shift1, *shift2))
+             + n_max * max(*shift1, *shift2))
     width = max(bound.bit_length(), 1)
     fields = range(0, width * len(variables), width)
+    mask = (1 << width) - 1
 
     def pack(exps: tuple[int, ...]) -> int:
         return sum(e << s for e, s in zip(exps, fields))
 
+    def unpack(off: int, terms: dict[int, int]) -> MultiPoly:
+        return MultiPoly(variables, {tuple((key + off) >> s & mask for s in fields): c
+                                     for key, c in terms.items()})
+
     s1, s2 = pack(shift1), pack(shift2)
-    prev = (0, {pack(e): c for e, c in first.items()})
-    cur = (0, {pack(e): c for e, c in second.items()}) if n > 1 else prev
-    for _ in range(n - 2):
-        (prev_off, prev_terms), (cur_off, cur_terms) = prev, cur
-        off = cur_off + s1
-        terms = cur_terms.copy()
-        get = terms.get
-        delta = prev_off + s2 - off
-        for key, c in prev_terms.items():
-            key += delta
-            terms[key] = get(key, 0) + c
-        prev, cur = cur, (off, terms)
-    off, terms = cur
-    mask = (1 << width) - 1
-    return MultiPoly(variables, {tuple((key + off) >> s & mask for s in fields): c
-                                 for key, c in terms.items()})
+    initial = [(0, {pack(e): c for e, c in a.items()}) for a in (first, second)]
+    prev = cur = None
+    for m in range(1, n_max + 1):
+        if m <= 2:
+            prev, cur = cur, initial[m - 1]
+        else:
+            (prev_off, prev_terms), (cur_off, cur_terms) = prev, cur
+            off = cur_off + s1
+            terms = cur_terms.copy()
+            get = terms.get
+            delta = prev_off + s2 - off
+            for key, c in prev_terms.items():
+                key += delta
+                terms[key] = get(key, 0) + c
+            prev, cur = cur, (off, terms)
+        yield partial(unpack, *cur)
+
+
+# The k = 2 polynomial families' recurrences, keyed and ordered as
+# `RECURRENCES`, whose functions read them, as `recurrence_sides` does.
+# The initial values are oracle-verified (see the test suite's erratum
+# fixtures).
+_RULES = {
+    "t": _Recurrence(PQ, {(2, 1): 1, (3, 2): 1}, {(3, 2): 1, (4, 3): 2}, (1, 1), (3, 3)),
+    "v": _Recurrence(PQ, {(4, 4): 1, (7, 6): 1}, {(7, 6): 1, (10, 8): 2}, (3, 2), (9, 6)),
+    "d2": _Recurrence(Q, {(4,): 2}, {(4,): 1, (5,): 2}, (0,), (2,)),
+    "d3": _Recurrence(Q, {(2,): 1, (0,): 1}, {(2,): 3}, (2,), (2,)),
+    "d4": _Recurrence(Q, {(0,): 2}, {(0,): 1, (1,): 2}, (0,), (2,)),
+}
+
+
+def _nth(name: str, n: int) -> MultiPoly:
+    """a_n of the family `name`'s recurrence: the last a_m of one walk,
+    the only one built as a `MultiPoly`."""
+    _check_n(n)
+    for a in _walk(_RULES[name], n):
+        pass
+    return a()
+
+
+def recurrence_sides(n_max: int) -> dict[str, list[MultiPoly]]:
+    """a_0..a_n_max of each family's recurrence, one walk per family, keyed
+    as `RECURRENCES`: the counterpart of `series_sides`.  a_0 is the zero
+    polynomial, the x^0 coefficient of sum_{n>=1} a_n x^n, so both sides
+    index by n alike."""
+    _check_n(n_max, 0)
+    return {name: [MultiPoly.zero(rule.variables), *(a() for a in _walk(rule, n_max))]
+            for name, rule in _RULES.items()}
 
 
 # ---------------------------------------------------------------------
@@ -100,7 +155,7 @@ def _walk(n: int, variables: tuple[str, ...],
 
 def t_poly(n: int) -> MultiPoly:
     """t_n by the recurrence t_n = pq t_{n-1} + p^3 q^3 t_{n-2}."""
-    return _walk(n, PQ, {(2, 1): 1, (3, 2): 1}, {(3, 2): 1, (4, 3): 2}, (1, 1), (3, 3))
+    return _nth("t", n)
 
 
 def t_poly_closed(n: int) -> MultiPoly:
@@ -118,7 +173,7 @@ def v_poly(n: int) -> MultiPoly:
 
     The second initial value is the oracle-verified p^7 q^6 + 2 p^10 q^8.
     """
-    return _walk(n, PQ, {(4, 4): 1, (7, 6): 1}, {(7, 6): 1, (10, 8): 2}, (3, 2), (9, 6))
+    return _nth("v", n)
 
 
 def v_poly_closed(n: int) -> MultiPoly:
@@ -130,12 +185,11 @@ def v_poly_closed(n: int) -> MultiPoly:
 
 # ---------------------------------------------------------------------
 # Degree-count polynomials for k = 2: d_{n,j}(q) = sum over length-n words
-# of q^(number of degree-j vertices), j in {2, 3, 4}.  Initial values are
-# oracle-verified (see the test suite's erratum fixtures).
+# of q^(number of degree-j vertices), j in {2, 3, 4}.
 
 def d2_poly(n: int) -> MultiPoly:
     """d_{n,2} by the recurrence d_n = d_{n-1} + q^2 d_{n-2}."""
-    return _walk(n, Q, {(4,): 2}, {(4,): 1, (5,): 2}, (0,), (2,))
+    return _nth("d2", n)
 
 
 def d2_poly_closed(n: int) -> MultiPoly:
@@ -147,7 +201,7 @@ def d2_poly_closed(n: int) -> MultiPoly:
 
 def d3_poly(n: int) -> MultiPoly:
     """d_{n,3} by the recurrence d_n = q^2 d_{n-1} + q^2 d_{n-2}."""
-    return _walk(n, Q, {(2,): 1, (0,): 1}, {(2,): 3}, (2,), (2,))
+    return _nth("d3", n)
 
 
 def d3_poly_closed(n: int) -> MultiPoly:
@@ -167,7 +221,7 @@ def d3_poly_closed(n: int) -> MultiPoly:
 
 def d4_poly(n: int) -> MultiPoly:
     """d_{n,4} by the recurrence d_n = d_{n-1} + q^2 d_{n-2}."""
-    return _walk(n, Q, {(0,): 2}, {(0,): 1, (1,): 2}, (0,), (2,))
+    return _nth("d4", n)
 
 
 def d4_poly_closed(n: int) -> MultiPoly:
@@ -260,12 +314,23 @@ def narayana_binomial(n: int) -> int:
 def degree_partition_break(n_max: int) -> int | None:
     """The first n <= n_max at which the totals of degree-2, 3 and 4
     vertices over length-n words with k = 2 do not sum to the vertex
-    total, by their named generating functions, or None."""
+    total, by their named generating functions, or None.
+
+    Decided for every n at once by cross-multiplying, with no expansion.
+    With N_i/D_i the four named GFs, sum_j N_j/D_j - N_v/D_v is P over
+    D_2 D_3 D_4 D_v, where P = sum_j N_j D_v prod_{i != j} D_i -
+    N_v D_2 D_3 D_4.  That product has constant term 1, as every D_i has,
+    so the series of the difference starts at P's lowest power of x; no
+    numerator has an x^0 term, so that power is the first n >= 1 at which
+    the counts differ."""
     check_n(n_max)
-    vertices = expand_ints(gf_named_total("vertices", 2), n_max)
-    counts = [expand_ints(gf_named_total(f"deg{j}", 2), n_max) for j in DEGREES]
-    return next((n for n in range(1, n_max + 1)
-                 if sum(c[n] for c in counts) != vertices[n]), None)
+    sides = [(1, gf_named_total(f"deg{j}", 2)) for j in DEGREES]
+    sides.append((-1, gf_named_total("vertices", 2)))
+    gap = sum((sign * gf.numerator * math.prod(other.denominator
+                                               for _, other in sides if other is not gf)
+               for sign, gf in sides), MultiPoly.zero(("x",)))
+    first = min((exps[0] for exps in gap.terms), default=None)
+    return first if first is not None and first <= n_max else None
 
 
 def polyomino_counts_by_area(max_area: int) -> list[int]:

@@ -267,10 +267,10 @@ def _formula_row(run: _Run, family: str, n: int, recurrence: MultiPoly,
 
 def _formula_reports(run: _Run) -> list[CheckReport]:
     out = []
-    sides = formulas.series_sides(30)
+    walks, sides = formulas.recurrence_sides(30), formulas.series_sides(30)
     for n in range(1, 31):
-        for name, recurrence in formulas.RECURRENCES.items():
-            out.append(_formula_row(run, f"formulas:{name}", n, recurrence(n),
+        for name, walk in walks.items():
+            out.append(_formula_row(run, f"formulas:{name}", n, walk[n],
                                     formulas.CLOSED_FORMS[name](n), sides[name][n]))
     area_coeffs = series.expand_ints(series.gf_named_total("area", 2), 50)
     for n in range(1, 51):

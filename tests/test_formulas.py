@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from kbonacci import formulas, verify
+from kbonacci import formulas, series, verify
 from kbonacci.formulas import (
     QuadraticConstant,
     binom,
@@ -154,6 +154,62 @@ class TestFormulaSuiteSweepsOnce:
         assert expanded == [("p", "q"), ("p", "q"), ("q2",), ("q3",), ("q4",)]
 
 
+class TestOneWalkPerFamily:
+    def test_the_walk_yields_every_index_of_the_recurrence(self):
+        sides = formulas.recurrence_sides(30)
+        assert list(sides) == list(formulas.RECURRENCES)
+        for name, walk in sides.items():
+            assert len(walk) == 31
+            assert walk[0] == MultiPoly.zero(walk[1].variables)
+            for n in range(1, 31):
+                assert walk[n] == formulas.RECURRENCES[name](n), (name, n)
+        assert all(walk == [walk[0]] for walk in formulas.recurrence_sides(0).values())
+        with pytest.raises(ValueError, match="index must be >= 0, got -1"):
+            formulas.recurrence_sides(-1)
+
+    def test_the_formula_suite_walks_each_family_once(self, monkeypatch):
+        walked = []
+        walk = formulas._walk
+
+        def counted_walk(rule, n_max):
+            walked.append((next(n for n, r in formulas._RULES.items() if r is rule), n_max))
+            return walk(rule, n_max)
+
+        def not_per_n(n):
+            raise AssertionError(f"per-n recurrence call at n={n}")
+
+        monkeypatch.setattr(formulas, "_walk", counted_walk)
+        for name, f in formulas.RECURRENCES.items():
+            monkeypatch.setitem(formulas.RECURRENCES, name, not_per_n)
+            monkeypatch.setattr(formulas, f.__name__, not_per_n)
+        assert verify.run_all(3, 2, suites=("formulas",)).ok
+        assert walked == [(name, 30) for name in ("t", "v", "d2", "d3", "d4")]
+
+    def test_the_partition_check_expands_nothing(self, monkeypatch):
+        expanded = []
+
+        def counted(module, name):
+            f = getattr(module, name)
+
+            def wrapper(*args):
+                expanded.append(name)
+                return f(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((formulas, "expand"), (formulas, "expand_ints"),
+                             (series, "expand"), (series, "expand_ints"),
+                             (series, "iter_expand")):
+            counted(module, name)
+        assert formulas.degree_partition_break(2000) is None
+        assert expanded == []
+
+    def test_no_named_total_numerator_has_a_constant_term(self):
+        # what lets the lowest power of x in the cross-multiplied
+        # difference be the first n >= 1 at which the counts differ
+        for name in ("deg2", "deg3", "deg4", "vertices"):
+            assert all(exps[0] for exps in gf_named_total(name, 2).numerator.terms)
+
+
 class TestRecurrencesAtLargeN:
     @pytest.mark.parametrize("name", formulas.RECURRENCES)
     def test_walk_reaches_n_3000_and_equals_the_closed_form(self, name):
@@ -298,6 +354,7 @@ class TestIntIndex:
                lambda n: degree_poly(3, n), total_area_closed, fib_convolution,
                fib_convolution_closed, narayana, narayana_binomial, fibonacci,
                lambda n: empirical_degree_ratio(2, n), formulas.series_sides,
+               formulas.recurrence_sides,
                formulas.degree_partition_break, polyomino_counts_by_area,
                count_polyominoes_by_area, lambda n: verify_certificate("rel1", n, 1),
                lambda n: verify_certificate("rel2", n, 1),

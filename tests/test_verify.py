@@ -517,20 +517,38 @@ class TestSharingWeakensNoCheck:
         assert next(r for r in summary.failing if r.family == "reversal").actual == (
             "asymmetric at 0011")
 
+    @staticmethod
+    def corrupt_deg3_at(monkeypatch, n):
+        """Add x^n D to the numerator N of the k = 2 deg3 total, whose
+        series then gains +1 at x^n alone: (N + x^n D)/D = N/D + x^n."""
+        named = formulas.gf_named_total
+
+        def corrupt(name, k):
+            gf = named(name, k)
+            if name != "deg3":
+                return gf
+            x_n = MultiPoly(("x",), {(n,): 1})
+            return series.RationalGF(gf.numerator + x_n * gf.denominator, gf.denominator)
+
+        monkeypatch.setattr(formulas, "gf_named_total", corrupt)
+        return corrupt
+
     def test_a_corrupt_degree_count_breaks_the_partition(self, monkeypatch):
-        expand_ints = formulas.expand_ints
-        deg3 = series.gf_named_total("deg3", 2)
-
-        def corrupt(gf, n_max):
-            coeffs = expand_ints(gf, n_max)
-            if gf == deg3:
-                coeffs[1234] += 1
-            return coeffs
-
-        monkeypatch.setattr(formulas, "expand_ints", corrupt)
+        corrupt = self.corrupt_deg3_at(monkeypatch, 1234)
+        good = series.expand_ints(series.gf_named_total("deg3", 2), 1240)
+        bad = series.expand_ints(corrupt("deg3", 2), 1240)
+        assert [n for n in range(1241) if bad[n] != good[n]] == [1234]
+        assert bad[1234] == good[1234] + 1
         summary = run_all(3, 2, suites=("formulas",))
         assert [r.family for r in summary.failing] == ["formulas:degree-partition"]
         assert summary.failing[0].actual == "partition broken at n=1234"
+
+    def test_a_break_past_the_checked_range_passes(self, monkeypatch):
+        # the row checks n <= 2000, as it did when it expanded the totals
+        self.corrupt_deg3_at(monkeypatch, 2001)
+        assert run_all(3, 2, suites=("formulas",)).ok
+        assert formulas.degree_partition_break(2000) is None
+        assert formulas.degree_partition_break(2001) == 2001
 
 
 class TestRendering:
