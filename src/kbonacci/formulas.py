@@ -5,8 +5,10 @@ Each k = 2 fact is held once: one table of recurrences (`_RULES`), read
 by the per-n `RECURRENCES` functions and by `recurrence_sides`, with
 `CLOSED_FORMS` and `series_sides`, for the five polynomial families t, v,
 d2, d3 and d4, and `DEGREES` for the degree index j, which `verify`'s
-formula suite loops over.  The suite reads each recurrence from one walk
-(`recurrence_sides`) and decides the degree partition for every n by
+formula suite loops over.  A recurrence runs as its rational generating
+function (`_gf`, a `series.RationalGF`) on `series`' one expansion
+engine, so the suite reads each family from one expansion
+(`recurrence_sides`), and it decides the degree partition for every n by
 cross-multiplying generating functions (`degree_partition_break`).  An
 identity's functions each return one evaluation, so a disagreement is a
 failing verify row, not an exception.
@@ -21,13 +23,13 @@ affected (their sums never touch the negative diagonal).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections import deque
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple
 
-from .series import MultiPoly, expand, gf_degree, gf_graph, gf_named_total, gf_polyomino
+from .series import (MultiPoly, RationalGF, expand, gf_degree, gf_graph, gf_named_total,
+                     gf_polyomino, iter_expand)
 # read by no code here since the partition check stopped expanding; kept
 # bound because perfbench's install check looks it up (ROADMAP item 3)
 from .series import expand_ints  # noqa: F401
@@ -72,53 +74,22 @@ class _Recurrence(NamedTuple):
     shift2: tuple[int, ...]
 
 
-def _walk(rule: _Recurrence, n_max: int) -> Iterator[Callable[[], MultiPoly]]:
-    """a_1..a_n_max of `rule` in one pass forward from m = 1, with no
-    recursion and nothing kept between calls.  Each a_m is yielded as a
-    function of no arguments that builds its `MultiPoly`, so only the a_m
-    a caller reads become polynomials; the walk itself steps on dicts.
-
-    Exponent vectors are packed into ints: variable i takes bits
-    [width*i, width*(i+1)), and width bits hold every exponent up to
-    a_n_max's, so no field overflows and multiplying monomials adds keys.
-    Each a_m is an offset and a dict of terms keyed by packed exponents
-    less that offset.  Multiplying by X1 then only moves the offset, so a
-    step copies a_{m-1}'s dict and adds a_{m-2}'s terms into it."""
+def _gf(rule: _Recurrence) -> RationalGF:
+    """sum_{n>=1} a_n x^n of `rule`, in x and its variables: the rule
+    gives (1 - X1 x - X2 x^2) sum a_n x^n = a_1 x + (a_2 - X1 a_1) x^2."""
     variables, first, second, shift1, shift2 = rule
-    bound = (max(e for a in (first, second) for exps in a for e in exps)
-             + n_max * max(*shift1, *shift2))
-    width = max(bound.bit_length(), 1)
-    fields = range(0, width * len(variables), width)
-    mask = (1 << width) - 1
 
-    def pack(exps: tuple[int, ...]) -> int:
-        return sum(e << s for e, s in zip(exps, fields))
+    def x_to(power: int, a: dict[tuple[int, ...], int]) -> MultiPoly:
+        """x^power a, for a as {exponent vector: coefficient}."""
+        return MultiPoly(("x", *variables), {(power, *exps): c for exps, c in a.items()})
 
-    def unpack(off: int, terms: dict[int, int]) -> MultiPoly:
-        return MultiPoly(variables, {tuple((key + off) >> s & mask for s in fields): c
-                                     for key, c in terms.items()})
-
-    s1, s2 = pack(shift1), pack(shift2)
-    initial = [(0, {pack(e): c for e, c in a.items()}) for a in (first, second)]
-    prev = cur = None
-    for m in range(1, n_max + 1):
-        if m <= 2:
-            prev, cur = cur, initial[m - 1]
-        else:
-            (prev_off, prev_terms), (cur_off, cur_terms) = prev, cur
-            off = cur_off + s1
-            terms = cur_terms.copy()
-            get = terms.get
-            delta = prev_off + s2 - off
-            for key, c in prev_terms.items():
-                key += delta
-                terms[key] = get(key, 0) + c
-            prev, cur = cur, (off, terms)
-        yield partial(unpack, *cur)
+    x1, x2, a1 = x_to(1, {shift1: 1}), x_to(2, {shift2: 1}), x_to(1, first)
+    return RationalGF(a1 + x_to(2, second) - x1 * a1, 1 - x1 - x2)
 
 
 # The k = 2 polynomial families' recurrences, keyed and ordered as
-# `RECURRENCES`, whose functions read them, as `recurrence_sides` does.
+# `RECURRENCES`, whose functions expand them, as `recurrence_sides` does,
+# on `series`' one engine, each as the generating function `_gf`.
 # The initial values are oracle-verified (see the test suite's erratum
 # fixtures).
 _RULES = {
@@ -131,22 +102,21 @@ _RULES = {
 
 
 def _nth(name: str, n: int) -> MultiPoly:
-    """a_n of the family `name`'s recurrence: the last a_m of one walk,
-    the only one built as a `MultiPoly`."""
+    """a_n of the family `name`'s recurrence: the x^n coefficient of its
+    generating function, the last of one streamed expansion, so no other
+    coefficient is kept (a list of all n of them at n = 3000 would hold
+    hundreds of MB)."""
     _check_n(n)
-    for a in _walk(_RULES[name], n):
-        pass
-    return a()
+    return deque(iter_expand(_gf(_RULES[name]), n), maxlen=1)[0]
 
 
 def recurrence_sides(n_max: int) -> dict[str, list[MultiPoly]]:
-    """a_0..a_n_max of each family's recurrence, one walk per family, keyed
-    as `RECURRENCES`: the counterpart of `series_sides`.  a_0 is the zero
-    polynomial, the x^0 coefficient of sum_{n>=1} a_n x^n, so both sides
-    index by n alike."""
+    """a_0..a_n_max of each family's recurrence, one expansion of its
+    generating function per family, keyed as `RECURRENCES`: the
+    counterpart of `series_sides`.  a_0 is the zero polynomial, the x^0
+    coefficient of sum_{n>=1} a_n x^n, so both sides index by n alike."""
     _check_n(n_max, 0)
-    return {name: [MultiPoly.zero(rule.variables), *(a() for a in _walk(rule, n_max))]
-            for name, rule in _RULES.items()}
+    return {name: expand(_gf(rule), n_max) for name, rule in _RULES.items()}
 
 
 # ---------------------------------------------------------------------
@@ -154,7 +124,8 @@ def recurrence_sides(n_max: int) -> dict[str, list[MultiPoly]]:
 # q marks area, over all words of length n with k = 2.
 
 def t_poly(n: int) -> MultiPoly:
-    """t_n by the recurrence t_n = pq t_{n-1} + p^3 q^3 t_{n-2}."""
+    """t_n by the recurrence t_n = pq t_{n-1} + p^3 q^3 t_{n-2},
+    read from the expansion of its generating function (`_nth`)."""
     return _nth("t", n)
 
 
@@ -169,7 +140,8 @@ def t_poly_closed(n: int) -> MultiPoly:
 # Fibonacci-graph weight polynomials v_n(p, q): p marks edges, q vertices.
 
 def v_poly(n: int) -> MultiPoly:
-    """v_n by the recurrence v_n = p^3 q^2 v_{n-1} + p^9 q^6 v_{n-2}.
+    """v_n by the recurrence v_n = p^3 q^2 v_{n-1} + p^9 q^6 v_{n-2},
+    read from the expansion of its generating function (`_nth`).
 
     The second initial value is the oracle-verified p^7 q^6 + 2 p^10 q^8.
     """
@@ -188,7 +160,8 @@ def v_poly_closed(n: int) -> MultiPoly:
 # of q^(number of degree-j vertices), j in {2, 3, 4}.
 
 def d2_poly(n: int) -> MultiPoly:
-    """d_{n,2} by the recurrence d_n = d_{n-1} + q^2 d_{n-2}."""
+    """d_{n,2} by the recurrence d_n = d_{n-1} + q^2 d_{n-2},
+    read from the expansion of its generating function (`_nth`)."""
     return _nth("d2", n)
 
 
@@ -200,7 +173,8 @@ def d2_poly_closed(n: int) -> MultiPoly:
 
 
 def d3_poly(n: int) -> MultiPoly:
-    """d_{n,3} by the recurrence d_n = q^2 d_{n-1} + q^2 d_{n-2}."""
+    """d_{n,3} by the recurrence d_n = q^2 d_{n-1} + q^2 d_{n-2},
+    read from the expansion of its generating function (`_nth`)."""
     return _nth("d3", n)
 
 
@@ -220,7 +194,8 @@ def d3_poly_closed(n: int) -> MultiPoly:
 
 
 def d4_poly(n: int) -> MultiPoly:
-    """d_{n,4} by the recurrence d_n = d_{n-1} + q^2 d_{n-2}."""
+    """d_{n,4} by the recurrence d_n = d_{n-1} + q^2 d_{n-2},
+    read from the expansion of its generating function (`_nth`)."""
     return _nth("d4", n)
 
 

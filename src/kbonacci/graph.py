@@ -351,7 +351,9 @@ class WordStats(NamedTuple):
 
 def word_stats(w: Word, ham: bool) -> WordStats:
     """The statistics of a nonempty word, read off the grid graph of its
-    polyomino: the sweep of `sweep_stats` on the one word."""
+    polyomino: the sweep of `sweep_stats` on the one word.  Each call
+    builds its own `_Automaton` and pays every line step again, so a loop
+    over words should call `sweep_stats` once instead."""
     return next(sweep_stats((w,), ham))[1]
 
 

@@ -31,8 +31,8 @@ TEST_ONLY = {
     # suite reads all of them from one sweep
     "formulas.count_polyominoes_by_area",
     # d_{n,j} by its index j; perfbench traces it by this name, while the
-    # formula suite reads every d_{n,j} from one walk per family
-    # (`formulas.recurrence_sides`)
+    # formula suite reads every d_{n,j} from one expansion of its
+    # recurrence's generating function (`formulas.recurrence_sides`)
     "formulas.degree_poly",
 }
 

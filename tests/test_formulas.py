@@ -27,7 +27,8 @@ from kbonacci.formulas import (
     v_poly_closed,
     verify_certificate,
 )
-from kbonacci.series import MultiPoly, expand, expand_ints, gf_graph, gf_named_total, gf_polyomino
+from kbonacci.series import (MultiPoly, RationalGF, expand, expand_ints, gf_degree, gf_graph,
+                             gf_named_total, gf_polyomino)
 
 PQ = ("p", "q")
 Q = ("q",)
@@ -151,39 +152,43 @@ class TestFormulaSuiteSweepsOnce:
         monkeypatch.setattr(formulas, "expand", counted_expand)
         assert verify.run_all(3, 2, suites=("formulas",)).ok
         assert swept == [(n, 2) for n in range(1, 15)]
-        assert expanded == [("p", "q"), ("p", "q"), ("q2",), ("q3",), ("q4",)]
+        # the five recurrences' generating functions, then the paper's
+        assert expanded == [("p", "q"), ("p", "q"), ("q",), ("q",), ("q",),
+                            ("p", "q"), ("p", "q"), ("q2",), ("q3",), ("q4",)]
 
 
-class TestOneWalkPerFamily:
-    def test_the_walk_yields_every_index_of_the_recurrence(self):
+class TestOneExpansionPerFamily:
+    def test_recurrence_sides_yield_every_index_of_the_recurrence(self):
         sides = formulas.recurrence_sides(30)
         assert list(sides) == list(formulas.RECURRENCES)
-        for name, walk in sides.items():
-            assert len(walk) == 31
-            assert walk[0] == MultiPoly.zero(walk[1].variables)
+        for name, side in sides.items():
+            assert len(side) == 31
+            assert side[0] == MultiPoly.zero(side[1].variables)
             for n in range(1, 31):
-                assert walk[n] == formulas.RECURRENCES[name](n), (name, n)
-        assert all(walk == [walk[0]] for walk in formulas.recurrence_sides(0).values())
+                assert side[n] == formulas.RECURRENCES[name](n), (name, n)
+        assert all(side == [side[0]] for side in formulas.recurrence_sides(0).values())
         with pytest.raises(ValueError, match="index must be >= 0, got -1"):
             formulas.recurrence_sides(-1)
 
-    def test_the_formula_suite_walks_each_family_once(self, monkeypatch):
-        walked = []
-        walk = formulas._walk
+    def test_the_formula_suite_expands_each_rule_once(self, monkeypatch):
+        expanded = []
+        expand_ = formulas.expand
 
-        def counted_walk(rule, n_max):
-            walked.append((next(n for n, r in formulas._RULES.items() if r is rule), n_max))
-            return walk(rule, n_max)
+        def counted_expand(gf, n_max):
+            expanded.append((gf, n_max))
+            return expand_(gf, n_max)
 
         def not_per_n(n):
             raise AssertionError(f"per-n recurrence call at n={n}")
 
-        monkeypatch.setattr(formulas, "_walk", counted_walk)
+        monkeypatch.setattr(formulas, "expand", counted_expand)
         for name, f in formulas.RECURRENCES.items():
             monkeypatch.setitem(formulas.RECURRENCES, name, not_per_n)
             monkeypatch.setattr(formulas, f.__name__, not_per_n)
         assert verify.run_all(3, 2, suites=("formulas",)).ok
-        assert walked == [(name, 30) for name in ("t", "v", "d2", "d3", "d4")]
+        rule_gfs = [formulas._gf(rule) for rule in formulas._RULES.values()]
+        assert ([(gf, n_max) for gf, n_max in expanded if gf in rule_gfs]
+                == [(gf, 30) for gf in rule_gfs])
 
     def test_the_partition_check_expands_nothing(self, monkeypatch):
         expanded = []
@@ -208,6 +213,45 @@ class TestOneWalkPerFamily:
         # difference be the first n >= 1 at which the counts differ
         for name in ("deg2", "deg3", "deg4", "vertices"):
             assert all(exps[0] for exps in gf_named_total(name, 2).numerator.terms)
+
+
+class TestEachRuleIsThePapersGF:
+    """Each recurrence's generating function equals the paper's: with both
+    denominators 1 at x = 0, N_rule/D_rule - N/D has the numerator
+    N_rule D - N D_rule, whose lowest power of x is the first n at which
+    the two series differ, so a zero numerator proves the rule table and
+    `series_sides` equal at every n."""
+
+    @staticmethod
+    def papers_gf(name):
+        if name == "t":
+            return gf_polyomino(2)
+        if name == "v":
+            return gf_graph(2)
+        # as `series_sides` reads it: the other two markers set to 1
+        j = name[1:]
+        gf = gf_degree(2).specialize({f"q{i}": 1 for i in formulas.DEGREES if str(i) != j})
+        return RationalGF(*(p.rename({f"q{j}": "q"}) for p in (gf.numerator, gf.denominator)))
+
+    def gap(self, name, rule):
+        ours, paper = formulas._gf(rule), self.papers_gf(name)
+        return ours.numerator * paper.denominator - paper.numerator * ours.denominator
+
+    @pytest.mark.parametrize("name", formulas.RECURRENCES)
+    def test_the_rule_gf_is_the_papers_gf(self, name):
+        gap = self.gap(name, formulas._RULES[name])
+        assert gap == MultiPoly.zero(gap.variables)
+
+    # the printed initial values of `TestPaperErrataFixtures`, each with
+    # the first n at which it is wrong
+    @pytest.mark.parametrize("name, printed, first_wrong", [
+        ("v", {"second": {(7, 6): 1}}, 2),
+        ("d2", {"second": {(4,): 3}}, 2),
+        ("d4", {"first": {(4,): 2}, "second": {(4,): 3}}, 1),
+    ])
+    def test_a_printed_initial_value_breaks_the_identity(self, name, printed, first_wrong):
+        gap = self.gap(name, formulas._RULES[name]._replace(**printed))
+        assert min(exps[0] for exps in gap.terms) == first_wrong
 
 
 class TestRecurrencesAtLargeN:
@@ -269,7 +313,6 @@ class TestPaperErrataFixtures:
         # 33 Hamiltonian graphs, not 35) require x^6
         from kbonacci.graph import build_graph, is_hamiltonian
         from kbonacci.polyomino import from_word
-        from kbonacci.series import RationalGF
         from kbonacci.words import iter_words
 
         x = ("x",)
