@@ -70,10 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("all", *verify.SUITES), default="all")
     p.add_argument("--max-n", type=_at_least(1), default=10)
     p.add_argument("--max-k", type=_at_least(2), default=5)
-    p.add_argument("--ham-cap", type=_at_least(1), default=verify.DEFAULT_HAM_CAP,
-                   metavar="N",
-                   help="max word length for the Hamiltonicity oracle, the "
-                        f"frontier DP on each grid graph (default {verify.DEFAULT_HAM_CAP})")
+    p.add_argument("--ham-cap", type=_at_least(1), metavar="N",
+                   help="ignored: Hamiltonicity is checked at every word length")
 
     p = sub.add_parser("asymptotics", parents=[common],
                        help="empirical degree proportion vs its exact limit")
@@ -195,7 +193,7 @@ def cmd_series(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = tuple(verify.SUITES) if args.suite == "all" else (args.suite,)
-    summary = verify.run_all(args.max_n, args.max_k, args.ham_cap, suites)
+    summary = verify.run_all(args.max_n, args.max_k, suites)
     if args.format == "json":
         print(json.dumps(verify.to_json_obj(summary)))
     elif args.format == "csv":

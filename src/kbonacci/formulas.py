@@ -325,12 +325,6 @@ def polyomino_counts_by_area(max_area: int) -> list[int]:
     return counts
 
 
-def count_polyominoes_by_area(a: int) -> int:
-    """Number of k = 2 polyominoes (any length) with exactly a cells,
-    counted by direct enumeration."""
-    return polyomino_counts_by_area(a)[a]
-
-
 # ---------------------------------------------------------------------
 # Asymptotic degree proportions for k = 2.
 

@@ -395,11 +395,12 @@ def _iter_packed(gf: RationalGF, n_max: int) -> Iterator[tuple[list[list[int]], 
     """The recurrence of `iter_expand` on packed exponent keys, for a gf
     with auxiliary variables and an `n_max` already checked.  Each c_n is
     yielded once, as soon as it leaves the recurrence window (the last
-    `depth` coefficients, `depth` the denominator's largest x-degree), as
-    a pair: its exponent columns, one list per auxiliary variable, and
-    its list of nonzero coefficients, all in the graded-lex order of its
-    terms.  Term i of c_n has exponents (columns[0][i], ..., columns[m-1][i])
-    and coefficient coefs[i].  No other module reads this format.
+    `depth` coefficients, `depth` the largest x-degree <= n_max of a
+    denominator term, as in `_iter_ints`), as a pair: its exponent
+    columns, one list per auxiliary variable, and its list of nonzero
+    coefficients, all in the graded-lex order of its terms.  Term i of
+    c_n has exponents (columns[0][i], ..., columns[m-1][i]) and
+    coefficient coefs[i].  No other module reads this format.
 
     With m auxiliary variables, the key of exponents (e_1, ..., e_m) holds
     e_i in bits [width*(m-i), width*(m-i+1)) and the total degree
@@ -432,7 +433,7 @@ def _iter_packed(gf: RationalGF, n_max: int) -> Iterator[tuple[list[list[int]], 
             num.setdefault(exps[0], {})[pack(exps)] = coef
     den: dict[int, list[tuple[int, int]]] = {}
     for exps, coef in den_terms.items():
-        if exps[0]:
+        if 0 < exps[0] <= n_max:
             den.setdefault(exps[0], []).append((pack(exps), coef))
     den_slices = sorted(den.items())
     depth = den_slices[-1][0] if den_slices else 0
@@ -469,12 +470,14 @@ def _iter_packed(gf: RationalGF, n_max: int) -> Iterator[tuple[list[list[int]], 
 def _iter_ints(gf: RationalGF, n_max: int) -> Iterator[int]:
     """The recurrence of `iter_expand` on ints, for a gf in x alone and an
     `n_max` already checked: each c_n is yielded as it is made, and only
-    the last `depth` (the denominator's degree) are kept, as zeros before
-    c_0."""
+    the last `depth` are kept, as zeros before c_0.  `depth` is the
+    largest x-degree j <= n_max of a denominator term D_j: a term of
+    higher degree never reaches c_0..c_{n_max}, so the window does not
+    grow with it."""
     num = {e: coef for (e,), coef in gf.numerator.terms.items()}
     # (i, D_j) with i = -j, by increasing j as terms in x alone iterate:
     # c_{n-j} is window[i]
-    den = [(-e, coef) for (e,), coef in gf.denominator.terms.items() if e]
+    den = [(-e, coef) for (e,), coef in gf.denominator.terms.items() if 0 < e <= n_max]
     depth = -den[-1][0] if den else 0
     window = deque([0] * depth, maxlen=depth)  # c_{n-depth}..c_{n-1}
     for n in range(n_max + 1):

@@ -11,13 +11,10 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 from fractions import Fraction
-from operator import attrgetter
 from typing import NamedTuple
 
 from . import formulas, graph, polyomino, series, words
 from .series import MultiPoly, RationalGF
-
-DEFAULT_HAM_CAP = 14
 
 
 class Family(NamedTuple):
@@ -47,7 +44,7 @@ class CheckReport(NamedTuple):
     family: str
     k: int
     n: int
-    status: str  # pass | fail | skip
+    status: str  # pass | fail
     expected: str
     actual: str
     elapsed_ms: int
@@ -69,6 +66,8 @@ class Summary:
 
     @property
     def skips(self) -> int:
+        """0 for every run, as no check skips; the text summary keeps its
+        `skips=` field."""
         return sum(1 for r in self.reports if r.status == "skip")
 
     @property
@@ -81,15 +80,14 @@ class Summary:
 
 
 class _Run:
-    """One verification run: its Hamiltonicity cap (the longest word
-    whose grid graph the DP decides; 0: none), the `graph.WordStats` of
-    every word its checks sweep, (n, k) -> {word bits: WordStats}, and
-    its clock.  `run_all` makes one for all its suites; a check alone
-    makes its own, kept until it returns, capped at `DEFAULT_HAM_CAP` if
-    it reads Hamiltonicity."""
+    """One verification run: whether its sweeps decide Hamiltonicity, the
+    `graph.WordStats` of every word its checks sweep, (n, k) -> {word
+    bits: WordStats}, and its clock.  `run_all` makes one for all its
+    suites; a check alone makes its own, kept until it returns, deciding
+    Hamiltonicity iff the check reads it."""
 
-    def __init__(self, ham_cap: int) -> None:
-        self.ham_cap = ham_cap
+    def __init__(self, ham: bool) -> None:
+        self.ham = ham
         self.tables: dict[tuple[int, int], dict[tuple[int, ...], graph.WordStats]] = {}
         self.start = time.perf_counter()
         self.charged = 0
@@ -98,18 +96,16 @@ class _Run:
         """Every length-n word's statistics, from one `graph.sweep_stats`
         over the words in `iter_words` order.  The first check that needs
         a length fills its table, so that check's report is charged for
-        it; Hamiltonicity is decided once per word, up to the cap."""
+        it; Hamiltonicity is decided once per word, if the run asks."""
         table = self.tables.get((n, k))
         if table is None:
             if n < 1:
                 raise ValueError(f"length must be >= 1, got {n}")
-            ham = n <= self.ham_cap
-            table = self.tables[n, k] = {
-                w.bits: stats for w, stats in graph.sweep_stats(words.iter_words(n, k), ham)}
+            sweep = graph.sweep_stats(words.iter_words(n, k), self.ham)
+            table = self.tables[n, k] = {w.bits: stats for w, stats in sweep}
         return table
 
-    def report(self, family: str, k: int, n: int, expected: str, actual: str,
-               skip: bool = False) -> CheckReport:
+    def report(self, family: str, k: int, n: int, expected: str, actual: str) -> CheckReport:
         """A report charged with the whole milliseconds of the run not yet
         charged, so set-up shared by reports is charged to the first of
         them.  The running total charged is the elapsed time cut to whole
@@ -117,20 +113,17 @@ class _Run:
         under 1 ms, however many they are."""
         now = int((time.perf_counter() - self.start) * 1000)
         elapsed, self.charged = now - self.charged, now
-        status = "skip" if skip else ("pass" if expected == actual else "fail")
+        status = "pass" if expected == actual else "fail"
         return CheckReport(family, k, n, status, expected, actual, elapsed)
 
 
 def brute_stats_poly(n: int, k: int, family: str, *,
-                     run: _Run | None = None) -> MultiPoly | None:
-    """Exact monomial aggregation over all length-n words, or None when
-    the family is ham and n exceeds the run's Hamiltonicity cap."""
+                     run: _Run | None = None) -> MultiPoly:
+    """Exact monomial aggregation over all length-n words."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
     fields = FAMILIES[family].fields
-    run = run or _Run(DEFAULT_HAM_CAP if family == "ham" else 0)
-    if family == "ham" and n > run.ham_cap:
-        return None
+    run = run or _Run(family == "ham")
     terms: dict[tuple[int, ...], int] = {}
     for stats in run.stats(n, k).values():
         key = tuple(getattr(stats, field) for field in fields)
@@ -153,14 +146,11 @@ def cross_check(family: str, k: int, max_n: int, *,
     """One report per n comparing brute force against the series
     coefficient; a failing report's `actual` starts with the first
     monomial where they differ."""
-    run = run or _Run(DEFAULT_HAM_CAP if family == "ham" else 0)
+    run = run or _Run(family == "ham")
     coeffs = series.expand(FAMILIES[family].gf(k), max_n)
     out = []
     for n in range(1, max_n + 1):
         brute = brute_stats_poly(n, k, family, run=run)
-        if brute is None:
-            out.append(run.report(family, k, n, "", "guard exceeded", skip=True))
-            continue
         expected, actual = brute.to_text(), coeffs[n].to_text()
         if actual != expected:
             actual = f"{_first_difference(brute, coeffs[n])}; series = {actual}"
@@ -168,15 +158,11 @@ def cross_check(family: str, k: int, max_n: int, *,
     return out
 
 
-def brute_totals(n: int, k: int, *, run: _Run | None = None) -> dict[str, int | None]:
+def brute_totals(n: int, k: int, *, run: _Run | None = None) -> dict[str, int]:
     """All eight statistic totals over length-n words in one sweep: the
-    sums of the `graph.WordStats` fields, with ham None when n exceeds
-    the run's Hamiltonicity cap."""
-    run = run or _Run(DEFAULT_HAM_CAP)
-    names = [name for name in TOTALS if n <= run.ham_cap or name != "ham"]
-    columns = zip(*map(attrgetter(*names), run.stats(n, k).values()))
-    sums = dict(zip(names, map(sum, columns)))
-    return {name: sums.get(name) for name in TOTALS}
+    sums of the `graph.WordStats` fields."""
+    table = (run or _Run(True)).stats(n, k)
+    return dict(zip(TOTALS, map(sum, zip(*table.values()))))
 
 
 def totals_check(k: int, max_n: int, *, run: _Run | None = None) -> list[CheckReport]:
@@ -185,7 +171,7 @@ def totals_check(k: int, max_n: int, *, run: _Run | None = None) -> list[CheckRe
     the brute-force total; a failing row names each side that differs,
     with both values: `named 41 differs from brute 40`, joined by `; `
     when both do."""
-    run = run or _Run(DEFAULT_HAM_CAP)
+    run = run or _Run(True)
     named = {name: series.expand_ints(series.gf_named_total(name, k), max_n)
              for name in TOTALS}
     weighted = {name: series.total_weight_series(FAMILIES[fam].gf(k), var, max_n)
@@ -195,10 +181,6 @@ def totals_check(k: int, max_n: int, *, run: _Run | None = None) -> list[CheckRe
     for name in TOTALS:
         for n in range(1, max_n + 1):
             b = brutes[n][name]
-            if b is None:
-                out.append(run.report(f"total:{name}", k, n, "", "guard exceeded",
-                                      skip=True))
-                continue
             sides = (("named", named[name][n]), ("weighted", weighted[name][n]))
             expected = f"named={b} weighted={b}"
             differ = [f"{side} {value} differs from brute {b}"
@@ -213,7 +195,7 @@ def ham_pair_check(max_k: int, max_n: int, *, run: _Run | None = None) -> list[C
     the named total of 2j against the total of the multivariate
     Hamiltonian gf of 2j+1.  The named total reads k only through
     2*floor(k/2), so the odd side must come from the other gf."""
-    run = run or _Run(0)
+    run = run or _Run(False)
     out = []
     for j in range(1, (max_k - 1) // 2 + 1):
         even = series.expand_ints(series.gf_named_total("ham", 2 * j), max_n)
@@ -237,7 +219,7 @@ def _ham_rule_report(run: _Run) -> CheckReport:
 def reversal_check(k: int, max_n: int, *, run: _Run | None = None) -> list[CheckReport]:
     """Statistics of every word agree with those of its reverse, and the
     mirrored geometry equals the reverse word's geometry."""
-    run = run or _Run(0)
+    run = run or _Run(False)
     out = []
     for n in range(1, max_n + 1):
         stats = run.stats(n, k)
@@ -338,8 +320,7 @@ SUITES = {
 }
 
 
-def run_all(max_n: int, max_k: int, ham_cap: int = DEFAULT_HAM_CAP,
-            suites: tuple[str, ...] = tuple(SUITES)) -> Summary:
+def run_all(max_n: int, max_k: int, suites: tuple[str, ...] = tuple(SUITES)) -> Summary:
     """Run the requested suites for every k <= max_k and collect reports
     in deterministic (suite, k, n) order.  The suites share one `_Run`:
     one sweep of each (n, k), kept for this call only, and one clock, so
@@ -349,7 +330,7 @@ def run_all(max_n: int, max_k: int, ham_cap: int = DEFAULT_HAM_CAP,
     if max_n < 1 or max_k < 2:
         raise ValueError("need max_n >= 1 and max_k >= 2")
     # only the ham and totals suites read Hamiltonicity
-    run = _Run(ham_cap if {"ham", "totals"} & set(suites) else 0)
+    run = _Run(bool({"ham", "totals"} & set(suites)))
     return Summary([report for suite, checks in SUITES.items() if suite in suites
                     for report in checks(run, max_n, max_k)])
 

@@ -27,9 +27,6 @@ ROOT = pathlib.Path(__file__).parent.parent
 # public functions that only tests call, kept on purpose as reference code
 TEST_ONLY = {
     "series.gf_deg4_alternate",  # the rejected deg4 denominator, for criterion 4
-    # one area at a time, for criterion 8 and test_formulas; the formula
-    # suite reads all of them from one sweep
-    "formulas.count_polyominoes_by_area",
     # d_{n,j} by its index j; perfbench traces it by this name, while the
     # formula suite reads every d_{n,j} from one expansion of its
     # recurrence's generating function (`formulas.recurrence_sides`)
@@ -119,8 +116,7 @@ def test_each_statistic_belongs_to_one_family():
 
 def test_verify_threads_one_run_object():
     """The checks share state through one keyword-only `run` and nothing
-    else: no other knob, no second state class, and no Hamiltonicity cap
-    but `run_all`'s, which sets the run's."""
+    else: no other knob, no second state class, and no Hamiltonicity cap."""
     public = {name: obj for name, obj in vars(verify).items()
               if inspect.isfunction(obj) and obj.__module__ == verify.__name__
               and not name.startswith("_")}
@@ -131,9 +127,8 @@ def test_verify_threads_one_run_object():
         "brute_stats_poly", "brute_totals", "cross_check", "totals_check",
         "ham_pair_check", "reversal_check"}
     assert all(kw in ([], ["run"]) for kw in knobs.values()), knobs
-    capped = {name for name, f in public.items()
-              if "ham_cap" in inspect.signature(f).parameters}
-    assert capped == {"run_all"}
+    assert not any("ham_cap" in inspect.signature(f).parameters for f in public.values())
+    assert not hasattr(verify, "DEFAULT_HAM_CAP")
     assert not hasattr(verify, "_Sweeps")
     assert not hasattr(verify, "_Clock")
 

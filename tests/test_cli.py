@@ -92,8 +92,8 @@ class TestEnumerate:
         assert lines[2].split() == ["1", "2", "3", "6", "7", "4", "2", "0", "true"]
 
     def test_ham_column_filled_past_the_search_cap(self, capsys):
-        # n = 16 exceeds verify's default --ham-cap of 14; the column is
-        # read from the odd-run rule, so it is filled at every n
+        # the column is read from the odd-run rule, so it is filled at
+        # every n, n = 16 included
         code, out = run(capsys, "enumerate", "--n", "16", "--k", "3",
                         "--with-stats", "--format", "csv")
         assert code == 0
@@ -402,6 +402,16 @@ class TestVerify:
                         "--max-n", "5", "--max-k", "7")
         assert code == 0
         assert "ham-pair" in out
+
+    def test_ham_checked_at_every_length(self, capsys):
+        code, out = run(capsys, "verify", "--suite", "ham",
+                        "--max-n", "16", "--max-k", "3")
+        assert code == 0
+        assert out.splitlines()[-1] == "passes=49 fails=0 skips=0"
+
+    def test_ham_cap_changes_nothing(self, capsys):
+        argv = ("verify", "--suite", "all", "--max-n", "6", "--max-k", "3")
+        assert run(capsys, *argv) == run(capsys, *argv, "--ham-cap", "4")
 
     def test_failure_exits_one(self, capsys, monkeypatch):
         bad = Summary([CheckReport("poly", 2, 1, "fail", "a", "b", 0)])

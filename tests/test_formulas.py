@@ -6,7 +6,6 @@ from kbonacci import formulas, series, verify
 from kbonacci.formulas import (
     QuadraticConstant,
     binom,
-    count_polyominoes_by_area,
     d2_poly,
     d3_poly,
     d3_poly_closed,
@@ -129,7 +128,7 @@ class TestFamilyTables:
 class TestFormulaSuiteSweepsOnce:
     def test_bulk_counts_equal_the_single_ones(self):
         counts = polyomino_counts_by_area(14)
-        assert counts[1:] == [count_polyominoes_by_area(a) for a in range(1, 15)]
+        assert counts[1:] == [polyomino_counts_by_area(a)[a] for a in range(1, 15)]
         assert counts[0] == 0
         with pytest.raises(ValueError, match="area must be >= 1, got 0"):
             polyomino_counts_by_area(0)
@@ -256,7 +255,7 @@ class TestEachRuleIsThePapersGF:
 
 class TestRecurrencesAtLargeN:
     @pytest.mark.parametrize("name", formulas.RECURRENCES)
-    def test_walk_reaches_n_3000_and_equals_the_closed_form(self, name):
+    def test_recurrence_reaches_n_3000_and_equals_the_closed_form(self, name):
         assert formulas.RECURRENCES[name](3000) == formulas.CLOSED_FORMS[name](3000)
 
     def test_nothing_is_cached(self):
@@ -371,13 +370,13 @@ class TestIntegerSequences:
             narayana(n) for n in range(60)]
 
     def test_polyomino_area_counts(self):
-        assert count_polyominoes_by_area(1) == 1
-        assert count_polyominoes_by_area(2) == 2
-        assert count_polyominoes_by_area(5) == 6
+        counts = polyomino_counts_by_area(5)
+        assert (counts[1], counts[2], counts[5]) == (1, 2, 6)
 
     def test_area_counts_match_narayana(self):
+        counts = polyomino_counts_by_area(12)
         for a in range(1, 13):
-            assert count_polyominoes_by_area(a) == narayana(a + 1)
+            assert counts[a] == narayana(a + 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -386,7 +385,7 @@ class TestIntegerSequences:
             with pytest.raises(ValueError, match="index must be >= 0, got -1"):
                 f(-1)
         with pytest.raises(ValueError):
-            count_polyominoes_by_area(0)
+            polyomino_counts_by_area(0)
 
 
 class TestIntIndex:
@@ -399,7 +398,7 @@ class TestIntIndex:
                lambda n: empirical_degree_ratio(2, n), formulas.series_sides,
                formulas.recurrence_sides,
                formulas.degree_partition_break, polyomino_counts_by_area,
-               count_polyominoes_by_area, lambda n: verify_certificate("rel1", n, 1),
+               lambda n: verify_certificate("rel1", n, 1),
                lambda n: verify_certificate("rel2", n, 1),
                lambda i: verify_certificate("rel1", 5, i)]
 

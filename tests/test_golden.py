@@ -8,8 +8,7 @@
   MultiPoly coefficients to `to_text` and to a JSON term list, whose
   bytes `series._json_terms` now writes from exponent columns.
 - golden/enumerate_sha256.json: `enumerate --with-stats` at k = 2..5 and
-  n = 1..6 in text, json and csv, plus `--n 16 --k 3` in csv, past the
-  length that `verify --ham-cap` lets the Hamiltonicity DP decide: its ham
+  n = 1..6 in text, json and csv, plus `--n 16 --k 3` in csv, whose ham
   column comes from the odd-run rule, as at every n.
 - golden/dot_sha256.json: `enumerate --dot` at k = 2..5 and n = 1..6.
   Taken from `to_dot` of each word's `Geometry`, the id 3x + y named x,y.

@@ -445,16 +445,18 @@ class TestIterExpand:
     @pytest.mark.parametrize("iterate", [iter_text, iter_json_terms, iter_expand])
     def test_holds_only_the_window(self, iterate):
         # the stream holds the last 2k + 2 coefficients and the one it
-        # yields (about 13 KB); the list of all 5,001 takes 1.76 MB
-        gf = gf_named_total("edges", 4)
-        tracemalloc.start()
-        try:
-            for _ in iterate(gf, 5000):
-                pass
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000
+        # yields (about 13 KB); the list of all 5,001 takes 1.76 MB.  At
+        # k = 10^6 the window is 4 deep, not 2k + 3: the denominator has
+        # no term of x-degree 5..5000
+        for gf in (gf_named_total("edges", 4), gf_hamiltonian(10**6)):
+            tracemalloc.start()
+            try:
+                for _ in iterate(gf, 5000):
+                    pass
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000, gf
 
     def test_rendered_streams(self):
         for k in range(2, 6):
@@ -505,6 +507,24 @@ class TestUnivariateKernel:
     """`expand` of a gf in x alone runs on the int recurrence that
     `expand_ints` lists; these compare it with `_expand_reference`, which
     shares no code with either."""
+
+    def test_the_window_does_not_grow_with_k(self):
+        # at k = 10^6 the denominators reach x^(2k + 2) and x^(k + 1); a
+        # window that deep would take tens of MB, though c_0..c_3 read
+        # only the terms of x-degree <= 3.  Words of length <= 3 tell no
+        # k >= 4 apart.
+        big = (gf_named_total("area", 10**6),
+               gf_polyomino(10**6).specialize({"p": 1, "q": 1}))
+        small = (gf_named_total("area", 4), gf_polyomino(4).specialize({"p": 1, "q": 1}))
+        for gf, reference in zip(big, small):
+            tracemalloc.start()
+            try:
+                coeffs = expand_ints(gf, 3)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert coeffs == expand_ints(reference, 3) != [0] * 4
+            assert peak < 100_000
 
     def test_every_named_total_equals_the_reference(self):
         for k in range(2, 9):

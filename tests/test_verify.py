@@ -55,9 +55,10 @@ class TestBruteStats:
                              {(4, 2, 0): 1, (5, 2, 1): 2, (4, 4, 1): 1})
         assert brute_stats_poly(2, 3, "degree") == expected
 
-    def test_ham_guard(self):
-        assert brute_stats_poly(15, 2, "ham") is None
-        assert brute_stats_poly(15, 2, "ham", run=verify._Run(15)) is not None
+    def test_ham_at_every_length(self):
+        # every k = 2 grid graph is Hamiltonian
+        assert brute_stats_poly(15, 2, "ham") == MultiPoly(
+            ("q",), {(1,): words.count_words(15, 2)})
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -95,9 +96,9 @@ class TestCrossCheck:
             poly = brute_stats_poly(n, 2, "ham")
             assert set(poly.terms) == {(1,)}
 
-    def test_ham_skips_beyond_cap(self):
-        reports = cross_check("ham", 2, 6, run=verify._Run(4))
-        assert [r.status for r in reports] == ["pass"] * 4 + ["skip"] * 2
+    def test_ham_passes_past_length_14(self):
+        reports = cross_check("ham", 3, 16)
+        assert [r.status for r in reports] == ["pass"] * 16
 
     def test_degree_family_k5(self):
         assert all(r.status == "pass" for r in cross_check("degree", 5, 6))
@@ -181,10 +182,10 @@ class TestTotalsAndPairs:
         with pytest.raises(ValueError, match="length must be >= 1, got 0"):
             brute_totals(0, 2)
 
-    def test_brute_totals_searches_up_to_the_default_cap(self):
-        assert verify.DEFAULT_HAM_CAP == 14
-        assert brute_totals(14, 2)["ham"] == words.count_words(14, 2)
-        assert brute_totals(15, 2)["ham"] is None
+    def test_brute_totals_decides_ham_at_every_length(self):
+        assert brute_totals(15, 2)["ham"] == words.count_words(15, 2)
+        # all runs odd at k = 3 means all runs of length 1: Fibonacci many
+        assert brute_totals(16, 3)["ham"] == 2584
 
     def test_totals_check_passes(self):
         reports = totals_check(3, 5)
@@ -359,23 +360,23 @@ def _words(max_n, max_k):
 class TestSharedSweeps:
     def test_run_all_builds_each_record_once(self, monkeypatch):
         counts = _Counts(monkeypatch)
-        assert run_all(8, 4, 7).ok
+        assert run_all(8, 4).ok
         assert len(_words(8, 4)) == 895
         assert sum(counts.records.values()) == len(counts.records) == 895
         assert {(bits, k) for bits, k, _ in counts.records} == _words(8, 4)
         searched = {(bits, k) for bits, k, ham in counts.records if ham}
-        assert searched == _words(7, 4)
-        # one sweep per (n, k) up to the cap, each running the DP's step
-        # at most once per edge of its automaton (26 edges at most), and
-        # the rule's proof, once per edge of its 20
-        assert len(counts.swept) == 7 * 3
+        assert searched == _words(8, 4)
+        # one sweep per (n, k), each running the DP's step at most once
+        # per edge of its automaton (26 edges at most), and the rule's
+        # proof, once per edge of its 20
+        assert len(counts.swept) == 8 * 3
         assert all(0 < steps <= 26 for steps in counts.swept)
         assert sum(counts.swept) < len(searched)
         assert counts.searches == sum(counts.swept) + 20
 
     def test_no_search_without_a_suite_that_reads_ham(self, monkeypatch):
         counts = _Counts(monkeypatch)
-        run_all(8, 4, 7, suites=("poly",))
+        run_all(8, 4, suites=("poly",))
         assert counts.searches == 0
         run_all(6, 3, suites=("graph", "degree", "formulas", "reversal"))
         assert counts.searches == 0
@@ -417,22 +418,19 @@ class TestOneRun:
         for family in verify.FAMILIES:
             alone += [r for k in (2, 3) for r in cross_check(family, k, 6)]
         alone += ham_pair_check(3, 12)
-        alone.append(verify._ham_rule_report(verify._Run(0)))
+        alone.append(verify._ham_rule_report(verify._Run(False)))
         alone += [r for k in (2, 3) for r in totals_check(k, 6)]
         alone += [r for k in (2, 3) for r in reversal_check(k, 6)]
         summary = run_all(6, 3)
         assert untimed(r for r in summary.reports
                        if not r.family.startswith("formulas:")) == untimed(alone)
 
-    def test_the_cap_has_one_source(self):
-        assert brute_totals(5, 3, run=verify._Run(0))["ham"] is None
-        assert brute_stats_poly(5, 3, "ham", run=verify._Run(0)) is None
-        assert brute_totals(5, 3, run=verify._Run(4))["ham"] is None
-        assert brute_totals(5, 3, run=verify._Run(5)) == brute_totals(5, 3)
+    def test_the_run_is_the_only_setting(self):
+        assert brute_totals(5, 3, run=verify._Run(True)) == brute_totals(5, 3)
         with pytest.raises(TypeError):
             brute_totals(5, 3, 4)
-        reports = cross_check("ham", 2, 3, run=verify._Run(2))
-        assert [r.status for r in reports] == ["pass", "pass", "skip"]
+        reports = cross_check("ham", 2, 3, run=verify._Run(True))
+        assert [r.status for r in reports] == ["pass"] * 3
 
     def test_a_check_alone_searches_only_for_the_ham_family(self, monkeypatch):
         counts = _Counts(monkeypatch)
@@ -450,7 +448,7 @@ class TestHamRule:
     CLAIM = "odd runs iff Hamiltonian"
 
     def rule_row(self):
-        return verify._ham_rule_report(verify._Run(0))
+        return verify._ham_rule_report(verify._Run(False))
 
     def test_one_row_at_the_end_of_the_ham_suite(self):
         reports = run_all(4, 5, suites=("ham",)).reports
@@ -479,7 +477,7 @@ class TestHamRule:
                 "lines, polyomino._LINES = polyomino._LINES, {}\n"
                 "from kbonacci import cli, verify\n"
                 "polyomino._LINES = lines\n"
-                "print(verify._ham_rule_report(verify._Run(0)).status)\n")
+                "print(verify._ham_rule_report(verify._Run(False)).status)\n")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True).stdout
         assert out == "pass\n"
