@@ -255,7 +255,7 @@ class TestEachRuleIsThePapersGF:
 
 class TestRecurrencesAtLargeN:
     @pytest.mark.parametrize("name", formulas.RECURRENCES)
-    def test_recurrence_reaches_n_3000_and_equals_the_closed_form(self, name):
+    def test_walk_reaches_n_3000_and_equals_the_closed_form(self, name):
         assert formulas.RECURRENCES[name](3000) == formulas.CLOSED_FORMS[name](3000)
 
     def test_nothing_is_cached(self):
