@@ -18,7 +18,9 @@ stream, `_coefficients`: each coefficient leaves the recurrence once, as
 soon as it is done with, as its exponent columns (one list per marker)
 and its coefficient list, in graded-lex order, and only the recurrence
 window is held.  A gf with markers runs on packed exponent keys
-(`_iter_packed`), a gf in x alone on plain ints (`_iter_ints`).
+(`_iter_packed`: each denominator term negated, as the multiplier that
+c_n gains, added without a multiply when it is +1 or -1, and cancelled
+terms deleted in place), a gf in x alone on plain ints (`_iter_ints`).
 `iter_expand` zips the columns into a `MultiPoly` (`expand` is its
 list); `iter_text` and `iter_json_terms`, which `kbonacci series`
 prints, render them through `_text` (which `to_text` calls too) and
@@ -29,7 +31,8 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache, partial
-from itertools import repeat, starmap
+from itertools import compress, repeat, starmap
+from operator import not_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .words import check_k, check_n
@@ -410,7 +413,13 @@ def _iter_packed(gf: RationalGF, n_max: int) -> Iterator[tuple[list[list[int]], 
     c_n exceeds maxN + n*maxD (each D_j has j >= 1), and width bits hold
     that bound at n = n_max, so no fixed-width field overflows; the
     degree field has no field above it and needs no bound.  Each c_n is
-    unpacked from one sort of its int keys, a column at a time."""
+    unpacked from one sort of its int keys, a column at a time.
+
+    A denominator term of x-degree j is held as (key, m), m its
+    coefficient negated: c_n gains m times each term of c_{n-j}.  The
+    loops for m = +1 and m = -1, all that the families have, add or
+    subtract with no multiply.  Cancelled terms are few, so the zeros of
+    c_n are collected at C speed and deleted in place."""
     aux = gf.aux_variables
     num_terms = gf.numerator.terms
     den_terms = gf.denominator.terms
@@ -434,7 +443,7 @@ def _iter_packed(gf: RationalGF, n_max: int) -> Iterator[tuple[list[list[int]], 
     den: dict[int, list[tuple[int, int]]] = {}
     for exps, coef in den_terms.items():
         if 0 < exps[0] <= n_max:
-            den.setdefault(exps[0], []).append((pack(exps), coef))
+            den.setdefault(exps[0], []).append((pack(exps), -coef))
     den_slices = sorted(den.items())
     depth = den_slices[-1][0] if den_slices else 0
 
@@ -450,17 +459,28 @@ def _iter_packed(gf: RationalGF, n_max: int) -> Iterator[tuple[list[list[int]], 
             if j > n:
                 break
             prev = window[-j]
-            for dkey, dcoef in dj:
+            for dkey, m in dj:
                 if not c:  # the first contribution: distinct keys, none zero
                     c = dict(zip(map(dkey.__add__, prev),
-                                 map((-dcoef).__mul__, prev.values())))
+                                 prev.values() if m == 1 else map(m.__mul__, prev.values())))
                     continue
                 get = c.get
-                for key, coef in prev.items():
-                    key += dkey
-                    c[key] = get(key, 0) - dcoef * coef
-        window.append(c if 0 not in c.values()
-                      else {key: coef for key, coef in c.items() if coef})
+                if m == 1:
+                    for key, coef in prev.items():
+                        key += dkey
+                        c[key] = get(key, 0) + coef
+                elif m == -1:
+                    for key, coef in prev.items():
+                        key += dkey
+                        c[key] = get(key, 0) - coef
+                else:
+                    for key, coef in prev.items():
+                        key += dkey
+                        c[key] = get(key, 0) + m * coef
+        if 0 in c.values():  # cancelled terms: few, found and deleted at C speed
+            for key in list(compress(c, map(not_, c.values()))):
+                del c[key]
+        window.append(c)
         if len(window) > depth:
             yield unpack(window.pop(0))
     for packed in window:

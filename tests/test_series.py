@@ -814,6 +814,54 @@ class TestPackedKeysAgainstTuples:
     def test_large_exponents(self, gf, n_max):
         assert [c.terms for c in expand(gf, n_max)] == _expand_tuples(gf, n_max)
 
+    @pytest.mark.parametrize("gf, n_max", [(gf_degree(5), 60), (gf_polyomino(3), 75),
+                                           (gf_graph(3), 75)])
+    def test_benchmark_sizes(self, gf, n_max):
+        # the largest expansions that `kbonacci series` is timed on
+        assert [c.terms for c in expand(gf, n_max)] == _expand_tuples(gf, n_max)
+
+
+XPQ = ("x", "p", "q")
+
+
+def _with_x_sign(terms, sign):
+    """The polynomial over x, p, q with `terms`, x replaced by sign*x."""
+    return MultiPoly(XPQ, {e: c * sign ** e[0] for e, c in terms.items()})
+
+
+class TestUnitMultipliersAndCancellation:
+    """The packed recurrence adds each earlier coefficient by one of three
+    loops, for the multipliers +1, -1 and any other, and deletes the terms
+    that cancel.  D = 1 + xp - xq + 3xpq - x^2p^2q + 2x^3q^4 has all three
+    multipliers under both signs of x; (D*F)/D = F cancels every term past
+    F's degree in x."""
+
+    D = {(0, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): -1, (1, 1, 1): 3, (2, 2, 1): -1,
+         (3, 0, 4): 2}
+    F = {(0, 0, 0): 1, (1, 2, 0): -4, (2, 1, 3): 5, (4, 0, 1): 1}
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_product_over_denominator_is_the_numerator(self, sign):
+        d, f = _with_x_sign(self.D, sign), _with_x_sign(self.F, sign)
+        gf = RationalGF(d * f, d)
+        slices = [MultiPoly(PQ, {e[1:]: c for e, c in f.terms.items() if e[0] == n})
+                  for n in range(41)]
+        coeffs = expand(gf, 40)
+        assert coeffs == slices
+        assert all(c.is_zero for c in coeffs[5:])
+        assert [c.terms for c in coeffs] == _expand_tuples(gf, 40)
+        assert list(iter_text(gf, 40)) == list(map(_reference_to_text, slices))
+        assert list(iter_json_terms(gf, 40)) == [
+            json.dumps(_reference_to_json_terms(c)) for c in slices]
+        assert not any(0 in coefs for _, coefs in series._coefficients(gf, 40))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_quotient(self, sign):
+        # F/D: past F's degree each c_n starts from its first contribution
+        gf = RationalGF(_with_x_sign(self.F, sign), _with_x_sign(self.D, sign))
+        assert [c.terms for c in expand(gf, 40)] == _expand_tuples(gf, 40)
+        assert not any(0 in coefs for _, coefs in series._coefficients(gf, 40))
+
 
 class TestFamilyConstructors:
     @pytest.mark.parametrize("k", [1, 2.0, 2.5, True])
