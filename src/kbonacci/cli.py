@@ -105,7 +105,7 @@ def cmd_enumerate(args) -> int:
         return 0
     if args.render:
         for w in word_iter:
-            print(w.text or "ε")
+            print(w.text)
             print(polyomino.render(polyomino.from_word(w)))
             print()
         return 0
@@ -118,7 +118,7 @@ def cmd_enumerate(args) -> int:
                 print(w.text)
         else:
             for w in word_iter:
-                print(w.text or "ε")
+                print(w.text)
         return 0
     # Hamiltonicity by the proved odd-run rule, at every n; the frontier DP
     # is left to `verify` as its oracle

@@ -346,8 +346,7 @@ class QuadraticConstant(NamedTuple):
 
     def abs_diff_below(self, r: Fraction, eps: Fraction) -> bool:
         """Certify |value - r| < eps using a rational enclosure."""
-        lo, hi = self.enclosure()
-        return r - eps < lo and hi < r + eps
+        return self.gap_upper_bound(r) < eps
 
     def gap_upper_bound(self, r: Fraction) -> Fraction:
         """A rational upper bound on |value - r|."""

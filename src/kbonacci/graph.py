@@ -9,15 +9,16 @@ them: `_corner_degrees` counts its corners by degree, reading the line
 before it too, and `_step` is the one step of a Hamiltonian-cycle DP.
 `degree_profile` and `is_hamiltonian` run them once on any graph, read
 as one line.  Over the table they make a finite automaton, `_Automaton`,
-whose node is what the next line's rules read and whose edge, one line,
-holds the node after it and the line's counts; each user numbers its
-nodes and edges as it walks them.  One private record builder,
-`sweep_stats`, reads every statistic of a word off the grid graph (area
-and semiperimeter by Euler's formula): it walks a word's lines on the
-automaton, resuming each word at the node kept before the first line it
-does not share with the previous word (`polyomino._kept_lines`), so a
-rebuilt line costs one int-keyed lookup; `word_stats` is the sweep of
-one word.
+a dict whose node is what the next line's rules read and whose edge, one
+line, is looked up by subscription, `lines[node + right]`, and holds the
+node after it and the line's counts; a missing edge is computed and
+stored at its first lookup, and each user numbers its nodes and edges as
+it walks them.  One private record builder, `sweep_stats`, reads every
+statistic of a word off the grid graph (area and semiperimeter by
+Euler's formula): it walks a word's lines on the automaton, resuming
+each word at the node kept before the first line it does not share with
+the previous word (`polyomino._kept_lines`), so a rebuilt line costs one
+subscription; `word_stats` is the sweep of one word.
 Hamiltonicity also has one O(n) fast path, `hamiltonian_by_odd_runs`,
 which `check_ham_rule` proves equal to the DP on every word by a search
 over the same automaton; the DP stays as the rule's independent oracle.
@@ -62,7 +63,7 @@ def degree_profile(g: Geometry) -> tuple[int, int, int]:
     """Counts of vertices of degree 2, 3 and 4 of a graph on integer ids,
     taken as `is_hamiltonian` takes them; a vertex of any other degree is
     a `ValueError` that names it as the (x, y) of its id 3x + y."""
-    return _corner_degrees(0, (), *_one_line(g), 0)
+    return _corner_degrees(0, (), *_one_line(g))
 
 
 def mirrored(geo: Geometry) -> Geometry:
@@ -86,14 +87,16 @@ def grid_hamiltonian_rule(m: int, n: int) -> bool:
 
 
 def _corner_degrees(shift: int, before: Sequence[tuple[int, int]], corners: Sequence[int],
-                    sides: Sequence[tuple[int, int]], base: int) -> tuple[int, int, int]:
+                    sides: Sequence[tuple[int, int]]) -> tuple[int, int, int]:
     """Counts of a line's `corners` of degree 2, 3 and 4, from its `sides`
     and the sides `before` of the line before it, whose base id was
     `shift` below this one's (all as offsets from their line's base).  No
     other side meets them: each side's lower end lies in the line that
     adds it and its upper end in that line or the next.  A corner of any
     other degree is a `ValueError` that names the first one as the
-    (x, y) of its id 3x + y, `base` being the line's base id."""
+    (x, y) of its offset 3x + y: the graph's own id in `degree_profile`,
+    whose one line has base 0.  No line of `polyomino._LINES` has such a
+    corner (the walk of the whole `_Automaton` in the tests)."""
     degree = dict.fromkeys(corners, 0)
     for end in [end - shift for side in before for end in side]:
         if end in degree:
@@ -105,7 +108,7 @@ def _corner_degrees(shift: int, before: Sequence[tuple[int, int]], corners: Sequ
     counts = [0, 0, 0, 0, 0]
     for c, d in degree.items():
         if not 2 <= d <= 4:
-            raise ValueError(f"vertex {divmod(base + c, 3)} has degree {d}, outside {{2,3,4}}")
+            raise ValueError(f"vertex {divmod(c, 3)} has degree {d}, outside {{2,3,4}}")
         counts[d] += 1
     return counts[2], counts[3], counts[4]
 
@@ -185,36 +188,35 @@ def _step(frontier: tuple[tuple[int, ...], frozenset], shift: int, corners: Sequ
     return tuple(order), frozenset(now | {_CLOSED} if closed else now)
 
 
-class _Automaton:
+class _Automaton(dict):
     """The lines of `polyomino._LINES` as a finite automaton, numbered as
     it is walked (the transfer-matrix method, Stanley, EC1 4.7).  A node
     is what the next line's rules read: the left height of the next line
     (0 before the first line), the previous line's sides when `counts`
     is set, else (), for `_corner_degrees`, and the DP's frontier when
     `ham` is set, else None, for `_step`.  Node i has the number 3i, and
-    `edges[node + right]` is the line between a column of the node's left
-    height and one of height `right` (0: the closing line), as the pair
-    (number of the node after it, the line's increment of vertices,
-    edges and vertices of degree 2, 3 and 4, or () without `counts`).  A
-    frontier holds ids relative to its line's base, so both depend only
-    on the node and `right`, and `edge` computes each once, where the
-    walk first needs it; a user keeps its own automaton, dropped with it.
-    The nodes are finitely many (`check_ham_rule`)."""
+    the subscription `lines[node + right]` of an automaton `lines` is the
+    line between a column of the node's left height and one of height
+    `right` (0: the closing line), as the pair (number of the node after
+    it, the line's increment of vertices, edges and vertices of degree 2,
+    3 and 4, or () without `counts`).  A frontier holds ids relative to
+    its line's base, so both depend only on the node and `right`, and
+    `__missing__` computes each edge once, at its first lookup; a user
+    keeps its own automaton, dropped with it.  The nodes are finitely
+    many (`check_ham_rule`)."""
 
-    __slots__ = ("keys", "numbers", "edges", "counts")
+    __slots__ = ("keys", "numbers", "counts")
 
     def __init__(self, counts: bool, ham: bool) -> None:
         start = (0, (), _START if ham else None)
         self.keys = [start]  # keys[i]: node 3i
         self.numbers = {start: 0}
-        self.edges: dict[int, tuple[int, tuple[int, ...]]] = {}
         self.counts = counts
 
-    def edge(self, node: int, right: int, x: int) -> tuple[int, tuple[int, ...]]:
-        """Compute and store `edges[node + right]`, met as line x of a
-        walk: a corner of a degree outside 2..4 is a `ValueError` that
-        names it at its ids on that line."""
-        left, before, frontier = self.keys[node // 3]
+    def __missing__(self, edge: int) -> tuple[int, tuple[int, ...]]:
+        """Compute and store the edge `edge = node + right`."""
+        i, right = divmod(edge, 3)
+        left, before, frontier = self.keys[i]
         corners, sides = polyomino._LINES[left, right]
         shift = 3 if left else 0
         if frontier is not None:
@@ -222,14 +224,14 @@ class _Automaton:
         increment: tuple[int, ...] = ()
         if self.counts:
             increment = (len(corners), len(sides),
-                         *_corner_degrees(shift, before, corners, sides, 3 * x))
+                         *_corner_degrees(shift, before, corners, sides))
         key = (right, sides if self.counts else (), frontier)
         after = self.numbers.get(key)
         if after is None:
             after = self.numbers[key] = 3 * len(self.keys)
             self.keys.append(key)
-        edge = self.edges[node + right] = (after, increment)
-        return edge
+        value = self[edge] = (after, increment)
+        return value
 
 
 # The odd-run rule as a DFA on the letters 0 and 1: state 0 is outside a
@@ -274,19 +276,19 @@ def check_ham_rule() -> RuleCheck:
     A word's graph is built from `polyomino._LINES` one line at a time,
     each line 3 ids above the one before, and the sweep walks the same
     lines on an `_Automaton`; here its nodes are (left height, frontier),
-    with no counts.  The letter b reads the line whose right column has
-    height b + 1, and a word is Hamiltonian iff `_CLOSED` is in the
-    frontier after its closing line (right height 0).  A breadth first
-    search, letter 0 before 1, over the reachable (node, DFA state)
-    pairs compares that with the DFA at each pair.  The pairs are
-    finitely many, so if every reached pair agrees, the two agree on
-    every word of every length, and so for every k; the first pair that
-    does not is reached by a shortest word, the least of those in
-    lexicographic order.  The start pair, the empty word, is excepted:
-    it has no polyomino and no closing line.  The table is read when
-    this is called, not at import."""
+    with no counts.  The letter b reads the line `lines[node + b + 1]`,
+    whose right column has height b + 1, and a word is Hamiltonian iff
+    `_CLOSED` is in the frontier after its closing line, `lines[node]`
+    (right height 0).  A breadth first search, letter 0 before 1, over
+    the reachable (node, DFA state) pairs compares that with the DFA at
+    each pair.  The pairs are finitely many, so if every reached pair
+    agrees, the two agree on every word of every length, and so for
+    every k; the first pair that does not is reached by a shortest word,
+    the least of those in lexicographic order.  The start pair, the
+    empty word, is excepted: it has no polyomino and no closing line.
+    The table is read when this is called, not at import."""
     lines = _Automaton(False, True)
-    keys, get, edge = lines.keys, lines.edges.get, lines.edge
+    keys = lines.keys
     words = {(0, 0): ""}
     queue = deque([(0, 0)])
     counterexample = None
@@ -294,13 +296,12 @@ def check_ham_rule() -> RuleCheck:
         node, s = pair = queue.popleft()
         word = words[pair]
         if word:
-            closing = (get(node) or edge(node, 0, len(word)))[0]
+            closing = lines[node][0]
             if (_CLOSED in keys[closing // 3][2][1]) != ODD_RUN_ACCEPT[s]:
                 counterexample = word
                 break
         for b in (0, 1):
-            after = ((get(node + b + 1) or edge(node, b + 1, len(word)))[0],
-                     ODD_RUN_STEP[s][b])
+            after = lines[node + b + 1][0], ODD_RUN_STEP[s][b]
             if after not in words:
                 words[after] = word + str(b)
                 queue.append(after)
@@ -365,20 +366,21 @@ def sweep_stats(words: Iterable[Word], ham: bool) -> Iterator[tuple[Word, WordSt
     word's lines on one `_Automaton` and keeps per line the node before
     it and the running counts of the lines before it, so a word resumes
     at its first line not shared with the previous word
-    (`polyomino._kept_lines`) and a rebuilt line costs one lookup of an
-    int in the automaton's edges and one sum of count tuples."""
+    (`polyomino._kept_lines`) and a rebuilt line costs one subscription
+    of the automaton, `lines[node + b + 1]`, and one sum of count
+    tuples."""
     lines = _Automaton(True, ham)
-    keys, get, edge = lines.keys, lines.edges.get, lines.edge
+    keys = lines.keys
     path = [(0, (0, 0, 0, 0, 0))]  # path[x]: node before line x, counts of lines < x
     for w, x in polyomino._kept_lines(words):
         bits = w.bits
         del path[x + 1:]
         node, counts = path[x]
         for b in bits[x:]:
-            node, increment = get(node + b + 1) or edge(node, b + 1, len(path) - 1)
+            node, increment = lines[node + b + 1]
             counts = tuple(map(add, counts, increment))
             path.append((node, counts))
-        node, increment = get(node) or edge(node, 0, len(bits))
+        node, increment = lines[node]
         nv, ne, d2, d3, d4 = map(add, counts, increment)
         yield w, WordStats(*by_euler(nv, ne), nv, ne, d2, d3, d4,
                            int(_CLOSED in keys[node // 3][2][1]) if ham else None)

@@ -15,8 +15,8 @@ other reader iterate `terms` as they are, with no sort of their own.
 
 `iter_expand`, `iter_text` and `iter_json_terms` read one coefficient
 stream, `_coefficients`: each coefficient leaves the recurrence once, as
-soon as it is done with, as its exponent columns (one list per marker)
-and its coefficient list, in graded-lex order, and only the recurrence
+soon as it is made, as its exponent columns (one list per marker) and
+its coefficient list, in graded-lex order, and only the recurrence
 window is held.  A gf with markers runs on packed exponent keys
 (`_iter_packed`: each denominator term negated, as the multiplier that
 c_n gains, added without a multiply when it is +1 or -1, and cancelled
@@ -352,8 +352,8 @@ def _check_n_max(n_max: int) -> None:
 
 def iter_expand(gf: RationalGF, n_max: int) -> Iterator[MultiPoly]:
     """Coefficients of x^0..x^n_max as polynomials in the other variables,
-    yielded in order, each as soon as the recurrence is done with it, with
-    its terms in graded-lex order.
+    yielded in order, each as soon as it is made, with its terms in
+    graded-lex order.
 
     With numerator slices N_j and denominator slices D_j (D_0 = 1), the
     coefficients satisfy c_n = N_n - sum_{j>=1} D_j c_{n-j}.  Each c_n is
@@ -397,12 +397,12 @@ def _coefficients(gf: RationalGF, n_max: int) -> Iterator[tuple[list[list[int]],
 def _iter_packed(gf: RationalGF, n_max: int) -> Iterator[tuple[list[list[int]], list[int]]]:
     """The recurrence of `iter_expand` on packed exponent keys, for a gf
     with auxiliary variables and an `n_max` already checked.  Each c_n is
-    yielded once, as soon as it leaves the recurrence window (the last
-    `depth` coefficients, `depth` the largest x-degree <= n_max of a
-    denominator term, as in `_iter_ints`), as a pair: its exponent
-    columns, one list per auxiliary variable, and its list of nonzero
-    coefficients, all in the graded-lex order of its terms.  Term i of
-    c_n has exponents (columns[0][i], ..., columns[m-1][i]) and
+    yielded once, as soon as it is made, and only the last `depth` are
+    kept, as empty dicts before c_0 (`depth` the largest x-degree <= n_max
+    of a denominator term, as in `_iter_ints`).  It leaves as a pair: its
+    exponent columns, one list per auxiliary variable, and its list of
+    nonzero coefficients, all in the graded-lex order of its terms.  Term
+    i of c_n has exponents (columns[0][i], ..., columns[m-1][i]) and
     coefficient coefs[i].  No other module reads this format.
 
     With m auxiliary variables, the key of exponents (e_1, ..., e_m) holds
@@ -452,12 +452,11 @@ def _iter_packed(gf: RationalGF, n_max: int) -> Iterator[tuple[list[list[int]], 
         return ([[(key >> s) & mask for key in keys] for s in shifts],
                 list(map(packed.__getitem__, keys)))
 
-    window: list[dict[int, int]] = []  # c_{n-depth}..c_{n-1}, packed
+    # c_{n-depth}..c_{n-1}, packed, with empty dicts (zeros) before c_0
+    window = deque([{}] * depth, maxlen=depth)
     for n in range(n_max + 1):
         c = dict(num.get(n, ()))
         for j, dj in den_slices:
-            if j > n:
-                break
             prev = window[-j]
             for dkey, m in dj:
                 if not c:  # the first contribution: distinct keys, none zero
@@ -480,11 +479,8 @@ def _iter_packed(gf: RationalGF, n_max: int) -> Iterator[tuple[list[list[int]], 
         if 0 in c.values():  # cancelled terms: few, found and deleted at C speed
             for key in list(compress(c, map(not_, c.values()))):
                 del c[key]
+        yield unpack(c)
         window.append(c)
-        if len(window) > depth:
-            yield unpack(window.pop(0))
-    for packed in window:
-        yield unpack(packed)
 
 
 def _iter_ints(gf: RationalGF, n_max: int) -> Iterator[int]:

@@ -74,10 +74,6 @@ class Summary:
     def ok(self) -> bool:
         return self.fails == 0
 
-    @property
-    def failing(self) -> list[CheckReport]:
-        return [r for r in self.reports if r.status == "fail"]
-
 
 class _Run:
     """One verification run: whether its sweeps decide Hamiltonicity, the

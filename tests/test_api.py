@@ -173,7 +173,7 @@ def test_hamiltonicity_has_one_fast_path_and_one_oracle():
     proof walk, and `is_hamiltonian` run it and nothing else does, and
     only graph.py reads its closed mark, so a second step function cannot
     appear without this test failing."""
-    assert _readers("_step") == {("graph", "_Automaton.edge"), ("graph", "is_hamiltonian")}
+    assert _readers("_step") == {("graph", "_Automaton.__missing__"), ("graph", "is_hamiltonian")}
     assert {module for module, _ in _readers("_CLOSED")} == {"graph"}
 
     calls = _called_names(ast.parse((SRC / "cli.py").read_text()))
@@ -344,7 +344,7 @@ def test_the_search_reads_only_the_graph():
     assert not _read(found) & (rule | {"bits", "text", "_LINES", "frontier", "polyomino",
                                        "words"})
     builder = _graph_oracle("_Automaton", "sweep_stats", "_kept_lines")
-    assert {"_Automaton.__init__", "_Automaton.edge", "_step", "_corner_degrees"} <= set(builder)
+    assert {"_Automaton.__init__", "_Automaton.__missing__", "_step", "_corner_degrees"} <= set(builder)
     assert "_LINES" in _read(builder)
     assert not _read(builder) & rule
 
@@ -374,7 +374,7 @@ def test_only_the_line_builder_and_the_automaton_read_the_line_table():
     sweep and the rule's proof walk, which runs the per-line rules over
     it, so a second line builder cannot appear without this test
     failing."""
-    assert _readers("_LINES") == {("polyomino", "_add_lines"), ("graph", "_Automaton.edge")}
+    assert _readers("_LINES") == {("polyomino", "_add_lines"), ("graph", "_Automaton.__missing__")}
 
 
 def test_the_readme_layout_lists_every_module():

@@ -387,16 +387,6 @@ def scratch_build(vertices, edges):
     return (len(vertices), len(edges), *counts)
 
 
-class Counted(dict):
-    """A memo that counts its lookups."""
-
-    gets = 0
-
-    def get(self, key):
-        self.gets += 1
-        return super().get(key)
-
-
 class TestGraphInput:
     """`is_hamiltonian` and `degree_profile` take a graph of distinct,
     non-negative int ids in ascending order and edges between them; any
@@ -452,17 +442,21 @@ class TestGraphInput:
 
 
 def automata(monkeypatch) -> list:
-    """Every `graph._Automaton` made from now on, in order, each with an
-    edge table that counts its lookups (`Counted`)."""
+    """Every `graph._Automaton` made from now on, in order, each counting
+    its subscriptions in `gets`."""
     made = []
 
     class Recorded(graph._Automaton):
-        __slots__ = ()
+        __slots__ = ("gets",)
 
         def __init__(self, *args):
             super().__init__(*args)
-            self.edges = Counted()
+            self.gets = 0
             made.append(self)
+
+        def __getitem__(self, edge):
+            self.gets += 1
+            return super().__getitem__(edge)
 
     monkeypatch.setattr(graph, "_Automaton", Recorded)
     return made
@@ -472,7 +466,7 @@ def projected(automaton) -> set:
     """The edges of an automaton as ((left height, frontier), right
     height), the sides of a node left out: what `_step` reads."""
     out = set()
-    for key in automaton.edges:
+    for key in automaton:
         node, right = divmod(key, 3)
         left, _, frontier = automaton.keys[node]
         out.add(((left, frontier), right))
@@ -550,7 +544,7 @@ class TestSweepGraph:
         assert len(words) == 4934
         assert len(list(sweep_stats(words, True))) == 4934
         table = made[-1]
-        assert (len(table.keys), len(table.edges), len(steps)) == (13, 26, 26)
+        assert (len(table.keys), len(table), len(steps)) == (13, 26, 26)
         assert len({frontier for _, _, frontier in table.keys}) == 9
         steps.clear()
         assert len(list(sweep_stats(words, False))) == 4934
@@ -558,7 +552,7 @@ class TestSweepGraph:
 
     def test_a_rebuilt_line_costs_one_count_lookup(self, monkeypatch):
         """A word of the sweep looks up each line it rebuilds once in the
-        automaton's edges, from the node kept before its first rebuilt
+        automaton, from the node kept before its first rebuilt
         line, and keeps the running counts of the lines before it; each
         edge's counts are computed once: the 4,934 words with k = 2..5 and
         n <= 10 reach 6 nodes and 11 edges without `ham`, a first line
@@ -576,13 +570,34 @@ class TestSweepGraph:
         for ham in (False, True):
             gets = 0
             for (w, _), lines in zip(sweep_stats(ws, ham), built):
-                assert made[-1].edges.gets - gets == lines, w.text
-                gets = made[-1].edges.gets
+                assert made[-1].gets - gets == lines, w.text
+                gets = made[-1].gets
             assert gets == sum(built) < 3.1 * len(ws)
         words = [w for k in range(2, 6) for n in range(1, 11) for w in iter_words(n, k)]
         counted.clear()
         assert len(list(sweep_stats(words, False))) == 4934
-        assert (len(made[-1].keys), len(made[-1].edges), len(counted)) == (6, 11, 11)
+        assert (len(made[-1].keys), len(made[-1]), len(counted)) == (6, 11, 11)
+
+    def test_the_whole_automaton_computes_every_edge(self):
+        """A walk of the whole automaton, not of a sample of words: rights
+        1 and 2 from the start and from every node they reach, and the
+        closing line (right 0) from each of those but the start.  Every
+        edge is computed without error, so no line of the table has a
+        corner of a degree outside 2..4 and the automaton needs no word's
+        line index to name one.  The walk reaches the nodes and edges
+        that the word sweeps reach: 6 and 11 without `ham`, 13 and 26
+        with it."""
+        for ham, reached in ((False, (6, 11)), (True, (13, 26))):
+            lines = graph._Automaton(True, ham)
+            queue, seen = [0], {0}
+            while queue:
+                node = queue.pop()
+                for right in (1, 2) if node == 0 else (0, 1, 2):
+                    after = lines[node + right][0]
+                    if right and after not in seen:
+                        seen.add(after)
+                        queue.append(after)
+            assert (len(lines.keys), len(lines)) == reached, ham
 
 
 class TestSweepCoveredByTheProof:
@@ -597,7 +612,7 @@ class TestSweepCoveredByTheProof:
         words = [w for k in range(2, 8) for n in range(1, 13) for w in iter_words(n, k)]
         assert len(list(sweep_stats(words, True))) == len(words) == 33596
         swept = made[-1]
-        assert (len(swept.keys), len(swept.edges)) == (13, 26)
+        assert (len(swept.keys), len(swept)) == (13, 26)
         assert projected(swept) <= proof
         long = [Word((1,) * 499 + (0,) + (1,) * 499, 500), Word((1,) * 999, 1000)]
         assert [s.ham for _, s in sweep_stats(long, True)] == [1, 1]

@@ -458,6 +458,18 @@ class TestIterExpand:
                 tracemalloc.stop()
             assert peak < 100_000, gf
 
+    def test_each_coefficient_leaves_as_soon_as_it_is_made(self):
+        # the first next() at k = 60 computes c_0 alone (4 KB at peak), not
+        # c_0..c_60 with c_0 held until the window behind it fills (2.1 MB)
+        coeffs = iter_text(gf_polyomino(60), 200)
+        tracemalloc.start()
+        try:
+            assert next(coeffs) == "0"
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     def test_rendered_streams(self):
         for k in range(2, 6):
             for gf in self.gfs(k):
