@@ -54,14 +54,6 @@ def fibonacci(n: int) -> int:
     return generalized_fibonacci(n, 2)
 
 
-def _check_n(n: int, low: int = 1) -> None:
-    """Reject an index n that is not an int (`words.check_n`) or is
-    below `low`."""
-    check_n(n)
-    if n < low:
-        raise ValueError(f"index must be >= {low}, got {n}")
-
-
 class _Recurrence(NamedTuple):
     """a_m = X1 a_{m-1} + X2 a_{m-2} for m >= 3, over `variables`: a_1 and
     a_2 as {exponent vector: coefficient}, and the exponent vectors of
@@ -106,7 +98,7 @@ def _nth(name: str, n: int) -> MultiPoly:
     generating function, the last of one streamed expansion, so no other
     coefficient is kept (a list of all n of them at n = 3000 would hold
     hundreds of MB)."""
-    _check_n(n)
+    check_n(n, 1, "index")
     return deque(iter_expand(_gf(_RULES[name]), n), maxlen=1)[0]
 
 
@@ -115,7 +107,7 @@ def recurrence_sides(n_max: int) -> dict[str, list[MultiPoly]]:
     generating function per family, keyed as `RECURRENCES`: the
     counterpart of `series_sides`.  a_0 is the zero polynomial, the x^0
     coefficient of sum_{n>=1} a_n x^n, so both sides index by n alike."""
-    _check_n(n_max, 0)
+    check_n(n_max, 0, "index")
     return {name: expand(_gf(rule), n_max) for name, rule in _RULES.items()}
 
 
@@ -131,7 +123,7 @@ def t_poly(n: int) -> MultiPoly:
 
 def t_poly_closed(n: int) -> MultiPoly:
     """t_n as the binomial sum of C(n+1-i, i) p^(n+i+1) q^(n+i)."""
-    _check_n(n)
+    check_n(n, 1, "index")
     return MultiPoly(PQ, {(n + i + 1, n + i): binom(n + 1 - i, i)
                           for i in range((n + 1) // 2 + 1)})
 
@@ -150,7 +142,7 @@ def v_poly(n: int) -> MultiPoly:
 
 def v_poly_closed(n: int) -> MultiPoly:
     """v_n as the binomial sum of C(n+1-i, i) p^(3n+1+3i) q^(2n+2+2i)."""
-    _check_n(n)
+    check_n(n, 1, "index")
     return MultiPoly(PQ, {(3 * n + 1 + 3 * i, 2 * n + 2 + 2 * i): binom(n + 1 - i, i)
                           for i in range((n + 1) // 2 + 1)})
 
@@ -166,7 +158,7 @@ def d2_poly(n: int) -> MultiPoly:
 
 
 def d2_poly_closed(n: int) -> MultiPoly:
-    _check_n(n)
+    check_n(n, 1, "index")
     return MultiPoly(Q, {(i + 3,): binom(n - 1 - i // 2, (i - 1) // 2)
                          + binom(n - 2 - (i - 1) // 2, (i - 2) // 2)
                          for i in range(1, n + 1)})
@@ -182,7 +174,7 @@ def d3_poly_closed(n: int) -> MultiPoly:
     """Binomial form of d_{n,3}: (1 + q^2) g_{n-1} + (2q^2 - q^4) g_{n-2},
     where g_m = sum_i C(m-i, i) q^(2(m-i)) is the Fibonacci-polynomial
     solution of g_m = q^2 (g_{m-1} + g_{m-2})."""
-    _check_n(n)
+    check_n(n, 1, "index")
     terms: dict[tuple[int, ...], int] = {}
     for m, factor in ((n - 1, ((0, 1), (2, 1))), (n - 2, ((2, 2), (4, -1)))):
         for i in range(max(m, 0) + 1):
@@ -202,7 +194,7 @@ def d4_poly(n: int) -> MultiPoly:
 def d4_poly_closed(n: int) -> MultiPoly:
     """Binomial form of d_{n,4}; terms with i < 3 vanish under the
     binomial convention, so no negative q exponents arise."""
-    _check_n(n)
+    check_n(n, 1, "index")
     terms: dict[tuple[int, ...], int] = {}
     for i in range(n + 3):
         c = (binom(n - 1 - (i - 2) // 2, (i - 3) // 2)
@@ -232,7 +224,7 @@ def series_sides(n_max: int) -> dict[str, list[MultiPoly]]:
     as `RECURRENCES`: t from gf_polyomino(2), v from gf_graph(2), and d_j
     from gf_degree(2) with the two other degree markers set to 1 before it
     expands, so that expansion runs in (x, q_j) alone, and q_j renamed q."""
-    check_n(n_max)
+    check_n(n_max, 0, "n_max")
     degree = gf_degree(2)
     sides = {"t": expand(gf_polyomino(2), n_max), "v": expand(gf_graph(2), n_max)}
     for j in DEGREES:
@@ -249,7 +241,7 @@ def total_area_closed(n: int) -> int:
     """Total area over all length-n words with k = 2, via the Fibonacci
     closed form (6n F(n+2) + (n+2) F(n)) / 5.  The numerator is always
     divisible by 5; a failed division signals a transcription bug."""
-    _check_n(n)
+    check_n(n, 1, "index")
     v = 6 * n * fibonacci(n + 2) + (n + 2) * fibonacci(n)
     if v % 5:
         raise ArithmeticError(f"total-area numerator {v} not divisible by 5 at n={n}")
@@ -258,14 +250,14 @@ def total_area_closed(n: int) -> int:
 
 def fib_convolution(n: int) -> int:
     """c(n) = sum_i F(i) F(n-i), summed directly."""
-    _check_n(n, 0)
+    check_n(n, 0, "index")
     return sum(fibonacci(i) * fibonacci(n - i) for i in range(n + 1))
 
 
 def fib_convolution_closed(n: int) -> Fraction:
     """The closed form ((n-1) F(n) + 2n F(n-1)) / 5 of `fib_convolution`,
     exactly, so a wrong closed form gives an unequal value, not an error."""
-    _check_n(n, 0)
+    check_n(n, 0, "index")
     return Fraction((n - 1) * fibonacci(n) + 2 * n * fibonacci(n - 1), 5)
 
 
@@ -273,7 +265,7 @@ def narayana(n: int) -> int:
     """Narayana's cows sequence b_n = b_{n-1} + b_{n-3} in the indexing of
     its generating function 1/(1 - x - x^3): b_0 = b_1 = b_2 = 1, so
     b_6 = 6; by the recurrence."""
-    _check_n(n, 0)
+    check_n(n, 0, "index")
     seq = [1, 1, 1]
     for m in range(3, n + 1):
         seq.append(seq[-1] + seq[-3])
@@ -282,7 +274,7 @@ def narayana(n: int) -> int:
 
 def narayana_binomial(n: int) -> int:
     """`narayana(n)` as the binomial sum of C(n-2i, i)."""
-    _check_n(n, 0)
+    check_n(n, 0, "index")
     return sum(binom(n - 2 * i, i) for i in range(n // 3 + 1))
 
 
@@ -298,7 +290,7 @@ def degree_partition_break(n_max: int) -> int | None:
     so the series of the difference starts at P's lowest power of x; no
     numerator has an x^0 term, so that power is the first n >= 1 at which
     the counts differ."""
-    check_n(n_max)
+    check_n(n_max, 0, "n_max")
     sides = [(1, gf_named_total(f"deg{j}", 2)) for j in DEGREES]
     sides.append((-1, gf_named_total("vertices", 2)))
     gap = sum((sign * gf.numerator * math.prod(other.denominator
@@ -313,9 +305,7 @@ def polyomino_counts_by_area(max_area: int) -> list[int]:
     exactly a cells, for a = 0..max_area, counted by one sweep of the
     words.  Each column holds at least one cell, so only word lengths up
     to max_area can contribute."""
-    check_n(max_area)
-    if max_area < 1:
-        raise ValueError(f"area must be >= 1, got {max_area}")
+    check_n(max_area, 1, "area")
     counts = [0] * (max_area + 1)
     for n in range(1, max_area + 1):
         for w in enumerate_words(n, 2):
@@ -402,7 +392,7 @@ def empirical_degree_ratio(j: int, n: int) -> Fraction:
     """Exact rational (total degree-j vertices) / (total vertices) over
     all length-n words with k = 2."""
     degree_total = _degree(j)[1]
-    _check_n(n)
+    check_n(n, 1, "index")
     f, g = fibonacci(n), fibonacci(n + 1)
 
     def total(a: int, b: int, c: int, d: int) -> int:

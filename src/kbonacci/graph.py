@@ -350,17 +350,17 @@ class WordStats(NamedTuple):
     ham: int | None
 
 
-def word_stats(w: Word, ham: bool) -> WordStats:
-    """The statistics of a nonempty word, read off the grid graph of its
-    polyomino: the sweep of `sweep_stats` on the one word.  Each call
-    builds its own `_Automaton` and pays every line step again, so a loop
-    over words should call `sweep_stats` once instead."""
-    return next(sweep_stats((w,), ham))[1]
+def word_stats(w: Word) -> WordStats:
+    """The statistics of a nonempty word, Hamiltonicity included, read off
+    the grid graph of its polyomino: the sweep of `sweep_stats` on the one
+    word.  Each call builds its own `_Automaton` and pays every line step
+    again, so a loop over words should call `sweep_stats` once instead."""
+    return next(sweep_stats((w,), True))[1]
 
 
 def sweep_stats(words: Iterable[Word], ham: bool) -> Iterator[tuple[Word, WordStats]]:
     """Each nonempty word of `words` with its statistics, equal to
-    `word_stats(w, ham)`, all read off its grid graph (area and
+    `word_stats(w)` but for `ham`, all read off its grid graph (area and
     semiperimeter by Euler's formula, `polyomino.Geometry`), with
     Hamiltonicity decided only when `ham` is set.  The sweep walks each
     word's lines on one `_Automaton` and keeps per line the node before

@@ -166,6 +166,7 @@ class MultiPoly:
         return cls(variables, {key: coef})
 
     # -- ring operations ----------------------------------------------
+    # an operand neither a MultiPoly nor an int gives NotImplemented, hence a TypeError
 
     def _check_same(self, other: "MultiPoly") -> None:
         if self.variables != other.variables:
@@ -174,6 +175,8 @@ class MultiPoly:
     def __add__(self, other: "MultiPoly | int") -> "MultiPoly":
         if isinstance(other, int):
             other = MultiPoly.constant(self.variables, other)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check_same(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
@@ -186,12 +189,10 @@ class MultiPoly:
         return MultiPoly._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly | int") -> "MultiPoly":
-        if isinstance(other, int):
-            other = MultiPoly.constant(self.variables, other)
-        return self + (-other)
+        return self + (-other) if isinstance(other, (int, MultiPoly)) else NotImplemented
 
     def __rsub__(self, other: int) -> "MultiPoly":
-        return MultiPoly.constant(self.variables, other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
         if isinstance(other, int):
@@ -199,6 +200,8 @@ class MultiPoly:
                 return MultiPoly.zero(self.variables)
             return MultiPoly._trusted(self.variables,
                                       {e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check_same(other)
         out: dict[tuple[int, ...], int] = {}
         for ea, ca in self.terms.items():
@@ -344,12 +347,6 @@ def expand(gf: RationalGF, n_max: int) -> list[MultiPoly]:
     return list(iter_expand(gf, n_max))
 
 
-def _check_n_max(n_max: int) -> None:
-    check_n(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-
-
 def iter_expand(gf: RationalGF, n_max: int) -> Iterator[MultiPoly]:
     """Coefficients of x^0..x^n_max as polynomials in the other variables,
     yielded in order, each as soon as it is made, with its terms in
@@ -388,7 +385,7 @@ def _coefficients(gf: RationalGF, n_max: int) -> Iterator[tuple[list[list[int]],
     coefficients) pair of `_iter_packed`; a gf in x alone runs `_iter_ints`,
     and c leaves as `([], [c])`, or `([], [])` when c = 0.  `n_max` is
     checked here, at the call."""
-    _check_n_max(n_max)
+    check_n(n_max, 0, "n_max")
     if gf.aux_variables:
         return _iter_packed(gf, n_max)
     return (([], [c] if c else []) for c in _iter_ints(gf, n_max))
@@ -509,7 +506,7 @@ def expand_ints(gf: RationalGF, n_max: int) -> list[int]:
     list of the recurrence `_iter_ints`."""
     if gf.aux_variables:
         raise ValueError("expand_ints requires a gf in x alone")
-    _check_n_max(n_max)
+    check_n(n_max, 0, "n_max")
     return list(_iter_ints(gf, n_max))
 
 

@@ -40,6 +40,14 @@ _MARKS = {name: (family, var) for family, fam in FAMILIES.items()
 TOTALS = {name: _MARKS[name] for name in graph.WordStats._fields}
 
 
+def _family(family: str) -> Family:
+    """The `FAMILIES` entry of `family`: the one check of a family name."""
+    try:
+        return FAMILIES[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}") from None
+
+
 class CheckReport(NamedTuple):
     family: str
     k: int
@@ -93,10 +101,9 @@ class _Run:
         over the words in `iter_words` order.  The first check that needs
         a length fills its table, so that check's report is charged for
         it; Hamiltonicity is decided once per word, if the run asks."""
+        words.check_n(n, 1, "length")
         table = self.tables.get((n, k))
         if table is None:
-            if n < 1:
-                raise ValueError(f"length must be >= 1, got {n}")
             sweep = graph.sweep_stats(words.iter_words(n, k), self.ham)
             table = self.tables[n, k] = {w.bits: stats for w, stats in sweep}
         return table
@@ -116,9 +123,7 @@ class _Run:
 def brute_stats_poly(n: int, k: int, family: str, *,
                      run: _Run | None = None) -> MultiPoly:
     """Exact monomial aggregation over all length-n words."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
-    fields = FAMILIES[family].fields
+    fields = _family(family).fields
     run = run or _Run(family == "ham")
     terms: dict[tuple[int, ...], int] = {}
     for stats in run.stats(n, k).values():
@@ -142,8 +147,11 @@ def cross_check(family: str, k: int, max_n: int, *,
     """One report per n comparing brute force against the series
     coefficient; a failing report's `actual` starts with the first
     monomial where they differ."""
+    gf = _family(family).gf
+    words.check_k(k)
+    words.check_n(max_n, 1, "max_n")
     run = run or _Run(family == "ham")
-    coeffs = series.expand(FAMILIES[family].gf(k), max_n)
+    coeffs = series.expand(gf(k), max_n)
     out = []
     for n in range(1, max_n + 1):
         brute = brute_stats_poly(n, k, family, run=run)
@@ -167,6 +175,8 @@ def totals_check(k: int, max_n: int, *, run: _Run | None = None) -> list[CheckRe
     the brute-force total; a failing row names each side that differs,
     with both values: `named 41 differs from brute 40`, joined by `; `
     when both do."""
+    words.check_k(k)
+    words.check_n(max_n, 1, "max_n")
     run = run or _Run(True)
     named = {name: series.expand_ints(series.gf_named_total(name, k), max_n)
              for name in TOTALS}
@@ -191,6 +201,8 @@ def ham_pair_check(max_k: int, max_n: int, *, run: _Run | None = None) -> list[C
     the named total of 2j against the total of the multivariate
     Hamiltonian gf of 2j+1.  The named total reads k only through
     2*floor(k/2), so the odd side must come from the other gf."""
+    words.check_k(max_k)
+    words.check_n(max_n, 1, "max_n")
     run = run or _Run(False)
     out = []
     for j in range(1, (max_k - 1) // 2 + 1):
@@ -215,6 +227,8 @@ def _ham_rule_report(run: _Run) -> CheckReport:
 def reversal_check(k: int, max_n: int, *, run: _Run | None = None) -> list[CheckReport]:
     """Statistics of every word agree with those of its reverse, and the
     mirrored geometry equals the reverse word's geometry."""
+    words.check_k(k)
+    words.check_n(max_n, 1, "max_n")
     run = run or _Run(False)
     out = []
     for n in range(1, max_n + 1):
@@ -323,8 +337,8 @@ def run_all(max_n: int, max_k: int, suites: tuple[str, ...] = tuple(SUITES)) -> 
     the reports' `elapsed_ms` add up to the call's time less under 1 ms."""
     if not SUITES.keys() >= set(suites):
         raise ValueError(f"unknown suite in {suites}; expected one of {tuple(SUITES)}")
-    if max_n < 1 or max_k < 2:
-        raise ValueError("need max_n >= 1 and max_k >= 2")
+    words.check_n(max_n, 1, "max_n")
+    words.check_k(max_k)
     # only the ham and totals suites read Hamiltonicity
     run = _Run(bool({"ham", "totals"} & set(suites)))
     return Summary([report for suite, checks in SUITES.items() if suite in suites
@@ -355,6 +369,4 @@ def to_csv(summary: Summary) -> str:
 
 def to_json_obj(summary: Summary) -> list[dict]:
     """One flat dict per report, keyed by the `CheckReport` fields in order."""
-    return [{"family": r.family, "k": r.k, "n": r.n, "status": r.status,
-             "expected": r.expected, "actual": r.actual, "elapsed_ms": r.elapsed_ms}
-            for r in summary.reports]
+    return [r._asdict() for r in summary.reports]

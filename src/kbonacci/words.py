@@ -33,10 +33,13 @@ def check_k(k: int) -> None:
         raise ValueError(f"avoidance parameter k must be an int >= 2, got {k!r}")
 
 
-def check_n(n: int) -> None:
-    """Reject a length or index n that is not an int (2.0, True, "3")."""
+def check_n(n: int, low: int | None = None, what: str = "n") -> None:
+    """The library's one check of a count: reject an n that is not an int
+    (2.0, True, "3") or is below `low`, naming n `what` in that error."""
     if type(n) is not int:
         raise ValueError(f"n must be an int, got {n!r}")
+    if low is not None and n < low:
+        raise ValueError(f"{what} must be >= {low}, got {n}")
 
 
 def _avoids(bits: tuple[int, ...], k: int) -> bool:
@@ -176,10 +179,8 @@ def generalized_fibonacci(n: int, k: int) -> int:
 
 def count_words(n: int, k: int) -> int:
     """Number of valid words of length n, i.e. F(n+2, k)."""
-    check_n(n)
+    check_n(n, 0, "word length")
     check_k(k)
-    if n < 0:
-        raise ValueError(f"word length must be >= 0, got {n}")
     return generalized_fibonacci(n + 2, k)
 
 
@@ -191,10 +192,8 @@ def iter_words(n: int, k: int) -> Iterator[Word]:
     does, and every letter after it becomes 0.  Invalid words are never
     materialized, and no recursion limits n.
     """
-    check_n(n)
+    check_n(n, 0, "word length")
     check_k(k)
-    if n < 0:
-        raise ValueError(f"word length must be >= 0, got {n}")
     bits = [0] * n
     run = [0] * (n + 1)  # run[i]: length of the run of 1's ending before letter i
     while True:

@@ -14,11 +14,12 @@ import pickle
 import re
 import subprocess
 import sys
+from collections.abc import Iterator
 
 import pytest
 
 import kbonacci
-from kbonacci import cli, graph, polyomino, series, verify
+from kbonacci import cli, formulas, graph, polyomino, series, verify, words
 from kbonacci.words import Word
 
 SRC = pathlib.Path(kbonacci.__file__).parent
@@ -472,7 +473,7 @@ def test_slotted_records_are_values(record, fields, text):
 @pytest.mark.parametrize("record", [
     Word((1, 0), 2),
     polyomino.Polyomino((2, 1), 2),
-    graph.word_stats(Word((1, 0), 2), True),
+    graph.word_stats(Word((1, 0), 2)),
     polyomino.geometry(polyomino.Polyomino((2, 1), 2)),
     verify.CheckReport("poly", 2, 1, "pass", "x", "x", 3),
 ], ids=lambda record: type(record).__name__)
@@ -480,3 +481,86 @@ def test_records_survive_pickle_and_deepcopy(record):
     for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
         assert type(twin) is type(record)
         assert twin == record and repr(twin) == repr(record)
+
+
+_GF, _GF_X = series.gf_polyomino(2), series.gf_named_total("area", 2)
+
+# every public function that takes a count or a k: (the function, valid
+# arguments, the position of the count, the least value it takes, or
+# None where every int is accepted)
+COUNTS = [
+    (words.is_kbonacci, ("01", 2), 1, 2),
+    (Word, ("01", 2), 1, 2),
+    (words.generalized_fibonacci, (5, 2), 0, None),
+    (words.generalized_fibonacci, (5, 2), 1, 2),
+    *[(f, (3, 2), at, low) for f in (words.count_words, words.iter_words,
+                                     words.enumerate_words)
+      for at, low in ((0, 0), (1, 2))],
+    *[(f, (_GF, 3), 1, 0) for f in (series.expand, series.iter_expand,
+                                    series.iter_text, series.iter_json_terms)],
+    (series.expand_ints, (_GF_X, 3), 1, 0),
+    (series.total_weight_series, (_GF, "q", 3), 2, 0),
+    *[(f, (3,), 0, 2) for f in (series.gf_polyomino, series.gf_graph, series.gf_degree,
+                                series.gf_hamiltonian, series.gf_deg4_alternate)],
+    (series.gf_named_total, ("area", 3), 1, 2),
+    (formulas.fibonacci, (5,), 0, None),
+    *[(f, (3,), 0, 1) for f in (*formulas.RECURRENCES.values(),
+                                *formulas.CLOSED_FORMS.values(),
+                                formulas.total_area_closed,
+                                formulas.polyomino_counts_by_area)],
+    (formulas.degree_poly, (2, 3), 1, 1),
+    (formulas.empirical_degree_ratio, (2, 3), 1, 1),
+    *[(f, (3,), 0, 0) for f in (formulas.fib_convolution, formulas.fib_convolution_closed,
+                                formulas.narayana, formulas.narayana_binomial,
+                                formulas.recurrence_sides, formulas.series_sides,
+                                formulas.degree_partition_break)],
+    (formulas.verify_certificate, ("rel1", 3, 1), 1, None),
+    (formulas.verify_certificate, ("rel1", 3, 1), 2, None),
+    (verify.brute_stats_poly, (3, 2, "poly"), 0, 1),
+    (verify.brute_stats_poly, (3, 2, "poly"), 1, 2),
+    (verify.brute_totals, (3, 2), 0, 1),
+    (verify.brute_totals, (3, 2), 1, 2),
+    (verify.cross_check, ("poly", 2, 3), 1, 2),
+    (verify.cross_check, ("poly", 2, 3), 2, 1),
+    *[(f, (3, 3), at, low) for f in (verify.totals_check, verify.ham_pair_check,
+                                     verify.reversal_check)
+      for at, low in ((0, 2), (1, 1))],
+    (verify.run_all, (3, 3), 0, 1),
+    (verify.run_all, (3, 3), 1, 2),
+]
+
+
+def _bad_counts():
+    for func, args, at, low in COUNTS:
+        name = list(inspect.signature(func).parameters)[at]
+        for bad in (True, 2.0, *(() if low is None else (low - 1,))):
+            yield pytest.param(func, (*args[:at], bad, *args[at + 1:]), bad,
+                               id=f"{func.__module__.split('.')[-1]}.{func.__qualname__}"
+                                  f"-{name}={bad!r}")
+
+
+@pytest.mark.parametrize("func, args, bad", _bad_counts())
+def test_every_count_is_checked(func, args, bad):
+    """A bool, a float, or an int just below the bound of any count or k
+    a public function takes is a `ValueError` that names the value; a
+    generator raises at its first item."""
+    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}") + "$"):
+        out = func(*args)
+        if isinstance(out, Iterator):
+            next(out)
+
+
+def test_only_words_raises_a_count_error():
+    """`words.check_n` and `check_k` are the only checks of a count: no
+    other module raises a "must be >=" or "must be an int" error.  The
+    CLI's argparse type `cli._at_least` is exempt."""
+    raisers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Raise) and any(
+                        isinstance(c, ast.Constant) and isinstance(c.value, str)
+                        and re.search("must be (>=|an int)", c.value) for c in ast.walk(node)):
+                    raisers.add(f"{path.stem}.{getattr(stmt, 'name', '<module>')}")
+    assert {name for name in raisers if not name.startswith("words.")} == {"cli._at_least"}
+    assert {"words.check_n", "words.check_k"} <= raisers

@@ -181,7 +181,7 @@ class TestIsHamiltonian:
         # a 3 x 61 grid: 92 vertices on one side, 91 on the other, which
         # a backtracking search takes exponential time to refute and the
         # DP, with a frontier of one column, refutes in linear time
-        assert word_stats(Word("1" * 60, 61), True).ham == 0
+        assert word_stats(Word("1" * 60, 61)).ham == 0
         assert is_hamiltonian(rectangle_grid(3, 3)) is False
 
     def test_graphs_that_are_not_bipartite_are_searched(self):
@@ -254,7 +254,7 @@ class TestIsHamiltonian:
                      "1" * (2 * a + 1) + "0" + "1" * (2 * a - 1)):
             w = Word(text, 2 * a + 2)
             assert hamiltonian_by_odd_runs(w) is (text[2 * a] == "1")
-            assert word_stats(w, True).ham == hamiltonian_by_odd_runs(w)
+            assert word_stats(w).ham == hamiltonian_by_odd_runs(w)
             assert is_hamiltonian(build_graph(from_word(w))) is hamiltonian_by_odd_runs(w)
 
     def test_the_search_agrees_with_the_odd_run_rule_up_to_n_12(self):
@@ -275,8 +275,8 @@ class TestIsHamiltonian:
         assert pairs == 33596
 
     def test_long_words_need_no_recursion(self):
-        assert word_stats(Word("10" * 995, 2), True).ham == 1
-        assert word_stats(Word("1" * 995, 996), True).ham == 1
+        assert word_stats(Word("10" * 995, 2)).ham == 1
+        assert word_stats(Word("1" * 995, 996)).ham == 1
 
     def test_fibonacci_graphs_always_hamiltonian(self):
         for n in range(1, 11):
@@ -325,7 +325,7 @@ class TestOracleAgreesWithPublicFunctions:
                     expected = WordStats(area(p), semiperimeter(p), len(g.vertices),
                                          len(g.edges), *degree_profile(g),
                                          int(is_hamiltonian(g)))
-                    assert word_stats(w, True) == expected, w.text
+                    assert word_stats(w) == expected, w.text
                     assert g == geometry(p), w.text
 
     def test_the_sweep_equals_one_record_per_word_in_any_order(self):
@@ -335,16 +335,18 @@ class TestOracleAgreesWithPublicFunctions:
             assert [w for w, _ in swept] == ws
             for w, stats in swept:
                 if w.bits not in expected:
-                    expected[w.bits] = word_stats(w, True)
+                    expected[w.bits] = word_stats(w)
                 assert stats == expected[w.bits], w.text
         ws = list(iter_words(7, 3))
-        assert [s for _, s in sweep_stats(ws, False)] == [word_stats(w, False) for w in ws]
+        assert ([s for _, s in sweep_stats(ws, False)]
+                == [word_stats(w)._replace(ham=None) for w in ws])
 
     def test_hamiltonicity_only_when_asked(self):
         w = Word.from_text("0110", 3)
-        assert word_stats(w, False).ham is None
-        assert word_stats(w, True).ham == 0
-        assert word_stats(w, False) == WordStats(**{**word_stats(w, True)._asdict(), "ham": None})
+        [(_, stats)] = sweep_stats((w,), False)
+        assert stats.ham is None
+        assert word_stats(w).ham == 0
+        assert stats == word_stats(w)._replace(ham=None)
 
     def test_brute_totals(self):
         for k in (2, 3, 4, 5):

@@ -1,4 +1,5 @@
 import json
+import operator
 import tracemalloc
 from fractions import Fraction
 
@@ -116,6 +117,15 @@ class TestMultiPolyAlgebra:
         assert 3 * x == x + x + x
         with pytest.raises(ValueError):
             x ** -1
+
+    @pytest.mark.parametrize("other", [1.5, Fraction(1, 2), None],
+                             ids=["float", "Fraction", "None"])
+    def test_an_operand_neither_polynomial_nor_int_is_a_type_error(self, other):
+        x = MultiPoly(("x",), {(1,): 1})
+        for op in (operator.add, operator.sub, operator.mul):
+            for left, right in ((x, other), (other, x)):
+                with pytest.raises(TypeError, match="unsupported operand"):
+                    op(left, right)
 
     @given(small_polys(PQ), small_polys(PQ))
     def test_commutativity(self, a, b):

@@ -103,6 +103,14 @@ class TestCrossCheck:
     def test_degree_family_k5(self):
         assert all(r.status == "pass" for r in cross_check("degree", 5, 6))
 
+    def test_an_unknown_family_is_a_value_error(self):
+        known = re.escape(str(tuple(verify.FAMILIES)))
+        message = f"^unknown family 'bogus'; expected one of {known}$"
+        for check in (lambda: cross_check("bogus", 2, 3),
+                      lambda: brute_stats_poly(3, 2, "bogus")):
+            with pytest.raises(ValueError, match=message):
+                check()
+
 
 class TestFormulaRows:
     @staticmethod
